@@ -7,20 +7,17 @@ is unconditionally stable up to third order for a suitable stabilization
 parameter beta.
 """
 
-from .core import (Boundary, Grid1D, Grid2D, ProblemSpec, SchemeConfig,
-                   SolutionField, WaveBounds, build_grid_1d, build_grid_2d,
-                   compute_bounds, compute_dt)
-from .kernelops import (ConvolutionResult, KernelParams, Side, apply_D,
-                        apply_D_power_chain, apply_L_inverse, compose_I0,
-                        convolve, local_integrals, sweep_left, sweep_right)
-from .operator import SplitFlux, build_H, build_H_2d, flux_split
+from .core import (Boundary, Grid1D, Grid2D, ProblemSpec, ProblemSpec2D,
+                   SchemeConfig, SolutionField, WaveBounds, build_grid_1d,
+                   build_grid_2d, compute_bounds, compute_dt, initial_field_2d)
+from .kernelops import KernelParams, Side, local_integrals, sweep_left, sweep_right
+from .operator import SplitFlux, build_H, flux_split
 from .problems import (BenchmarkCase, ErrorReport, barenblatt, error_norms,
                        exact_advdiff, make_problem, reference_solution,
                        solve_case)
-from .solver2d import ProblemSpec2D, advance_2d, initial_field_2d
-from .stability import (EquationKind, StabilityReport, SymbolQuery,
-                        amplification, compute_report, export_contours,
-                        max_amplification, scan_beta_max, symbol_D)
+from .stability import (EquationKind, StabilityReport, amplification,
+                        compute_report, export_contours, max_amplification,
+                        scan_beta_max)
 from .timestep import UnstableSolution, advance, rk_step
 
 __version__ = "0.1.0"
@@ -29,15 +26,12 @@ __all__ = [
     "Boundary", "Grid1D", "Grid2D", "ProblemSpec", "SchemeConfig",
     "SolutionField", "WaveBounds", "build_grid_1d", "build_grid_2d",
     "compute_bounds", "compute_dt",
-    "ConvolutionResult", "KernelParams", "Side", "apply_D",
-    "apply_D_power_chain", "apply_L_inverse", "compose_I0", "convolve",
-    "local_integrals", "sweep_left", "sweep_right",
-    "SplitFlux", "build_H", "build_H_2d", "flux_split",
+    "KernelParams", "Side", "local_integrals", "sweep_left", "sweep_right",
+    "SplitFlux", "build_H", "flux_split",
     "BenchmarkCase", "ErrorReport", "barenblatt", "error_norms",
     "exact_advdiff", "make_problem", "reference_solution", "solve_case",
-    "ProblemSpec2D", "advance_2d", "initial_field_2d",
-    "EquationKind", "StabilityReport", "SymbolQuery", "amplification",
+    "ProblemSpec2D", "initial_field_2d",
+    "EquationKind", "StabilityReport", "amplification",
     "compute_report", "export_contours", "max_amplification", "scan_beta_max",
-    "symbol_D",
     "UnstableSolution", "advance", "rk_step",
 ]

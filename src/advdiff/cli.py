@@ -16,6 +16,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+import numpy as np
+
 from . import problems, stability
 from .core import SchemeConfig
 from .stability import EquationKind, FULLY_DISCRETE, SEMI_DISCRETE
@@ -34,15 +36,9 @@ def _write_csv(path, header, rows):
 
 
 def _case_from_args(args) -> problems.BenchmarkCase:
-    params = {}
-    if args.m is not None:
-        params["m"] = args.m
+    params = {k: getattr(args, k) for k in ("m", "c", "b") if getattr(args, k) is not None}
     if args.gravity:
         params["gravity"] = True
-    if getattr(args, "c", None) is not None:
-        params["c"] = args.c
-    if getattr(args, "b", None) is not None:
-        params["b"] = args.b
     return problems.make_problem(args.case, **params)
 
 
@@ -61,32 +57,17 @@ def _cmd_run(args) -> int:
     case = _case_from_args(args)
     config = _config_from_args(case, args)
     T = args.T if args.T is not None else case.t_final
-    if case.is_2d:
-        if args.snapshots:
-            print("error: --snapshots is only supported for 1D cases", file=sys.stderr)
-            return 2
-        grid, u = problems.solve_case(case, config, n=args.N, ny=args.Ny, T=T)
-        rows = []
-        for j, y in enumerate(grid.gy.nodes):
-            for i, x in enumerate(grid.gx.nodes):
-                rows.append((x, y, u.values[j, i]))
-        _write_csv(args.out, ["x", "y", "u"], rows)
-        print(f"wrote {args.out}: {case.name} at T={u.time:g}, "
-              f"{grid.gx.n_cells}x{grid.gy.n_cells} cells")
-        return 0
-    snapshots = [float(s) for s in args.snapshots.split(",")] if args.snapshots else None
-    grid = case.build_grid(args.N)
-    u0 = case.initial_field(grid)
-    if snapshots:
-        u, snaps = advance(u0, T, case.spec, config, grid, snapshot_times=snapshots)
-        for t_snap, field in snaps.items():
-            path = _with_suffix(args.out, t_snap)
-            _write_solution_csv(path, grid, field, case)
-            print(f"wrote {path}")
-    else:
-        u = advance(u0, T, case.spec, config, grid)
+    times = [float(s) for s in args.snapshots.split(",")] if args.snapshots else []
+    grid = case.build_grid(args.N, args.Ny)
+    u, snaps = advance(case.initial_field(grid), T, case.spec, config, grid,
+                       snapshot_times=times)
+    for t_snap, field in snaps.items():
+        path = _with_suffix(args.out, t_snap)
+        _write_solution_csv(path, grid, field, case)
+        print(f"wrote {path}")
     _write_solution_csv(args.out, grid, u, case)
-    print(f"wrote {args.out}: {case.name} at T={u.time:g}, N={grid.n_cells}")
+    cells = "x".join(str(g.n_cells) for g in grid.axes)
+    print(f"wrote {args.out}: {case.name} at T={u.time:g}, {cells} cells")
     return 0
 
 
@@ -98,25 +79,23 @@ def _with_suffix(path: str, t: float) -> str:
 
 
 def _write_solution_csv(path, grid, u, case):
+    """One row per node: the coordinates (x, or x and y with x varying
+    fastest), u, and the exact value and error when the case has them."""
+    coords = np.meshgrid(*(g.nodes for g in grid.axes))
+    header = ["x", "y"][:len(coords)] + ["u"]
+    columns = [c.ravel() for c in coords] + [u.values.ravel()]
     if case.exact is not None:
-        ref = case.exact(grid.nodes, u.time)
-        rows = [(x, v, r, abs(v - r)) for x, v, r in zip(grid.nodes, u.values, ref)]
-        _write_csv(path, ["x", "u", "u_exact", "error"], rows)
-    else:
-        _write_csv(path, ["x", "u"], list(zip(grid.nodes, u.values)))
+        ref = case.exact(*coords, u.time)
+        header += ["u_exact", "error"]
+        columns += [ref.ravel(), np.abs(u.values - ref).ravel()]
+    _write_csv(path, header, zip(*columns))
 
 
 def _cmd_convergence(args) -> int:
     case = _case_from_args(args)
     n_values = [int(s) for s in args.N.split(",")]
-    config_kw = dict(order=args.k, beta=args.beta, cfl=args.cfl)
-    if args.quadrature:
-        config_kw["quadrature"] = args.quadrature
-    if args.no_filter:
-        config_kw["filter_enabled"] = False
-    if args.no_cross_term:
-        config_kw["cross_term_k3"] = False
-    reports = problems.convergence_study(case, config_kw, n_values, T=args.T)
+    config = _config_from_args(case, args)
+    reports = problems.convergence_study(case, config, n_values, T=args.T)
     rows = [(rep.n_cells, rep.linf,
              rep.order_vs_previous if rep.order_vs_previous is not None else float("nan"))
             for rep in reports]
@@ -147,13 +126,10 @@ def _cmd_stability(args) -> int:
 
 def _cmd_compare_reference(args) -> int:
     case = _case_from_args(args)
-    if case.is_2d:
-        print("compare-reference only supports 1D cases", file=sys.stderr)
-        return 2
     config = _config_from_args(case, args)
-    T = args.T if args.T is not None else case.t_final
-    grid, u = problems.solve_case(case, config, n=args.N, T=T)
-    ref_grid, ref = problems.reference_solution(case, T=T, n_ref=args.n_ref)
+    # the reference scheme is 1D only; it raises before the solve on a 2D case
+    ref_grid, ref = problems.reference_solution(case, T=args.T, n_ref=args.n_ref)
+    grid, u = problems.solve_case(case, config, n=args.N, T=args.T)
     ref_on_grid = problems.interpolate_to(ref, ref_grid, grid)
     rows = [(x, v, r, abs(v - r)) for x, v, r in zip(grid.nodes, u.values, ref_on_grid)]
     _write_csv(args.out, ["x", "u", "u_ref", "error"], rows)

@@ -7,7 +7,9 @@ nodes x_i = a + i*dx.  A problem is the scalar conservation-diffusion law
 
 with either periodic boundary conditions or the special homogeneous regime
 (all spatial derivatives vanish at both ends; satisfied by data that is
-constant near the boundary).
+constant near the boundary).  A 2D problem is one such law per axis; grids
+and problems expose their per-axis parts as `axes`, so the stepping driver
+and the operator treat 1D as one axis and 2D as two.
 """
 
 from __future__ import annotations
@@ -41,11 +43,19 @@ class Grid1D:
     def __len__(self):
         return self.n_cells + 1
 
+    @property
+    def axes(self) -> tuple:
+        return (self,)
+
 
 @dataclass(frozen=True)
 class Grid2D:
     gx: Grid1D
     gy: Grid1D
+
+    @property
+    def axes(self) -> tuple:
+        return (self.gx, self.gy)
 
 
 def build_grid_1d(a: float, b: float, n_cells: int) -> Grid1D:
@@ -74,6 +84,37 @@ class ProblemSpec:
     initial: Callable[[np.ndarray], np.ndarray]
     bc: Boundary = Boundary.PERIODIC
     exact: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
+
+    @property
+    def axes(self) -> tuple:
+        return (self,)
+
+
+@dataclass
+class ProblemSpec2D:
+    """u_t + f1(u)_x + f2(u)_y = g1(u)_xx + g2(u)_yy with initial data u0(x, y).
+
+    The solver applies the 1D operator along every grid line of each axis;
+    `axes` holds the x and y problems it uses, built once here.
+    """
+
+    f1: Callable
+    f1_deriv: Callable
+    g1: Callable
+    g1_deriv: Callable
+    f2: Callable
+    f2_deriv: Callable
+    g2: Callable
+    g2_deriv: Callable
+    initial: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    bc: Boundary = Boundary.PERIODIC
+
+    def __post_init__(self):
+        self.axes = (
+            ProblemSpec(flux=self.f1, flux_deriv=self.f1_deriv, diffusion=self.g1,
+                        diffusion_deriv=self.g1_deriv, initial=None, bc=self.bc),
+            ProblemSpec(flux=self.f2, flux_deriv=self.f2_deriv, diffusion=self.g2,
+                        diffusion_deriv=self.g2_deriv, initial=None, bc=self.bc))
 
 
 @dataclass
@@ -113,10 +154,22 @@ class SolutionField:
         return SolutionField(values=self.values.copy(), time=self.time)
 
 
+def initial_field_2d(problem: ProblemSpec2D, grid: Grid2D, t0: float = 0.0) -> SolutionField:
+    """Sample u0 on the tensor grid as a (ny+1, nx+1) field."""
+    X, Y = np.meshgrid(grid.gx.nodes, grid.gy.nodes)
+    return SolutionField(values=np.asarray(problem.initial(X, Y), dtype=float), time=t0)
+
+
 @dataclass(frozen=True)
 class WaveBounds:
     c: float       # max |f'(u)| over the sampled range
     b_diff: float  # max |g'(u)| over the sampled range
+
+
+def per_axis(bounds) -> tuple:
+    """Bounds as one WaveBounds per axis; a bare WaveBounds is the one axis of
+    a 1D problem."""
+    return (bounds,) if isinstance(bounds, WaveBounds) else tuple(bounds)
 
 
 def compute_bounds(problem: ProblemSpec, u: SolutionField | np.ndarray) -> WaveBounds:
@@ -140,20 +193,23 @@ def compute_bounds(problem: ProblemSpec, u: SolutionField | np.ndarray) -> WaveB
     return WaveBounds(c=float(np.max(fp)), b_diff=float(np.max(gp)))
 
 
-def compute_dt(config: SchemeConfig, bounds: WaveBounds, grid: Grid1D | Grid2D) -> float:
+def compute_dt(config: SchemeConfig, bounds, grid: Grid1D | Grid2D) -> float:
     """Nominal time step; the integrator truncates the final step to land on T.
 
     1D:  dt = CFL * dx / (b + c)
-    2D:  dt = CFL / max((b_x+c_x)/dx, (b_y+c_y)/dy), bounds given per axis as
-         a (WaveBounds, WaveBounds) pair.
+    2D:  dt = CFL / max((b_x+c_x)/dx, (b_y+c_y)/dy)
+
+    bounds holds one WaveBounds per grid axis (see per_axis).
     """
+    axis_bounds = per_axis(bounds)
     if isinstance(grid, Grid2D):
-        bx, by = bounds  # type: ignore[misc]
+        bx, by = axis_bounds
         sx = (bx.b_diff + bx.c) / grid.gx.dx
         sy = (by.b_diff + by.c) / grid.gy.dx
         if max(sx, sy) <= 0:
             raise ValueError("both wave-speed bounds vanish; nothing to evolve")
         return config.cfl / max(sx, sy)
+    (bounds,) = axis_bounds
     total = bounds.b_diff + bounds.c
     if total <= 0:
         raise ValueError("both wave-speed bounds vanish; nothing to evolve")

@@ -13,20 +13,10 @@ alone).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import Boundary
 from .quadrature import WENO_EPSILON
-
-
-@dataclass
-class FilterField:
-    xi: np.ndarray
-    sigma_left: np.ndarray
-    sigma_right: np.ndarray
-    epsilon: float = WENO_EPSILON
 
 
 def xi(si0, si2, epsilon: float = WENO_EPSILON):

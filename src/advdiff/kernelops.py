@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.signal import lfilter
@@ -60,25 +59,12 @@ class KernelParams:
         return cls(alpha=float(alpha), nu=float(nu), mu=float(np.exp(-nu * grid.n_cells)))
 
 
-@dataclass
-class ConvolutionResult:
-    """Convolution of one operand: global I, local J, and the smoothness pairs
-    captured by the WENO pass (None in linear mode)."""
-
-    I: np.ndarray
-    J: np.ndarray
-    si_left: Optional[tuple] = None
-    si_right: Optional[tuple] = None
-
-
 class _Family:
     """Cached per-(params, n_cells) sweep data: decay factor and edge profiles."""
 
     def __init__(self, params: KernelParams, n_cells: int):
         self.params = params
-        self.nu = params.nu
         self.mu = params.mu
-        self.q = np.exp(-params.nu)
         idx = np.arange(n_cells + 1)
         self.e_left = np.exp(-params.nu * idx)        # e^{-alpha (x_i - a)}
         self.e_right = self.e_left[::-1].copy()       # e^{-alpha (b - x_i)}
@@ -145,30 +131,6 @@ def sweep_right(J: np.ndarray, params: KernelParams) -> np.ndarray:
     return I
 
 
-def compose_I0(IL: np.ndarray, IR: np.ndarray) -> np.ndarray:
-    if IL.shape != IR.shape:
-        raise ValueError("left/right convolution length mismatch")
-    return 0.5 * (IL + IR)
-
-
-def convolve(v: np.ndarray, params: KernelParams, side: Side,
-             mode: str = LINEAR6, bc: Boundary = Boundary.PERIODIC) -> ConvolutionResult:
-    """Global convolution at the nodes (local integrals + recursive sweep)."""
-    if side is Side.ZERO:
-        JL, si0l, si2l = local_integrals(v, params, Side.LEFT, mode, bc)
-        JR, si0r, si2r = local_integrals(v, params, Side.RIGHT, mode, bc)
-        I = compose_I0(sweep_left(JL, params), sweep_right(JR, params))
-        return ConvolutionResult(I=I, J=0.5 * (JL + JR),
-                                 si_left=None if si0l is None else (si0l, si2l),
-                                 si_right=None if si0r is None else (si0r, si2r))
-    J, si0, si2 = local_integrals(v, params, side, mode, bc)
-    I = sweep_left(J, params) if side is Side.LEFT else sweep_right(J, params)
-    si = None if si0 is None else (si0, si2)
-    return ConvolutionResult(I=I, J=J,
-                             si_left=si if side is Side.LEFT else None,
-                             si_right=si if side is Side.RIGHT else None)
-
-
 @dataclass
 class BoundaryData:
     """End values feeding a closure: operand v1 (left chain) and partner v2
@@ -217,7 +179,7 @@ def _d_zero(v, fam: _Family, bc: Boundary, mode: str):
     params = fam.params
     JL, si0l, si2l = local_integrals(v, params, Side.LEFT, mode, bc)
     JR, si0r, si2r = local_integrals(v, params, Side.RIGHT, mode, bc)
-    I0 = compose_I0(sweep_left(JL, params), sweep_right(JR, params))
+    I0 = 0.5 * (sweep_left(JL, params) + sweep_right(JR, params))
     data = BoundaryData(v1_a=v[..., 0], v1_b=v[..., -1])
     a0, b0 = boundary_coefficients(Side.ZERO, bc, data, I0[..., 0], I0[..., -1], fam.mu)
     w = I0 + np.asarray(a0)[..., None] * fam.e_left + np.asarray(b0)[..., None] * fam.e_right
@@ -251,73 +213,6 @@ def _d_pair(vl, vr, fam: _Family, bc: Boundary, mode: str):
     return dl, dr, si_l, si_r
 
 
-def apply_L_inverse(side: Side, v: np.ndarray, params: KernelParams,
-                    bc: Boundary, mode: str = LINEAR6,
-                    partner: Optional[np.ndarray] = None) -> np.ndarray:
-    """L^{-1}[v]: convolution plus closure terms.
-
-    In the homogeneous regime the LEFT/RIGHT families need the partner
-    operand of the opposite chain (defaults to zero data).
-    """
-    fam = _Family(params, v.shape[-1] - 1)
-    if side is Side.ZERO:
-        d, _ = _d_zero(v, fam, bc, mode)
-        return v - d
-    if partner is None:
-        partner = np.zeros_like(v)
-    if side is Side.LEFT:
-        dl, _, _, _ = _d_pair(v, partner, fam, bc, mode)
-        return v - dl
-    _, dr, _, _ = _d_pair(partner, v, fam, bc, mode)
-    return v - dr
-
-
-def apply_D(side: Side, v: np.ndarray, params: KernelParams,
-            bc: Boundary, mode: str = LINEAR6,
-            partner: Optional[np.ndarray] = None) -> np.ndarray:
-    """D[v] = v - L^{-1}[v]."""
-    return v - apply_L_inverse(side, v, params, bc, mode, partner)
-
-
-def apply_D_power_chain(side: Side, v: np.ndarray, params: KernelParams,
-                        bc: Boundary, k: int, mode_first: str = WENO5,
-                        partner: Optional[np.ndarray] = None):
-    """All powers D^1[v] .. D^k[v], re-closing the boundary at every power.
-
-    The first application uses `mode_first` (WENO by default, capturing
-    smoothness data); higher powers always use the linear rule.  For the
-    one-sided families under homogeneous closure the opposite chain runs on
-    `partner` (zero data when omitted) so the coupled conditions are enforced
-    at every power.  Returns (powers, si) where si is the smoothness pair of
-    the first pass (None in linear mode).
-    """
-    if not 1 <= k <= 3:
-        raise ValueError("power count k must be 1, 2 or 3")
-    fam = _Family(params, v.shape[-1] - 1)
-    powers = []
-    si_first = None
-    if side is Side.ZERO:
-        cur = v
-        for p in range(1, k + 1):
-            cur, si = _d_zero(cur, fam, bc, LINEAR6 if p > 1 else mode_first)
-            if p == 1:
-                si_first = si
-            powers.append(cur)
-        return powers, si_first
-    cur_main = v
-    cur_partner = np.zeros_like(v) if partner is None else partner
-    for p in range(1, k + 1):
-        mode = LINEAR6 if p > 1 else mode_first
-        if side is Side.LEFT:
-            cur_main, cur_partner, si, _ = _d_pair(cur_main, cur_partner, fam, bc, mode)
-        else:
-            cur_partner, cur_main, _, si = _d_pair(cur_partner, cur_main, fam, bc, mode)
-        if p == 1:
-            si_first = si
-        powers.append(cur_main)
-    return powers, si_first
-
-
 def d_chain_pair(vl: np.ndarray, vr: np.ndarray, params: KernelParams,
                  bc: Boundary, k: int, mode_first: str = WENO5):
     """Left chain on vl and right chain on vr advanced together through k
@@ -327,14 +222,10 @@ def d_chain_pair(vl: np.ndarray, vr: np.ndarray, params: KernelParams,
     smoothness pairs taken from the first (WENO) pass.
     """
     fam = _Family(params, vl.shape[-1] - 1)
-    pl, pr = [], []
-    si_l = si_r = None
-    cl, cr = vl, vr
-    for p in range(1, k + 1):
-        mode = LINEAR6 if p > 1 else mode_first
-        cl, cr, sl, sr = _d_pair(cl, cr, fam, bc, mode)
-        if p == 1:
-            si_l, si_r = sl, sr
+    cl, cr, si_l, si_r = _d_pair(vl, vr, fam, bc, mode_first)
+    pl, pr = [cl], [cr]
+    for _ in range(1, k):
+        cl, cr, _, _ = _d_pair(cl, cr, fam, bc, LINEAR6)
         pl.append(cl)
         pr.append(cr)
     return pl, pr, si_l, si_r
@@ -342,5 +233,18 @@ def d_chain_pair(vl: np.ndarray, vr: np.ndarray, params: KernelParams,
 
 def d_chain_zero(v: np.ndarray, params: KernelParams, bc: Boundary, k: int,
                  mode_first: str = WENO5):
-    """Symmetric-family chain D_0^1[v] .. D_0^k[v]; see apply_D_power_chain."""
-    return apply_D_power_chain(Side.ZERO, v, params, bc, k, mode_first)
+    """Symmetric-family chain D_0^1[v] .. D_0^k[v], re-closing the boundary
+    at every power.
+
+    The first application uses `mode_first` (WENO by default, capturing
+    smoothness data); higher powers always use the linear rule.  Returns
+    (powers, si) where si is the smoothness data of the first pass (None in
+    linear mode).
+    """
+    fam = _Family(params, v.shape[-1] - 1)
+    cur, si = _d_zero(v, fam, bc, mode_first)
+    powers = [cur]
+    for _ in range(1, k):
+        cur, _ = _d_zero(cur, fam, bc, LINEAR6)
+        powers.append(cur)
+    return powers, si

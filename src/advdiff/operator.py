@@ -15,8 +15,8 @@ correction term alpha_L * D_0[D_L^2[f+] - D_L^2[f-]] (same alpha_L family,
 linear quadrature) restores A-stability of the convection part.  Blocks whose
 wave-speed bound vanishes are skipped.
 
-Everything operates on arrays along the last axis; the 2D operator runs the
-same assembly per axis on batched lines and sums the results.
+Everything operates on arrays along the last axis; in 2D the same assembly
+runs per axis on batched lines and the results are summed.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEGENERATE_TOL, Grid1D, Grid2D, ProblemSpec, SchemeConfig, WaveBounds
+from .core import (DEGENERATE_TOL, Grid1D, Grid2D, ProblemSpec, ProblemSpec2D,
+                   SchemeConfig, WaveBounds, per_axis)
 from .filtering import sigma_fields, xi
 from .kernelops import KernelParams, _Family, _d_pair, _d_zero, d_chain_pair, d_chain_zero
 from .quadrature import LINEAR6
@@ -35,7 +36,6 @@ from .quadrature import LINEAR6
 class SplitFlux:
     fplus: np.ndarray
     fminus: np.ndarray
-    c: float
 
 
 def flux_split(problem: ProblemSpec, u: np.ndarray, bounds: WaveBounds) -> SplitFlux:
@@ -43,7 +43,7 @@ def flux_split(problem: ProblemSpec, u: np.ndarray, bounds: WaveBounds) -> Split
     df+/du >= 0 and df-/du <= 0 over the bounded range."""
     f = problem.flux(u)
     cu = bounds.c * u
-    return SplitFlux(fplus=0.5 * (f + cu), fminus=0.5 * (f - cu), c=bounds.c)
+    return SplitFlux(fplus=0.5 * (f + cu), fminus=0.5 * (f - cu))
 
 
 def _convection(u, problem, config, bounds, dt, grid, bc):
@@ -82,41 +82,26 @@ def _diffusion(u, problem, config, bounds, dt, grid, bc):
     return -params.alpha ** 2 * sum(chain)
 
 
-def build_H(u: np.ndarray, problem: ProblemSpec, config: SchemeConfig,
-            bounds: WaveBounds, dt: float, grid: Grid1D) -> np.ndarray:
-    """Spatial operator for one stage; pure in u."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    h = np.zeros_like(u)
-    if bounds.c > DEGENERATE_TOL:
-        h = h + _convection(u, problem, config, bounds, dt, grid, problem.bc)
-    if bounds.b_diff > DEGENERATE_TOL:
-        h = h + _diffusion(u, problem, config, bounds, dt, grid, problem.bc)
-    return h
+def build_H(u: np.ndarray, problem: ProblemSpec | ProblemSpec2D, config: SchemeConfig,
+            bounds, dt: float, grid: Grid1D | Grid2D) -> np.ndarray:
+    """Spatial operator for one stage; pure in u.
 
-
-def build_H_2d(u: np.ndarray, problem2d, config: SchemeConfig,
-               bounds_x: WaveBounds, bounds_y: WaveBounds,
-               dt: float, grid: Grid2D) -> np.ndarray:
-    """Dimension-by-dimension operator on a (ny+1, nx+1) field.
-
-    x-sweeps treat rows as a batch; y-sweeps run on the transposed field.
-    Both are evaluated from the same input field and summed.
+    bounds holds one WaveBounds per axis of problem and grid (a bare
+    WaveBounds in 1D).  On a (ny+1, nx+1) field the x-sweeps treat the rows
+    as a batch and the y-sweeps run on the transposed field; both are
+    evaluated from the same input field and summed.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    px, py = problem2d.x_problem(), problem2d.y_problem()
     h = np.zeros_like(u)
-    if bounds_x.c > DEGENERATE_TOL:
-        h = h + _convection(u, px, config, bounds_x, dt, grid.gx, px.bc)
-    if bounds_x.b_diff > DEGENERATE_TOL:
-        h = h + _diffusion(u, px, config, bounds_x, dt, grid.gx, px.bc)
-    if bounds_y.c > DEGENERATE_TOL or bounds_y.b_diff > DEGENERATE_TOL:
-        ut = np.ascontiguousarray(u.T)
-        ht = np.zeros_like(ut)
-        if bounds_y.c > DEGENERATE_TOL:
-            ht = ht + _convection(ut, py, config, bounds_y, dt, grid.gy, py.bc)
-        if bounds_y.b_diff > DEGENERATE_TOL:
-            ht = ht + _diffusion(ut, py, config, bounds_y, dt, grid.gy, py.bc)
-        h = h + ht.T
+    for axis, (spec, b, g) in enumerate(zip(problem.axes, per_axis(bounds), grid.axes)):
+        if b.c <= DEGENERATE_TOL and b.b_diff <= DEGENERATE_TOL:
+            continue
+        v = np.ascontiguousarray(u.T) if axis else u
+        hv = np.zeros_like(v)
+        if b.c > DEGENERATE_TOL:
+            hv = hv + _convection(v, spec, config, b, dt, g, spec.bc)
+        if b.b_diff > DEGENERATE_TOL:
+            hv = hv + _diffusion(v, spec, config, b, dt, g, spec.bc)
+        h = h + (hv.T if axis else hv)
     return h

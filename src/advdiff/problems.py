@@ -26,9 +26,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import (Boundary, Grid1D, ProblemSpec, SchemeConfig,
-                   SolutionField, build_grid_1d, build_grid_2d, compute_bounds)
-from .solver2d import ProblemSpec2D, initial_field_2d, advance_2d
+from .core import (Boundary, Grid1D, ProblemSpec, ProblemSpec2D, SchemeConfig,
+                   SolutionField, build_grid_1d, build_grid_2d, compute_bounds,
+                   initial_field_2d)
 from .timestep import advance
 
 #: beta_max per order from the stability scans: one-sided (advection),
@@ -50,12 +50,6 @@ def barenblatt(x, t, m):
     p = 1.0 / (m + 1)
     arg = 1.0 - p * (m - 1) / (2.0 * m) * np.abs(x) ** 2 / t ** (2 * p)
     return t ** (-p) * np.maximum(arg, 0.0) ** (1.0 / (m - 1))
-
-
-def barenblatt_support(t, m):
-    """Radius of the support of the profile at time t."""
-    p = 1.0 / (m + 1)
-    return t ** p * np.sqrt(2.0 * m / (p * (m - 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -162,21 +156,17 @@ class BenchmarkCase:
         if order in self.beta_defaults:
             return self.beta_defaults[order]
         u0 = self.initial_field(self.build_grid(max(self.default_n // 4, 8)))
-        if self.is_2d:
-            from .solver2d import compute_bounds_2d
-            bx, by = compute_bounds_2d(self.spec, u0.values)
-            has_c = max(bx.c, by.c) > 1e-14
-            has_b = max(bx.b_diff, by.b_diff) > 1e-14
-        else:
-            bounds = compute_bounds(self.spec, u0)
-            has_c, has_b = bounds.c > 1e-14, bounds.b_diff > 1e-14
+        bounds = [compute_bounds(spec, u0) for spec in self.spec.axes]
+        has_c = max(b.c for b in bounds) > 1e-14
+        has_b = max(b.b_diff for b in bounds) > 1e-14
         if has_c and has_b:
             beta = BETA_MAX_MIXED[order]
         elif has_c:
             beta = BETA_MAX_ADVECTION[order]
         else:
             beta = BETA_MAX_DIFFUSION[order]
-        return beta / 2.0 if self.is_2d else beta
+        # dimension-by-dimension splitting divides the 1D value by the axis count
+        return beta / len(bounds)
 
     def make_config(self, order: int = 3, beta: Optional[float] = None,
                     cfl: Optional[float] = None, **kw) -> SchemeConfig:
@@ -188,7 +178,17 @@ class BenchmarkCase:
 
 def make_problem(name: str, **params) -> BenchmarkCase:
     """Build a catalog case by name; keyword params override case knobs
-    (m for the porous-medium cases, gravity/eps for Buckley-Leverett)."""
+    (c/b for the linear case, m for the porous-medium cases, gravity/eps for
+    Buckley-Leverett, eps for the degenerate cases).  A knob the case does
+    not have raises ValueError."""
+    case = _build_case(name, params)
+    if params:
+        raise ValueError(f"case {name!r} does not take parameter(s) {', '.join(sorted(params))}")
+    return case
+
+
+def _build_case(name: str, params: dict) -> BenchmarkCase:
+    """The named case; pops the knobs it uses from params."""
     if name == "linear_advdiff":
         c = params.pop("c", 1.0)
         b = params.pop("b", 0.01)
@@ -200,7 +200,7 @@ def make_problem(name: str, **params) -> BenchmarkCase:
         return BenchmarkCase(name=name, spec=spec, domain=(-np.pi, np.pi),
                              default_n=160, t0=0.0, t_final=2.0, default_cfl=0.5,
                              beta_defaults={1: 1.0, 2: 0.5, 3: 0.4},
-                             exact=spec.exact, params={"c": c, "b": b, **params})
+                             exact=spec.exact, params={"c": c, "b": b})
     if name == "pme_barenblatt":
         m = params.pop("m", 5)
         g, gp = _pme_g(m)
@@ -210,7 +210,7 @@ def make_problem(name: str, **params) -> BenchmarkCase:
         return BenchmarkCase(name=name, spec=spec, domain=(-6.0, 6.0),
                              default_n=200, t0=1.0, t_final=2.0, default_cfl=1.0,
                              beta_defaults={3: 0.8}, exact=spec.exact,
-                             params={"m": m, **params})
+                             params={"m": m})
     if name == "pme_two_box":
         m = params.pop("m", 6)
         g, gp = _pme_g(m)
@@ -223,7 +223,7 @@ def make_problem(name: str, **params) -> BenchmarkCase:
                            initial=boxes, bc=Boundary.HOMOGENEOUS)
         return BenchmarkCase(name=name, spec=spec, domain=(-6.0, 6.0),
                              default_n=400, t0=0.0, t_final=0.12, default_cfl=0.5,
-                             beta_defaults={3: 0.8}, params={"m": m, **params})
+                             beta_defaults={3: 0.8}, params={"m": m})
     if name == "buckley_leverett":
         gravity = params.pop("gravity", False)
         eps = params.pop("eps", 0.01)
@@ -236,7 +236,7 @@ def make_problem(name: str, **params) -> BenchmarkCase:
         return BenchmarkCase(name=name, spec=spec, domain=(0.0, 1.0),
                              default_n=200, t0=0.0, t_final=0.2, default_cfl=0.5,
                              beta_defaults={1: 1.0, 2: 0.5, 3: 0.4},
-                             params={"gravity": gravity, "eps": eps, **params})
+                             params={"gravity": gravity, "eps": eps})
     if name == "strong_degenerate":
         eps = params.pop("eps", 0.1)
         g, gp = _sd_g(eps)
@@ -253,7 +253,7 @@ def make_problem(name: str, **params) -> BenchmarkCase:
         return BenchmarkCase(name=name, spec=spec, domain=(-2.0, 2.0),
                              default_n=200, t0=0.0, t_final=0.7, default_cfl=0.5,
                              beta_defaults={1: 1.0, 2: 0.5, 3: 0.4},
-                             params={"eps": eps, **params})
+                             params={"eps": eps})
     if name == "strong_degenerate_2d":
         eps = params.pop("eps", 0.1)
         g, gp = _sd_g(eps)
@@ -270,7 +270,7 @@ def make_problem(name: str, **params) -> BenchmarkCase:
                              initial=discs, bc=Boundary.HOMOGENEOUS)
         return BenchmarkCase(name=name, spec=spec, domain=(-1.5, 1.5, -1.5, 1.5),
                              default_n=200, t0=0.0, t_final=0.5, default_cfl=0.5,
-                             beta_defaults={3: 0.2}, params={"eps": eps, **params})
+                             beta_defaults={3: 0.2}, params={"eps": eps})
     if name == "buckley_leverett_2d":
         eps = params.pop("eps", 0.01)
         f1, f1p = _bl_flux(False)
@@ -286,7 +286,7 @@ def make_problem(name: str, **params) -> BenchmarkCase:
                              initial=disc, bc=Boundary.HOMOGENEOUS)
         return BenchmarkCase(name=name, spec=spec, domain=(-1.5, 1.5, -1.5, 1.5),
                              default_n=200, t0=0.0, t_final=0.5, default_cfl=0.5,
-                             beta_defaults={3: 0.2}, params={"eps": eps, **params})
+                             beta_defaults={3: 0.2}, params={"eps": eps})
     raise ValueError(f"unknown benchmark case {name!r}")
 
 
@@ -313,6 +313,8 @@ def reference_solution(case: BenchmarkCase, T: Optional[float] = None,
     dx = grid.dx
     dt0 = 0.1 * dx ** 2 / (c * dx + 2.0 * b)
     periodic = prob.bc is Boundary.PERIODIC
+    if periodic:
+        u = u[:-1]  # evolve the N unique nodes; node N repeats node 0
 
     def shift(a, off):
         if periodic:
@@ -332,6 +334,8 @@ def reference_solution(case: BenchmarkCase, T: Optional[float] = None,
              - dt / dx * (shift(fm, 1) - fm)
              + dt / dx ** 2 * (shift(g, 1) - 2.0 * g + shift(g, -1)))
         t += dt
+    if periodic:
+        u = np.append(u, u[0])
     return grid, SolutionField(values=u, time=t)
 
 
@@ -377,21 +381,17 @@ def solve_case(case: BenchmarkCase, config: SchemeConfig,
                T: Optional[float] = None):
     """Run one benchmark case end to end; returns (grid, final field)."""
     grid = case.build_grid(n, ny)
-    u0 = case.initial_field(grid)
     T = case.t_final if T is None else T
-    if case.is_2d:
-        return grid, advance_2d(u0, T, case.spec, config, grid)
-    return grid, advance(u0, T, case.spec, config, grid)
+    return grid, advance(case.initial_field(grid), T, case.spec, config, grid)
 
 
-def convergence_study(case: BenchmarkCase, config_kw: dict, n_values,
+def convergence_study(case: BenchmarkCase, config: SchemeConfig, n_values,
                       T: Optional[float] = None) -> list[ErrorReport]:
     """Errors against the case's exact solution over a resolution sweep."""
     if case.exact is None:
         raise ValueError(f"case {case.name} has no exact solution")
     reports = []
     for n in n_values:
-        config = case.make_config(**config_kw)
         grid, u = solve_case(case, config, n=n, T=T)
         reports.append(error_norms(u, case.exact, grid))
     return observed_orders(reports)

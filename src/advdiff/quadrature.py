@@ -205,9 +205,3 @@ def linear_integrals(window, nu: float):
     c = linear_coefficients(nu)
     return sum(c[j] * window[j] for j in range(6))
 
-
-def weno_local_integral(window, nu: float):
-    """Single-window WENO value: returns (J, SI0, SI2) for six scalars."""
-    w = [np.asarray(x, dtype=float) for x in window]
-    J, si0, si2 = weno_integrals(w, nu)
-    return float(J), float(si0), float(si2)

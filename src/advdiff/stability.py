@@ -44,14 +44,6 @@ class EquationKind(enum.Enum):
     DIFFUSION = "diffusion"
 
 
-@dataclass(frozen=True)
-class SymbolQuery:
-    side: Side
-    kappa_dx: float
-    nu: float
-    mode: str = SEMI_DISCRETE
-
-
 @dataclass
 class StabilityReport:
     kind: EquationKind
@@ -101,13 +93,6 @@ def _dhat(side: Side, kappa_dx, nu: float, mode: str):
     raise ValueError(f"unknown symbol mode {mode!r}")
 
 
-def symbol_D(query: SymbolQuery) -> complex:
-    """Symbol of one D family at a single (kappa_dx, nu) point."""
-    if query.nu <= 0:
-        raise ValueError("nu must be positive")
-    return complex(_dhat(query.side, query.kappa_dx, query.nu, query.mode))
-
-
 def amplification(order: int, kind: EquationKind, beta: float, kappa_dx,
                   step_ratio: float, mode: str = SEMI_DISCRETE,
                   cross_term: bool = False):
@@ -128,25 +113,14 @@ def amplification(order: int, kind: EquationKind, beta: float, kappa_dx,
     return rk_multiplier(order, z)
 
 
-def _scan(order, kind, beta, mode, cross_term, n_kappa, n_ratio):
-    kdx = np.linspace(0.0, 2 * np.pi, n_kappa)
-    ratios = np.geomspace(*RATIO_RANGE, n_ratio)
-    grid = np.empty((n_ratio, n_kappa))
-    for i, s in enumerate(ratios):
-        grid[i] = np.abs(amplification(order, kind, beta, kdx, s, mode, cross_term))
-    return kdx, ratios, grid
-
-
 def max_amplification(order: int, kind: EquationKind, beta: float,
                       mode: str = SEMI_DISCRETE, n_kappa: int = 512,
                       n_ratio: int = 64, cross_term: bool | None = None) -> float:
     """Largest |lambda| over the (kappa_dx, step-ratio) scan grid."""
     if n_kappa < 256:
         raise ValueError("need at least 256 kappa points for a trustworthy scan")
-    if cross_term is None:
-        cross_term = order == 3 and kind is EquationKind.ADVECTION
-    _, _, grid = _scan(order, kind, beta, mode, cross_term, n_kappa, n_ratio)
-    return float(np.max(grid))
+    return compute_report(order, kind, beta, mode, n_kappa, n_ratio,
+                          cross_term).max_abs_lambda
 
 
 def scan_beta_max(order: int, kind: EquationKind, mode: str = SEMI_DISCRETE,
@@ -171,9 +145,15 @@ def compute_report(order: int, kind: EquationKind, beta: float,
                    mode: str = FULLY_DISCRETE, n_kappa: int = 512,
                    n_ratio: int = 64, cross_term: bool | None = None,
                    beta_max_estimate: float | None = None) -> StabilityReport:
+    """|lambda| over the (kappa_dx, step-ratio) scan grid; the k=3 advection
+    correction is on unless cross_term says otherwise."""
     if cross_term is None:
         cross_term = order == 3 and kind is EquationKind.ADVECTION
-    kdx, ratios, grid = _scan(order, kind, beta, mode, cross_term, n_kappa, n_ratio)
+    kdx = np.linspace(0.0, 2 * np.pi, n_kappa)
+    ratios = np.geomspace(*RATIO_RANGE, n_ratio)
+    grid = np.empty((n_ratio, n_kappa))
+    for i, s in enumerate(ratios):
+        grid[i] = np.abs(amplification(order, kind, beta, kdx, s, mode, cross_term))
     return StabilityReport(kind=kind, order=order, beta=beta,
                            kappa_dx=kdx, step_ratio=ratios, abs_lambda=grid,
                            beta_max_estimate=beta_max_estimate)

@@ -1,4 +1,4 @@
-"""Explicit SSP Runge-Kutta time integration of u_t = H[u].
+"""Explicit SSP Runge-Kutta time integration of u_t = H[u], in 1D and 2D.
 
 The kernel parameters inside H depend on the step size, so H is rebuilt for
 every step (including the truncated final step).  Stage combinations are the
@@ -16,8 +16,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import (Grid1D, ProblemSpec, SchemeConfig, SolutionField,
-                   compute_bounds, compute_dt)
+from .core import (Grid1D, Grid2D, ProblemSpec, ProblemSpec2D, SchemeConfig,
+                   SolutionField, compute_bounds, compute_dt)
 from .operator import build_H
 
 #: relative slack when deciding whether the target time is reached
@@ -51,29 +51,34 @@ def rk_step(u: SolutionField, dt: float, order: int,
     return SolutionField(values=out, time=u.time + dt)
 
 
-def advance(u0: SolutionField, T: float, problem: ProblemSpec,
-            config: SchemeConfig, grid: Grid1D,
+def advance(u0: SolutionField, T: float, problem: ProblemSpec | ProblemSpec2D,
+            config: SchemeConfig, grid: Grid1D | Grid2D,
             snapshot_times: Optional[Sequence[float]] = None):
-    """March u0 to time T: each step recomputes bounds, picks dt, truncates to
-    land exactly on T (and on any requested snapshot times).
+    """March u0 to time T: each step recomputes the bounds of every axis,
+    picks dt, truncates to land exactly on T (and on any requested snapshot
+    times).  A 2D field has shape (ny+1, nx+1).
 
     Returns the final field, or (final, snapshots) when snapshot_times is
-    given; snapshots maps each requested time to a SolutionField.
+    given; snapshots maps each distinct requested time to a SolutionField.
+    Snapshot times must lie in (u0.time, T].
     """
     if T < u0.time:
         raise ValueError("target time lies before the field's time")
-    marks = sorted(t for t in (snapshot_times or []) if u0.time < t <= T)
+    marks = sorted(set(snapshot_times or ()))
+    outside = [t for t in marks if not u0.time < t <= T]
+    if outside:
+        raise ValueError(f"snapshot times {outside} lie outside ({u0.time:g}, {T:g}]")
     snaps = {}
     u = u0.copy()
     tol = TIME_TOL * max(1.0, abs(T))
     while u.time < T - tol:
-        bounds = compute_bounds(problem, u)
+        bounds = tuple(compute_bounds(spec, u) for spec in problem.axes)
         dt = compute_dt(config, bounds, grid)
         limit = marks[0] if marks else T
         dt = min(dt, limit - u.time)
         u = rk_step(u, dt, config.order,
                     lambda v: build_H(v, problem, config, bounds, dt, grid))
-        if marks and u.time >= marks[0] - tol:
+        while marks and u.time >= marks[0] - tol:
             snaps[marks.pop(0)] = u.copy()
     if snapshot_times is not None:
         return u, snaps

@@ -11,12 +11,12 @@ import pytest
 
 import advdiff
 from advdiff import (Boundary, EquationKind, KernelParams, SchemeConfig, Side,
-                     SolutionField, amplification, apply_D_power_chain,
-                     build_grid_1d, build_grid_2d, local_integrals,
-                     make_problem, max_amplification, rk_step, scan_beta_max,
-                     solve_case, sweep_left)
+                     SolutionField, amplification, build_grid_1d,
+                     build_grid_2d, local_integrals, make_problem,
+                     max_amplification, rk_step, scan_beta_max, solve_case,
+                     sweep_left)
 from advdiff.filtering import sigma_fields, xi
-from advdiff.kernelops import d_chain_pair
+from advdiff.kernelops import d_chain_pair, d_chain_zero
 from advdiff.operator import build_H
 from advdiff.quadrature import (LINEAR6, WENO5, _C_SWITCH, _D_SWITCH,
                                 linear_coefficients, linear_weights,
@@ -198,7 +198,7 @@ def test_criterion_4_truncation_order(bc):
         errs = []
         for alpha in alphas:
             p = KernelParams.from_alpha(float(alpha), grid)
-            powers, _ = apply_D_power_chain(Side.ZERO, v, p, bc, order, LINEAR6)
+            powers, _ = d_chain_zero(v, p, bc, order, LINEAR6)
             errs.append(np.max(np.abs(vxx + alpha ** 2 * sum(powers))))
         s = _slope(alphas, errs)
         assert s == pytest.approx(-2 * order, abs=0.2), f"D0 {bc} k={order}: {s:.3f}"
@@ -349,8 +349,8 @@ def test_criterion_8_two_dimensional():
         initial=lambda x, y: np.sin(x) + 0.0 * y, bc=Boundary.PERIODIC)
     grid2 = build_grid_2d(-np.pi, np.pi, 64, -np.pi, np.pi, 16)
     config = SchemeConfig(order=3, beta=0.2, cfl=0.5)
-    u2 = advdiff.advance_2d(advdiff.initial_field_2d(prob2, grid2), 0.5, prob2,
-                            config, grid2)
+    u2 = advdiff.advance(advdiff.initial_field_2d(prob2, grid2), 0.5, prob2,
+                         config, grid2)
     case1 = make_problem("linear_advdiff", c=1.0, b=0.1)
     grid1 = case1.build_grid(64)
     u1 = advdiff.advance(case1.initial_field(grid1), 0.5, case1.spec, config, grid1)

@@ -42,6 +42,25 @@ def test_run_snapshots(tmp_path):
     assert (tmp_path / "sol_t0.25.csv").exists()
 
 
+def test_run_2d_snapshots(tmp_path):
+    out = tmp_path / "sol2d.csv"
+    rc = main(["run", "--case", "strong_degenerate_2d", "--N", "24", "--T", "0.02",
+               "--snapshots", "0.01", "--out", str(out)])
+    assert rc == 0
+    header, rows = read_csv(tmp_path / "sol2d_t0.01.csv")
+    assert header == ["x", "y", "u"]
+    assert len(rows) == 25 * 25
+    assert rows[1][0] > rows[0][0] and rows[1][1] == rows[0][1]  # x varies fastest
+
+
+def test_run_rejects_parameter_the_case_lacks(tmp_path, capsys):
+    rc = main(["run", "--case", "pme_barenblatt", "--c", "3", "--N", "40",
+               "--T", "1.1", "--out", str(tmp_path / "sol.csv")])
+    assert rc == 1
+    assert "c" in capsys.readouterr().err
+    assert not (tmp_path / "sol.csv").exists()
+
+
 def test_convergence_command(tmp_path):
     out = tmp_path / "conv.csv"
     rc = main(["convergence", "--case", "linear_advdiff", "--k", "2",

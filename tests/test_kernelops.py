@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from advdiff import (Boundary, KernelParams, Side, apply_D,
-                     apply_D_power_chain, apply_L_inverse, build_grid_1d,
-                     compose_I0, convolve, local_integrals, sweep_left,
-                     sweep_right)
-from advdiff.kernelops import BoundaryData, boundary_coefficients, d_chain_pair
+from advdiff import (Boundary, KernelParams, Side, build_grid_1d,
+                     local_integrals, sweep_left, sweep_right)
+from advdiff.kernelops import (BoundaryData, _d_pair, _Family,
+                               boundary_coefficients, d_chain_pair,
+                               d_chain_zero)
 from advdiff.quadrature import LINEAR6, WENO5
 from conftest import direct_sweep_left, direct_sweep_right, exp_cell_integral
 
@@ -15,6 +15,29 @@ HOM = Boundary.HOMOGENEOUS
 
 def params_for(alpha, grid):
     return KernelParams.from_alpha(alpha, grid)
+
+
+def convolve_zero(v, p, bc):
+    """Symmetric convolution I^0 = (I^L + I^R)/2 from the linear-rule sweeps."""
+    JL, _, _ = local_integrals(v, p, Side.LEFT, LINEAR6, bc)
+    JR, _, _ = local_integrals(v, p, Side.RIGHT, LINEAR6, bc)
+    return 0.5 * (sweep_left(JL, p) + sweep_right(JR, p))
+
+
+def apply_D(side, v, p, bc, mode, partner=None):
+    """One application of D: the first power of the family's chain.  A
+    one-sided family runs its opposite chain on partner (zero by default)."""
+    if side is Side.ZERO:
+        return d_chain_zero(v, p, bc, 1, mode)[0][0]
+    partner = np.zeros_like(v) if partner is None else partner
+    if side is Side.LEFT:
+        return d_chain_pair(v, partner, p, bc, 1, mode)[0][0]
+    return d_chain_pair(partner, v, p, bc, 1, mode)[1][0]
+
+
+def apply_L_inverse(side, v, p, bc, mode, partner=None):
+    """L^{-1}[v] = v - D[v]."""
+    return v - apply_D(side, v, p, bc, mode, partner)
 
 
 def test_sweep_left_small_example():
@@ -96,29 +119,21 @@ def test_local_integrals_zero():
     assert np.all(J == 0)
 
 
-def test_compose_I0():
-    IL = np.array([0.0, 1.0, 2.0])
-    assert np.all(compose_I0(IL, IL) == IL)
-    assert np.all(compose_I0(np.zeros(3), np.zeros(3)) == 0)
-    with pytest.raises(ValueError):
-        compose_I0(IL, np.zeros(4))
-
-
 def test_constant_convolution_closed_form():
     grid = build_grid_1d(-2.0, 2.0, 64)
     p = params_for(1.7, grid)
-    res = convolve(np.ones(65), p, Side.ZERO, LINEAR6, PER)
+    I0 = convolve_zero(np.ones(65), p, PER)
     i = np.arange(65)
     expected = 1 - 0.5 * np.exp(-i * p.nu) - 0.5 * np.exp(-(64 - i) * p.nu)
-    assert np.allclose(res.I, expected, atol=1e-13)
+    assert np.allclose(I0, expected, atol=1e-13)
 
 
 def test_boundary_coefficients_periodic_constant():
     grid = build_grid_1d(0.0, 1.0, 40)
     p = params_for(2.0, grid)
-    res = convolve(np.ones(41), p, Side.ZERO, LINEAR6, PER)
+    I0 = convolve_zero(np.ones(41), p, PER)
     a0, b0 = boundary_coefficients(Side.ZERO, PER, BoundaryData(),
-                                   res.I[0], res.I[-1], p.mu)
+                                   I0[0], I0[-1], p.mu)
     assert a0 == pytest.approx(0.5, rel=1e-12)
     assert b0 == pytest.approx(0.5, rel=1e-12)
 
@@ -126,9 +141,9 @@ def test_boundary_coefficients_periodic_constant():
 def test_boundary_coefficients_homogeneous_constant():
     grid = build_grid_1d(0.0, 1.0, 40)
     p = params_for(2.0, grid)
-    res = convolve(np.ones(41), p, Side.ZERO, LINEAR6, HOM)
+    I0 = convolve_zero(np.ones(41), p, HOM)
     data = BoundaryData(v1_a=1.0, v1_b=1.0)
-    a0, b0 = boundary_coefficients(Side.ZERO, HOM, data, res.I[0], res.I[-1], p.mu)
+    a0, b0 = boundary_coefficients(Side.ZERO, HOM, data, I0[0], I0[-1], p.mu)
     assert a0 == pytest.approx(0.5, rel=1e-12)
     assert b0 == pytest.approx(0.5, rel=1e-12)
 
@@ -181,12 +196,13 @@ def test_D_zero_homogeneous_constant():
 def test_power_chain_constants_and_k1():
     grid = build_grid_1d(0.0, 2.0, 32)
     p = params_for(1.5, grid)
-    powers, _ = apply_D_power_chain(Side.ZERO, np.full(33, 4.0), p, PER, 3, WENO5)
+    powers, _ = d_chain_zero(np.full(33, 4.0), p, PER, 3, WENO5)
     for d in powers:
         assert np.max(np.abs(d)) < 1e-11
     v = np.sin(np.pi * np.linspace(0, 2, 33))
-    one, _ = apply_D_power_chain(Side.LEFT, v, p, PER, 1, LINEAR6)
-    direct = apply_D(Side.LEFT, v, p, PER, LINEAR6)
+    zero = np.zeros_like(v)
+    one, _, _, _ = d_chain_pair(v, zero, p, PER, 1, LINEAR6)
+    direct, _, _, _ = _d_pair(v, zero, _Family(p, 32), PER, LINEAR6)
     assert np.array_equal(one[0], direct)
 
 
@@ -194,7 +210,7 @@ def test_power_chain_fourier_symbol_powers():
     grid = build_grid_1d(-np.pi, np.pi, 512)
     p = params_for(2.0, grid)
     v = np.sin(grid.nodes)
-    powers, _ = apply_D_power_chain(Side.ZERO, v, p, PER, 3, LINEAR6)
+    powers, _ = d_chain_zero(v, p, PER, 3, LINEAR6)
     for k, d in enumerate(powers, start=1):
         assert np.max(np.abs(d - 0.2 ** k * v)) < 1e-8
 
@@ -228,7 +244,7 @@ def test_homogeneous_closures_vanish_at_ends(rng):
     v = np.exp(-4 * grid.nodes ** 2)
     w = np.where(np.abs(grid.nodes) < 1, (1 - grid.nodes ** 2) ** 2, 0.0)
     p = params_for(7.0, grid)
-    powers, _ = apply_D_power_chain(Side.ZERO, v, p, HOM, 3, WENO5)
+    powers, _ = d_chain_zero(v, p, HOM, 3, WENO5)
     for d in powers:
         assert abs(d[0]) < 1e-12 and abs(d[-1]) < 1e-12
     pl, pr, _, _ = d_chain_pair(v, w, p, HOM, 3, WENO5)

@@ -4,8 +4,7 @@ import pytest
 import advdiff.filtering
 from advdiff import (Boundary, ProblemSpec, ProblemSpec2D, SchemeConfig,
                      WaveBounds, build_grid_1d, build_grid_2d, build_H,
-                     build_H_2d, compute_bounds, flux_split)
-from advdiff.solver2d import initial_field_2d
+                     compute_bounds, flux_split, initial_field_2d)
 
 PER = Boundary.PERIODIC
 HOM = Boundary.HOMOGENEOUS
@@ -148,7 +147,7 @@ def test_H_2d_reduces_to_1d_on_y_independent_data():
     config = SchemeConfig(order=3, beta=0.2)
     bx = WaveBounds(c=1.0, b_diff=0.5)
     by = WaveBounds(c=0.0, b_diff=0.0)
-    h2 = build_H_2d(u2, prob2, config, bx, by, dt=0.01, grid=grid2)
+    h2 = build_H(u2, prob2, config, (bx, by), dt=0.01, grid=grid2)
     prob1 = linear_problem(1.0, 0.5)
     h1 = build_H(u2[0], prob1, config, bx, dt=0.01, grid=grid2.gx)
     for j in range(u2.shape[0]):
@@ -166,7 +165,7 @@ def test_H_2d_constant_field():
     u2 = initial_field_2d(prob2, grid2).values
     config = SchemeConfig(order=3, beta=0.2)
     b = WaveBounds(c=0.6, b_diff=1.0)
-    h2 = build_H_2d(u2, prob2, config, b, b, dt=0.01, grid=grid2)
+    h2 = build_H(u2, prob2, config, (b, b), dt=0.01, grid=grid2)
     assert np.max(np.abs(h2)) < 1e-11
 
 
@@ -190,7 +189,7 @@ def test_H_2d_separable_linear_mode():
     errs = []
     dts = (0.025, 0.0125, 0.00625)
     for dt in dts:
-        h = build_H_2d(u2, prob2, config, bounds, bounds, dt=dt, grid=grid2)
+        h = build_H(u2, prob2, config, (bounds, bounds), dt=dt, grid=grid2)
         errs.append(np.max(np.abs(h - target)))
     slope = np.polyfit(np.log(dts), np.log(errs), 1)[0]
     assert slope == pytest.approx(3.0, abs=0.4)

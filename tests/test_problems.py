@@ -3,8 +3,7 @@ import pytest
 
 from advdiff import (SolutionField, barenblatt, error_norms, exact_advdiff,
                      make_problem, reference_solution, solve_case)
-from advdiff.problems import (barenblatt_support, convergence_study,
-                              interpolate_to, observed_orders)
+from advdiff.problems import convergence_study, interpolate_to, observed_orders
 
 
 def test_exact_advdiff_examples():
@@ -17,10 +16,13 @@ def test_exact_advdiff_examples():
 def test_barenblatt_examples():
     for m in (2, 3, 5, 8):
         assert barenblatt(0.0, 1.0, m) == pytest.approx(1.0)
-    assert barenblatt_support(1.0, 2) == pytest.approx(np.sqrt(12.0))
+    # support radius t^p sqrt(2m/(p(m-1))), p = 1/(m+1): sqrt(12) at t=1, m=2
+    r = np.sqrt(12.0)
+    assert barenblatt(r * (1 - 1e-6), 1.0, 2) > 0.0
+    assert barenblatt(r * (1 + 1e-6), 1.0, 2) == 0.0
     x = np.linspace(-6, 6, 101)
     vals = barenblatt(x, 1.5, 3)
-    assert np.all(vals[np.abs(x) >= barenblatt_support(1.5, 3)] == 0.0)
+    assert np.all(vals[np.abs(x) >= 1.5 ** 0.25 * np.sqrt(12.0)] == 0.0)
     with pytest.raises(ValueError):
         barenblatt(0.0, 1.0, 1)
 
@@ -56,6 +58,12 @@ def test_make_problem_catalog():
         make_problem("unknown_case")
 
 
+def test_make_problem_rejects_unused_params():
+    with pytest.raises(ValueError, match="c, q"):
+        make_problem("pme_barenblatt", c=2.0, q=1)
+    assert make_problem("pme_barenblatt", m=3).params == {"m": 3}
+
+
 def test_default_beta_by_kind():
     # pure diffusion case falls back to the diffusion column away from its override
     pme = make_problem("pme_barenblatt", m=2)
@@ -77,11 +85,19 @@ def test_reference_scheme_constant_and_zero_flux():
 
 def test_reference_scheme_matches_exact_linear():
     # frozen from a direct run of the quoted first-order scheme; its O(dx)
-    # error constant (~1.4) puts the N=3000 error near 2.9e-3 on this setup
+    # error constant (~1.0) puts the N=3000 error near 2.0e-3 on this setup
     case = make_problem("linear_advdiff", c=1.0, b=0.01)
     grid, ref = reference_solution(case, T=2.0, n_ref=3000)
     err = np.max(np.abs(ref.values - case.exact(grid.nodes, 2.0)))
-    assert err == pytest.approx(2.887e-3, rel=0.05)
+    assert err == pytest.approx(2.031e-3, rel=0.05)
+
+
+def test_periodic_reference_keeps_end_nodes_equal():
+    # the period is N cells: node N repeats node 0 at every time
+    case = make_problem("linear_advdiff", c=1.0, b=0.01)
+    grid, ref = reference_solution(case, T=2.0, n_ref=200)
+    assert len(ref.values) == len(grid)
+    assert ref.values[0] == ref.values[-1]
 
 
 def test_reference_scheme_first_order_convergence():
@@ -127,7 +143,8 @@ def test_observed_orders_doubling():
 
 def test_convergence_study_second_order_block():
     case = make_problem("linear_advdiff", c=1.0, b=0.01)
-    reps = convergence_study(case, dict(order=2, beta=0.5, cfl=0.5), (40, 80, 160))
+    reps = convergence_study(case, case.make_config(order=2, beta=0.5, cfl=0.5),
+                             (40, 80, 160))
     assert reps[1].order_vs_previous == pytest.approx(1.957, abs=0.15)
     assert reps[2].order_vs_previous == pytest.approx(1.985, abs=0.15)
 

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from advdiff import (Boundary, ProblemSpec2D, SolutionField, advance,
-                     advance_2d, build_grid_2d, initial_field_2d, make_problem)
-from advdiff.solver2d import compute_bounds_2d
+                     build_grid_2d, compute_bounds, initial_field_2d,
+                     make_problem)
 
 
 def _one(u):
@@ -26,9 +26,9 @@ def x_only_problem():
 def test_reduction_to_1d_rowwise():
     prob2 = x_only_problem()
     grid2 = build_grid_2d(-np.pi, np.pi, 48, -np.pi, np.pi, 12)
-    u2 = advance_2d(initial_field_2d(prob2, grid2), 0.5, prob2,
-                    make_problem("linear_advdiff").make_config(order=3, beta=0.2, cfl=0.5),
-                    grid2)
+    u2 = advance(initial_field_2d(prob2, grid2), 0.5, prob2,
+                 make_problem("linear_advdiff").make_config(order=3, beta=0.2, cfl=0.5),
+                 grid2)
     case = make_problem("linear_advdiff", c=1.0, b=0.1)
     config = case.make_config(order=3, beta=0.2, cfl=0.5)
     grid1 = case.build_grid(48)
@@ -46,7 +46,7 @@ def test_constant_field_unchanged():
         initial=lambda x, y: np.full_like(x, 0.4), bc=Boundary.HOMOGENEOUS)
     grid2 = build_grid_2d(-1, 1, 16, -1, 1, 16)
     config = make_problem("strong_degenerate_2d").make_config(order=2, beta=0.25, cfl=0.5)
-    out = advance_2d(initial_field_2d(prob2, grid2), 0.3, prob2, config, grid2)
+    out = advance(initial_field_2d(prob2, grid2), 0.3, prob2, config, grid2)
     assert np.max(np.abs(out.values - 0.4)) < 1e-10
 
 
@@ -64,14 +64,14 @@ def test_axis_symmetry_under_transpose():
         initial=lambda x, y: np.sin(y) * np.cos(x), bc=Boundary.PERIODIC)
     grid2 = build_grid_2d(-np.pi, np.pi, 32, -np.pi, np.pi, 32)
     config = make_problem("strong_degenerate_2d").make_config(order=3, beta=0.2, cfl=0.5)
-    a = advance_2d(initial_field_2d(fwd, grid2), 0.4, fwd, config, grid2)
-    b = advance_2d(initial_field_2d(swp, grid2), 0.4, swp, config, grid2)
+    a = advance(initial_field_2d(fwd, grid2), 0.4, fwd, config, grid2)
+    b = advance(initial_field_2d(swp, grid2), 0.4, swp, config, grid2)
     assert np.max(np.abs(a.values - b.values.T)) < 1e-11
 
 
 def test_bounds_2d_per_axis():
     prob2 = x_only_problem()
-    bx, by = compute_bounds_2d(prob2, np.array([[0.0, 1.0]]))
+    bx, by = (compute_bounds(spec, np.array([[0.0, 1.0]])) for spec in prob2.axes)
     assert bx.c == pytest.approx(1.0)
     assert bx.b_diff == pytest.approx(0.1)
     assert by.c == 0.0 and by.b_diff == 0.0

@@ -3,11 +3,10 @@ import csv
 import numpy as np
 import pytest
 
-from advdiff import (EquationKind, Side, SymbolQuery, amplification,
-                     export_contours, max_amplification, scan_beta_max,
-                     symbol_D)
-from advdiff.stability import (FULLY_DISCRETE, SEMI_DISCRETE, compute_report,
-                               rk_multiplier)
+from advdiff import (EquationKind, Side, amplification, export_contours,
+                     max_amplification, scan_beta_max)
+from advdiff.stability import (FULLY_DISCRETE, SEMI_DISCRETE, _dhat,
+                               compute_report, rk_multiplier)
 
 ADV = EquationKind.ADVECTION
 DIF = EquationKind.DIFFUSION
@@ -16,30 +15,25 @@ DIF = EquationKind.DIFFUSION
 def test_symbol_zero_mode_vanishes():
     for mode in (SEMI_DISCRETE, FULLY_DISCRETE):
         for side in (Side.LEFT, Side.RIGHT, Side.ZERO):
-            val = symbol_D(SymbolQuery(side=side, kappa_dx=0.0, nu=0.8, mode=mode))
+            val = complex(_dhat(side, 0.0, 0.8, mode))
             assert abs(val) < 1e-14
 
 
 def test_symbol_semi_discrete_range_and_limits():
     for kdx in np.linspace(0.01, 2 * np.pi, 20):
-        d0 = symbol_D(SymbolQuery(Side.ZERO, kdx, nu=0.5))
+        d0 = complex(_dhat(Side.ZERO, kdx, 0.5, SEMI_DISCRETE))
         assert 0.0 <= d0.real <= 1.0 and abs(d0.imag) < 1e-15
     # kappa -> infinity: both symbols approach 1
-    huge = symbol_D(SymbolQuery(Side.LEFT, 1e8, nu=1.0))
+    huge = complex(_dhat(Side.LEFT, 1e8, 1.0, SEMI_DISCRETE))
     assert huge == pytest.approx(1.0, abs=1e-7)
-    assert symbol_D(SymbolQuery(Side.ZERO, 1e8, nu=1.0)) == pytest.approx(1.0, abs=1e-7)
+    assert complex(_dhat(Side.ZERO, 1e8, 1.0, SEMI_DISCRETE)) == pytest.approx(1.0, abs=1e-7)
 
 
 def test_symbol_right_is_conjugate_of_left():
     for mode in (SEMI_DISCRETE, FULLY_DISCRETE):
-        dl = symbol_D(SymbolQuery(Side.LEFT, 1.3, nu=0.7, mode=mode))
-        dr = symbol_D(SymbolQuery(Side.RIGHT, 1.3, nu=0.7, mode=mode))
+        dl = complex(_dhat(Side.LEFT, 1.3, 0.7, mode))
+        dr = complex(_dhat(Side.RIGHT, 1.3, 0.7, mode))
         assert dr == pytest.approx(np.conj(dl), rel=1e-13)
-
-
-def test_symbol_rejects_bad_nu():
-    with pytest.raises(ValueError):
-        symbol_D(SymbolQuery(Side.LEFT, 1.0, nu=0.0))
 
 
 def test_amplification_k1_advection_beta2_is_unimodular():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,28 @@ def test_snapshots_land_on_requested_times():
     for t, field in snaps.items():
         assert field.time == pytest.approx(t, abs=1e-12)
     assert final.time == pytest.approx(1.0, abs=1e-12)
+
+
+def test_duplicate_snapshot_times_give_one_snapshot():
+    case = make_problem("linear_advdiff", c=1.0, b=0.01)
+    grid = case.build_grid(40)
+    config = case.make_config(order=2, beta=0.5, cfl=0.5)
+    final, snaps = advance(case.initial_field(grid), 0.5, case.spec, config, grid,
+                           snapshot_times=[0.25, 0.25])
+    assert list(snaps) == [0.25]
+    assert snaps[0.25].time == pytest.approx(0.25, abs=1e-12)
+    assert final.time == pytest.approx(0.5, abs=1e-12)
+
+
+@pytest.mark.parametrize("times", [[0.25, 0.9], [0.0, 0.25], [-1.0]])
+def test_out_of_range_snapshot_times_are_rejected(times):
+    case = make_problem("linear_advdiff", c=1.0, b=0.01)
+    grid = case.build_grid(40)
+    config = case.make_config(order=2, beta=0.5, cfl=0.5)
+    bad = [t for t in times if t != 0.25]
+    with pytest.raises(ValueError, match=re.escape(str(bad))):
+        advance(case.initial_field(grid), 0.5, case.spec, config, grid,
+                snapshot_times=times)
 
 
 def test_example1_table_entry_k1():
