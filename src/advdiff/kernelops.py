@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.signal import lfilter
@@ -45,11 +46,19 @@ class Side(enum.Enum):
 
 @dataclass(frozen=True)
 class KernelParams:
-    """One convolution family: alpha, nu = alpha*dx, mu = e^{-alpha(b-a)}."""
+    """One convolution family: alpha, nu = alpha*dx, mu = e^{-alpha(b-a)}.
+
+    The quadrature tables at nu are built on first use and kept, so every
+    chain that shares this object builds them once.
+    """
 
     alpha: float
     nu: float
     mu: float
+
+    @cached_property
+    def tables(self) -> quadrature.CoefTables:
+        return quadrature.coef_tables(self.nu)
 
     @classmethod
     def from_alpha(cls, alpha: float, grid: Grid1D) -> "KernelParams":
@@ -71,18 +80,21 @@ class _Family:
 
 
 def _gather_windows(v: np.ndarray, bc: Boundary):
-    """Six shifted views w_m = v_{i+m}, m = -3..2, wrapped or clamp-extended."""
+    """Six shifted views w_m = v_{i+m}, m = -3..2, wrapped or clamp-extended.
+
+    All six are slices of one array padded by three nodes at each end:
+    periodic data wraps with period n (so node N reads node 0's neighbours),
+    other data repeats its end values.
+    """
     n = v.shape[-1] - 1
-    base = np.arange(n + 1)
-    out = []
-    for m in range(-3, 3):
-        idx = base + m
-        if bc is Boundary.PERIODIC:
-            idx = np.mod(idx, n)
-        else:
-            idx = np.clip(idx, 0, n)
-        out.append(v[..., idx])
-    return out
+    if bc is Boundary.PERIODIC:
+        ext = np.concatenate((v[..., n - 3:n], v[..., :n], v[..., :3]), axis=-1)
+    else:
+        ext = np.empty(v.shape[:-1] + (n + 7,), dtype=v.dtype)
+        ext[..., :3] = v[..., :1]
+        ext[..., 3:n + 4] = v
+        ext[..., n + 4:] = v[..., -1:]
+    return [ext[..., 3 + m:4 + m + n] for m in range(-3, 3)]
 
 
 def local_integrals(v: np.ndarray, params: KernelParams, side: Side,
@@ -100,9 +112,9 @@ def local_integrals(v: np.ndarray, params: KernelParams, side: Side,
     data = v[..., ::-1] if flip else v
     win = _gather_windows(data, bc)
     if mode == WENO5:
-        J, si0, si2 = quadrature.weno_integrals(win, params.nu)
+        J, si0, si2 = quadrature.weno_integrals(win, params.tables)
     elif mode == LINEAR6:
-        J = quadrature.linear_integrals(win, params.nu)
+        J = quadrature.linear_integrals(win, params.tables)
         si0 = si2 = None
     else:
         raise ValueError(f"unknown quadrature mode {mode!r}")
@@ -190,26 +202,34 @@ def _d_zero(v, fam: _Family, bc: Boundary, mode: str):
 def _d_pair(vl, vr, fam: _Family, bc: Boundary, mode: str):
     """One application of D_L to vl and D_R to vr.
 
-    Periodic closures are independent; in the homogeneous regime the pair is
-    closed jointly so D_L[vl] - D_R[vr] vanishes at both ends.
-    Returns (D_L[vl], D_R[vr], si_left, si_right).
+    Periodic closures are independent, so vr may be None there and only
+    D_L[vl] is computed; in the homogeneous regime the pair is closed jointly
+    so D_L[vl] - D_R[vr] vanishes at both ends.
+    Returns (D_L[vl], D_R[vr], si_left, si_right), with None for the right
+    entries when vr is None.
     """
+    periodic = bc is Boundary.PERIODIC
+    if vr is None and not periodic:
+        raise ValueError("the homogeneous closure couples the pair; vr is required")
     params = fam.params
     JL, si0l, si2l = local_integrals(vl, params, Side.LEFT, mode, bc)
-    JR, si0r, si2r = local_integrals(vr, params, Side.RIGHT, mode, bc)
     IL = sweep_left(JL, params)
-    IR = sweep_right(JR, params)
-    if bc is Boundary.PERIODIC:
-        a_l = boundary_coefficients(Side.LEFT, bc, BoundaryData(), IL[..., 0], IL[..., -1], fam.mu)
-        b_r = boundary_coefficients(Side.RIGHT, bc, BoundaryData(), IR[..., 0], IR[..., -1], fam.mu)
-    else:
-        data = BoundaryData(v1_a=vl[..., 0], v1_b=vl[..., -1],
-                            v2_a=vr[..., 0], v2_b=vr[..., -1])
-        a_l, b_r = boundary_coefficients(Side.LEFT, bc, data, IR[..., 0], IL[..., -1], fam.mu)
-    dl = vl - (IL + np.asarray(a_l)[..., None] * fam.e_left)
-    dr = vr - (IR + np.asarray(b_r)[..., None] * fam.e_right)
     si_l = None if si0l is None else (si0l, si2l)
-    si_r = None if si0r is None else (si0r, si2r)
+    if periodic:
+        a_l = boundary_coefficients(Side.LEFT, bc, BoundaryData(), IL[..., 0], IL[..., -1], fam.mu)
+    dr = si_r = None
+    if vr is not None:
+        JR, si0r, si2r = local_integrals(vr, params, Side.RIGHT, mode, bc)
+        IR = sweep_right(JR, params)
+        if periodic:
+            b_r = boundary_coefficients(Side.RIGHT, bc, BoundaryData(), IR[..., 0], IR[..., -1], fam.mu)
+        else:
+            data = BoundaryData(v1_a=vl[..., 0], v1_b=vl[..., -1],
+                                v2_a=vr[..., 0], v2_b=vr[..., -1])
+            a_l, b_r = boundary_coefficients(Side.LEFT, bc, data, IR[..., 0], IL[..., -1], fam.mu)
+        dr = vr - (IR + np.asarray(b_r)[..., None] * fam.e_right)
+        si_r = None if si0r is None else (si0r, si2r)
+    dl = vl - (IL + np.asarray(a_l)[..., None] * fam.e_left)
     return dl, dr, si_l, si_r
 
 

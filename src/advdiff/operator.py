@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DEGENERATE_TOL, Grid1D, Grid2D, ProblemSpec, ProblemSpec2D,
+from .core import (DEGENERATE_TOL, Boundary, Grid1D, Grid2D, ProblemSpec, ProblemSpec2D,
                    SchemeConfig, WaveBounds, per_axis)
 from .filtering import sigma_fields, xi
 from .kernelops import KernelParams, _Family, _d_pair, _d_zero, d_chain_pair, d_chain_zero
@@ -65,10 +65,13 @@ def _convection(u, problem, config, bounds, dt, grid, bc):
         term = chain_r[p - 1]
         h = h + (sig_r ** (p - 1) * term if sig_r is not None else term)
     if k == 3 and config.cross_term_k3:
+        # shares params, and so the quadrature tables, with the chain above
         fam = _Family(params, u.shape[-1] - 1)
         # extra left chain on f-, paired with a right chain on f+ so the
-        # homogeneous closure stays well-posed; periodic closures ignore the pair
-        lm, rp, _, _ = _d_pair(split.fminus, split.fplus, fam, bc, LINEAR6)
+        # homogeneous closure stays well-posed; periodic closures are
+        # independent, so there the right chain is skipped
+        partner = None if bc is Boundary.PERIODIC else split.fplus
+        lm, rp, _, _ = _d_pair(split.fminus, partner, fam, bc, LINEAR6)
         lm2, _, _, _ = _d_pair(lm, rp, fam, bc, LINEAR6)
         correction, _ = _d_zero(chain_l[1] - lm2, fam, bc, LINEAR6)
         h = h + correction

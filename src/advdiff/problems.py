@@ -139,10 +139,14 @@ class BenchmarkCase:
         return isinstance(self.spec, ProblemSpec2D)
 
     def build_grid(self, n: Optional[int] = None, ny: Optional[int] = None):
-        n = n or self.default_n
+        """Grid of n cells per axis (the case default when None); ny sets the
+        y cells of a 2D case and is an error for a 1D one."""
+        n = self.default_n if n is None else n
         if self.is_2d:
             ax, bx, ay, by = self.domain
-            return build_grid_2d(ax, bx, n, ay, by, ny or n)
+            return build_grid_2d(ax, bx, n, ay, by, n if ny is None else ny)
+        if ny is not None:
+            raise ValueError(f"case {self.name} is 1D; ny applies to 2D cases only")
         a, b = self.domain
         return build_grid_1d(a, b, n)
 

@@ -9,7 +9,8 @@ interpolants on the substencils {x_{i-3+r}, ..., x_{i+r}} (r = 0, 1, 2) give
 candidate values J_{i,r} = sum_j c^{(r)}_j v_j; the quintic interpolant on the
 whole window is recovered by linear weights d_r, and the WENO variant replaces
 d_r with smoothness-adapted nonlinear weights.  All coefficients depend only
-on nu = alpha*dx.
+on nu = alpha*dx; `coef_tables` builds them once per nu and the integral
+rules take that table.
 
 The closed forms below have nu^3 (substencils) up to nu^6 (linear weights)
 cancellation as nu -> 0, so each quantity switches to a Taylor branch for
@@ -20,6 +21,8 @@ are evaluated by applying the left rule to the reversed window.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -149,14 +152,28 @@ def linear_weights(nu: float) -> tuple[float, float, float]:
     return float(d0), float(1.0 - d0 - d2), float(d2)
 
 
-def linear_coefficients(nu: float) -> np.ndarray:
-    """Six coefficients of the quintic-exact linear rule on offsets -3 .. 2."""
+class CoefTables(NamedTuple):
+    """Every coefficient the cell rules need at one nu."""
+
+    small: np.ndarray                    # 3x4 substencil table
+    weights: tuple[float, float, float]  # linear weights d0, d1, d2
+    linear: np.ndarray                   # the six linear-rule coefficients
+
+
+def coef_tables(nu: float) -> CoefTables:
+    """Build the substencil table and the linear weights once, and the 6-point
+    linear coefficients from them."""
     cs = small_stencil_coefficients(nu)
     d = linear_weights(nu)
     out = np.zeros(6)
     for r in range(3):
         out[r:r + 4] += d[r] * cs[r]
-    return out
+    return CoefTables(cs, d, out)
+
+
+def linear_coefficients(nu: float) -> np.ndarray:
+    """Six coefficients of the quintic-exact linear rule on offsets -3 .. 2."""
+    return coef_tables(nu).linear
 
 
 def smoothness_indicators(window):
@@ -186,13 +203,13 @@ def nonlinear_weights(si, d, epsilon: float = WENO_EPSILON):
     return raw[0] / total, raw[1] / total, raw[2] / total
 
 
-def weno_integrals(window, nu: float):
-    """Vectorized WENO-5 local integrals from pre-gathered windows.
+def weno_integrals(window, tables: CoefTables):
+    """Vectorized WENO-5 local integrals from pre-gathered windows and the
+    tables of `coef_tables`.
 
     Returns (J, SI0, SI2); SI0/SI2 feed the oscillation filter.
     """
-    cs = small_stencil_coefficients(nu)
-    d = linear_weights(nu)
+    cs, d = tables.small, tables.weights
     cand = [sum(cs[r][j] * window[r + j] for j in range(4)) for r in range(3)]
     si = smoothness_indicators(window)
     om = nonlinear_weights(si, d)
@@ -200,8 +217,9 @@ def weno_integrals(window, nu: float):
     return J, si[0], si[2]
 
 
-def linear_integrals(window, nu: float):
-    """Vectorized 6-point linear local integrals from pre-gathered windows."""
-    c = linear_coefficients(nu)
+def linear_integrals(window, tables: CoefTables):
+    """Vectorized 6-point linear local integrals from pre-gathered windows and
+    the tables of `coef_tables`."""
+    c = tables.linear
     return sum(c[j] * window[j] for j in range(6))
 

@@ -61,6 +61,16 @@ def test_run_rejects_parameter_the_case_lacks(tmp_path, capsys):
     assert not (tmp_path / "sol.csv").exists()
 
 
+@pytest.mark.parametrize("sizes", [["--case", "linear_advdiff", "--N", "0"],
+                                   ["--case", "linear_advdiff", "--N", "40", "--Ny", "7"],
+                                   ["--case", "strong_degenerate_2d", "--N", "24", "--Ny", "0"]])
+def test_run_rejects_grid_sizes_it_cannot_use(sizes, tmp_path, capsys):
+    out = tmp_path / "sol.csv"
+    assert main(["run", *sizes, "--T", "0.01", "--out", str(out)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_convergence_command(tmp_path):
     out = tmp_path / "conv.csv"
     rc = main(["convergence", "--case", "linear_advdiff", "--k", "2",

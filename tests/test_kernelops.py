@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from advdiff import (Boundary, KernelParams, Side, build_grid_1d,
+from advdiff import (Boundary, KernelParams, Side, build_grid_1d, kernelops,
                      local_integrals, sweep_left, sweep_right)
 from advdiff.kernelops import (BoundaryData, _d_pair, _Family,
                                boundary_coefficients, d_chain_pair,
@@ -313,3 +313,47 @@ def test_L_inverse_property_one_sided(side, rng):
     sign = 1.0 if side is Side.LEFT else -1.0
     residual = w[2:-2] + sign * wx / alpha - v[2:-2]
     assert np.max(np.abs(residual)) < 1e-6
+
+
+def fancy_index_windows(v, bc):
+    """Reference gather: w_m = v[..., idx + m] with the index wrapped by np.mod
+    (period n, so node N reads node 0's neighbours) or clamped by np.clip."""
+    n = v.shape[-1] - 1
+    base = np.arange(n + 1)
+    wrap = (lambda idx: np.mod(idx, n)) if bc is PER else (lambda idx: np.clip(idx, 0, n))
+    return [v[..., wrap(base + m)] for m in range(-3, 3)]
+
+
+@pytest.mark.parametrize("shape", [(7,), (42,), (7, 34)])
+@pytest.mark.parametrize("bc", [PER, HOM])
+@pytest.mark.parametrize("mode", [WENO5, LINEAR6])
+@pytest.mark.parametrize("side", [Side.LEFT, Side.RIGHT])
+def test_padded_windows_match_fancy_index_gather(side, mode, bc, shape, rng, monkeypatch):
+    # random data, so under PER node N differs from node 0
+    v = rng.standard_normal(shape)
+    p = params_for(3.0, build_grid_1d(0.0, 1.0, shape[-1] - 1))
+    got = local_integrals(v, p, side, mode, bc)
+    monkeypatch.setattr(kernelops, "_gather_windows", fancy_index_windows)
+    ref = local_integrals(v, p, side, mode, bc)
+    for a, b in zip(got, ref):
+        if b is None:
+            assert a is None
+        else:
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("mode", [WENO5, LINEAR6])
+def test_left_only_pair_matches_paired_left_output(mode, rng):
+    grid = build_grid_1d(0.0, 1.0, 40)
+    fam = _Family(params_for(4.0, grid), 40)
+    vl, vr = rng.standard_normal((2, 3, 41))
+    dl, dr, si_l, si_r = _d_pair(vl, None, fam, PER, mode)
+    pl, _, psi_l, _ = _d_pair(vl, vr, fam, PER, mode)
+    assert dr is None and si_r is None
+    assert dl.tobytes() == pl.tobytes()
+    if mode == WENO5:
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(si_l, psi_l))
+    else:
+        assert si_l is None and psi_l is None
+    with pytest.raises(ValueError, match="homogeneous"):
+        _d_pair(vl, None, fam, HOM, mode)

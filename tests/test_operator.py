@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 import advdiff.filtering
+import advdiff.operator as operator_module
+from advdiff import quadrature as qd
 from advdiff import (Boundary, ProblemSpec, ProblemSpec2D, SchemeConfig,
                      WaveBounds, build_grid_1d, build_grid_2d, build_H,
                      compute_bounds, flux_split, initial_field_2d)
@@ -193,3 +195,51 @@ def test_H_2d_separable_linear_mode():
         errs.append(np.max(np.abs(h - target)))
     slope = np.polyfit(np.log(dts), np.log(errs), 1)[0]
     assert slope == pytest.approx(3.0, abs=0.4)
+
+
+@pytest.mark.parametrize("bc", [PER, HOM])
+def test_coefficient_tables_built_once_per_family(bc, monkeypatch):
+    # k=3 with WENO, filter and cross term: one table build per kernel family
+    # (convection, diffusion) per axis
+    calls = []
+    build = qd.small_stencil_coefficients
+    monkeypatch.setattr(qd, "small_stencil_coefficients",
+                        lambda nu: calls.append(nu) or build(nu))
+    config = SchemeConfig(order=3, beta=0.2)
+    assert config.quadrature == qd.WENO5 and config.filter_enabled and config.cross_term_k3
+    grid = build_grid_1d(-np.pi, np.pi, 64)
+    prob = burgers_like(bc)
+    u = np.sin(grid.nodes)
+    build_H(u, prob, config, compute_bounds(prob, u), dt=0.01, grid=grid)
+    assert 1 <= len(calls) <= 2
+    calls.clear()
+    b = WaveBounds(c=0.6, b_diff=1.0)
+    grid2 = build_grid_2d(-np.pi, np.pi, 32, -np.pi, np.pi, 24)
+    prob2 = ProblemSpec2D(f1=lambda u: u ** 2, f1_deriv=lambda u: 2 * u, g1=lambda u: u,
+                          g1_deriv=lambda u: np.ones_like(u), f2=lambda u: u ** 2,
+                          f2_deriv=lambda u: 2 * u, g2=lambda u: u,
+                          g2_deriv=lambda u: np.ones_like(u),
+                          initial=lambda x, y: np.sin(x) * np.cos(y), bc=bc)
+    u2 = initial_field_2d(prob2, grid2).values
+    build_H(u2, prob2, config, (b, b), dt=0.01, grid=grid2)
+    assert 1 <= len(calls) <= 4
+
+
+@pytest.mark.parametrize("bc", [PER, HOM])
+def test_cross_term_right_chain_only_where_the_closure_couples(bc, monkeypatch):
+    # periodic closures are independent, so the cross term runs its two
+    # D_L applications on f- alone; the homogeneous closure needs the pair
+    partners = []
+    d_pair = operator_module._d_pair
+    monkeypatch.setattr(operator_module, "_d_pair",
+                        lambda vl, vr, *a: partners.append(vr) or d_pair(vl, vr, *a))
+    grid = build_grid_1d(-np.pi, np.pi, 64)
+    prob = burgers_like(bc)
+    u = np.sin(grid.nodes)
+    build_H(u, prob, SchemeConfig(order=3, beta=0.4), compute_bounds(prob, u),
+            dt=0.01, grid=grid)
+    assert len(partners) == 2
+    if bc is PER:
+        assert all(vr is None for vr in partners)
+    else:
+        assert all(vr is not None for vr in partners)

@@ -58,6 +58,21 @@ def test_make_problem_catalog():
         make_problem("unknown_case")
 
 
+def test_build_grid_takes_sizes_as_given():
+    # 0 is a size, not "use the default": it reaches the 6-cell check
+    lin = make_problem("linear_advdiff")
+    assert lin.build_grid().n_cells == lin.default_n
+    with pytest.raises(ValueError, match="at least 6 cells"):
+        lin.build_grid(0)
+    with pytest.raises(ValueError, match="1D"):
+        lin.build_grid(40, 7)
+    sd2 = make_problem("strong_degenerate_2d")
+    assert [g.n_cells for g in sd2.build_grid(24).axes] == [24, 24]
+    assert [g.n_cells for g in sd2.build_grid(24, 12).axes] == [24, 12]
+    with pytest.raises(ValueError, match="at least 6 cells"):
+        sd2.build_grid(24, 0)
+
+
 def test_make_problem_rejects_unused_params():
     with pytest.raises(ValueError, match="c, q"):
         make_problem("pme_barenblatt", c=2.0, q=1)

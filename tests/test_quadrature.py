@@ -157,7 +157,7 @@ def test_nonlinear_weights_convexity(rng):
 
 def test_weno_constant_window_exact():
     for nu in NU_SET:
-        J, si0, si2 = qd.weno_integrals([1.0] * 6, nu)
+        J, si0, si2 = qd.weno_integrals([1.0] * 6, qd.coef_tables(nu))
         assert J == pytest.approx(-np.expm1(-nu), rel=1e-13)
         assert si0 == 0.0 and si2 == 0.0
 
@@ -169,8 +169,9 @@ def test_weno_matches_linear_on_smooth_quintic(rng):
     dx = 0.02
     poly = np.polynomial.Polynomial(coefs)
     win = window_values(lambda s: poly(float(s) * dx))
-    J_w, _, _ = qd.weno_integrals(win, nu)
-    J_l = float(qd.linear_integrals([np.float64(w) for w in win], nu))
+    tables = qd.coef_tables(nu)
+    J_w, _, _ = qd.weno_integrals(win, tables)
+    J_l = float(qd.linear_integrals([np.float64(w) for w in win], tables))
     assert J_w == pytest.approx(J_l, rel=1e-8, abs=1e-12)
 
 
@@ -185,5 +186,5 @@ def test_right_orientation_mirrors_left(rng):
     JR, _, _ = local_integrals(v, p, Side.RIGHT, qd.WENO5, Boundary.PERIODIC)
     for i in (5, 12, 20):
         mirrored = [v[i + 3], v[i + 2], v[i + 1], v[i], v[i - 1], v[i - 2]]
-        J_mirror, _, _ = qd.weno_integrals(mirrored, nu)
+        J_mirror, _, _ = qd.weno_integrals(mirrored, qd.coef_tables(nu))
         assert JR[i] == pytest.approx(J_mirror, rel=1e-13)
