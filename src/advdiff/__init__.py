@@ -11,7 +11,7 @@ from .core import (Boundary, Grid1D, Grid2D, ProblemSpec, ProblemSpec2D,
                    SchemeConfig, SolutionField, WaveBounds, build_grid_1d,
                    build_grid_2d, compute_bounds, compute_dt, initial_field_2d)
 from .kernelops import KernelParams, Side, local_integrals, sweep_left, sweep_right
-from .operator import SplitFlux, build_H, flux_split
+from .operator import build_H, flux_split
 from .problems import (BenchmarkCase, ErrorReport, barenblatt, error_norms,
                        exact_advdiff, make_problem, reference_solution,
                        solve_case)
@@ -27,7 +27,7 @@ __all__ = [
     "SolutionField", "WaveBounds", "build_grid_1d", "build_grid_2d",
     "compute_bounds", "compute_dt",
     "KernelParams", "Side", "local_integrals", "sweep_left", "sweep_right",
-    "SplitFlux", "build_H", "flux_split",
+    "build_H", "flux_split",
     "BenchmarkCase", "ErrorReport", "barenblatt", "error_norms",
     "exact_advdiff", "make_problem", "reference_solution", "solve_case",
     "ProblemSpec2D", "initial_field_2d",

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -83,7 +83,6 @@ class ProblemSpec:
     diffusion_deriv: Callable[[np.ndarray], np.ndarray]
     initial: Callable[[np.ndarray], np.ndarray]
     bc: Boundary = Boundary.PERIODIC
-    exact: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
 
     @property
     def axes(self) -> tuple:
@@ -135,10 +134,10 @@ class SchemeConfig:
     def __post_init__(self):
         if self.order not in (1, 2, 3):
             raise ValueError(f"order must be 1, 2 or 3, got {self.order}")
-        if self.beta <= 0:
-            raise ValueError("beta must be positive")
-        if self.cfl <= 0:
-            raise ValueError("cfl must be positive")
+        for name in ("beta", "cfl"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.quadrature not in ("weno5", "linear6"):
             raise ValueError(f"unknown quadrature {self.quadrature!r}")
         if self.order < 3:

@@ -46,37 +46,38 @@ class Side(enum.Enum):
 
 @dataclass(frozen=True)
 class KernelParams:
-    """One convolution family: alpha, nu = alpha*dx, mu = e^{-alpha(b-a)}.
+    """One convolution family on a grid of n_cells cells: alpha, nu = alpha*dx.
 
-    The quadrature tables at nu are built on first use and kept, so every
-    chain that shares this object builds them once.
+    mu = e^{-alpha(b-a)}, the quadrature tables at nu and the edge profiles
+    e^{-alpha(x_i-a)}, e^{-alpha(b-x_i)} are built on first use and kept, so
+    every chain that shares this object builds them once.
     """
 
     alpha: float
     nu: float
-    mu: float
+    n_cells: int
+
+    @cached_property
+    def mu(self) -> float:
+        return float(np.exp(-self.nu * self.n_cells))
 
     @cached_property
     def tables(self) -> quadrature.CoefTables:
         return quadrature.coef_tables(self.nu)
 
+    @cached_property
+    def e_left(self) -> np.ndarray:
+        return np.exp(-self.nu * np.arange(self.n_cells + 1))
+
+    @cached_property
+    def e_right(self) -> np.ndarray:
+        return self.e_left[::-1].copy()
+
     @classmethod
     def from_alpha(cls, alpha: float, grid: Grid1D) -> "KernelParams":
         if alpha <= 0:
             raise ValueError("alpha must be positive")
-        nu = alpha * grid.dx
-        return cls(alpha=float(alpha), nu=float(nu), mu=float(np.exp(-nu * grid.n_cells)))
-
-
-class _Family:
-    """Cached per-(params, n_cells) sweep data: decay factor and edge profiles."""
-
-    def __init__(self, params: KernelParams, n_cells: int):
-        self.params = params
-        self.mu = params.mu
-        idx = np.arange(n_cells + 1)
-        self.e_left = np.exp(-params.nu * idx)        # e^{-alpha (x_i - a)}
-        self.e_right = self.e_left[::-1].copy()       # e^{-alpha (b - x_i)}
+        return cls(alpha=float(alpha), nu=float(alpha * grid.dx), n_cells=grid.n_cells)
 
 
 def _gather_windows(v: np.ndarray, bc: Boundary):
@@ -143,63 +144,36 @@ def sweep_right(J: np.ndarray, params: KernelParams) -> np.ndarray:
     return I
 
 
-@dataclass
-class BoundaryData:
-    """End values feeding a closure: operand v1 (left chain) and partner v2
-    (right chain) at x=a and x=b.  Entries may be batch arrays."""
+def boundary_coefficients(bc: Boundary, mu: float, e_a, e_b):
+    """Coefficients (A, B) of the edge profiles e_left, e_right from the end
+    values e_a, e_b that the caller's closure condition supplies.
 
-    v1_a: np.ndarray | float = 0.0
-    v1_b: np.ndarray | float = 0.0
-    v2_a: np.ndarray | float = 0.0
-    v2_b: np.ndarray | float = 0.0
-
-
-def boundary_coefficients(side: Side, bc: Boundary, data: BoundaryData,
-                          i_at_a, i_at_b, mu: float):
-    """Closure coefficients for one operator application.
-
-    Periodic: A_0 = I0(b)/(1-mu), B_0 = I0(a)/(1-mu); one-sided closures take
-    the analogous single coefficient.  Homogeneous: coefficients that zero
-    D_0 at both ends (ZERO side) or zero D_L[v1] - D_R[v2] at both ends
-    (coupled LEFT/RIGHT pair; returns (A_L, B_R)).
+    Periodic: A = e_b/(1-mu), B = e_a/(1-mu).  Homogeneous: the solution of
+    A + mu B = -e_a, mu A + B = -e_b.  Entries may be batch arrays.
     """
     if not 0.0 <= mu < 1.0:
         raise ValueError(f"need 0 <= mu < 1, got {mu}")
     if bc is Boundary.PERIODIC:
-        if side is Side.ZERO:
-            return i_at_b / (1.0 - mu), i_at_a / (1.0 - mu)
-        if side is Side.LEFT:
-            return i_at_b / (1.0 - mu)
-        return i_at_a / (1.0 - mu)
+        return e_b / (1.0 - mu), e_a / (1.0 - mu)
     one = 1.0 - mu ** 2
-    if side is Side.ZERO:
-        ea = i_at_a - data.v1_a
-        eb = i_at_b - data.v1_b
-        a0 = (mu * eb - ea) / one
-        b0 = (mu * ea - eb) / one
-        return a0, b0
-    # coupled left/right closure; i_at_b = I^L[v1](b), i_at_a = I^R[v2](a)
-    p = data.v2_b - data.v1_b + i_at_b
-    q = data.v2_a - data.v1_a - i_at_a
-    a_l = (mu * p - q) / one
-    b_r = (p - mu * q) / one
-    return a_l, b_r
+    return (mu * e_b - e_a) / one, (mu * e_a - e_b) / one
 
 
-def _d_zero(v, fam: _Family, bc: Boundary, mode: str):
-    """One application of the symmetric-family D; returns (D[v], si pairs)."""
-    params = fam.params
-    JL, si0l, si2l = local_integrals(v, params, Side.LEFT, mode, bc)
-    JR, si0r, si2r = local_integrals(v, params, Side.RIGHT, mode, bc)
+def _d_zero(v, params: KernelParams, bc: Boundary, mode: str):
+    """One application of the symmetric-family D: D[v] = v - I^0 - A e_left
+    - B e_right, closed periodically or so that D[v] vanishes at both ends."""
+    JL, _, _ = local_integrals(v, params, Side.LEFT, mode, bc)
+    JR, _, _ = local_integrals(v, params, Side.RIGHT, mode, bc)
     I0 = 0.5 * (sweep_left(JL, params) + sweep_right(JR, params))
-    data = BoundaryData(v1_a=v[..., 0], v1_b=v[..., -1])
-    a0, b0 = boundary_coefficients(Side.ZERO, bc, data, I0[..., 0], I0[..., -1], fam.mu)
-    w = I0 + np.asarray(a0)[..., None] * fam.e_left + np.asarray(b0)[..., None] * fam.e_right
-    si = None if si0l is None else ((si0l, si2l), (si0r, si2r))
-    return v - w, si
+    e_a, e_b = I0[..., 0], I0[..., -1]
+    if bc is not Boundary.PERIODIC:
+        e_a, e_b = e_a - v[..., 0], e_b - v[..., -1]
+    a0, b0 = boundary_coefficients(bc, params.mu, e_a, e_b)
+    w = I0 + np.asarray(a0)[..., None] * params.e_left + np.asarray(b0)[..., None] * params.e_right
+    return v - w
 
 
-def _d_pair(vl, vr, fam: _Family, bc: Boundary, mode: str):
+def _d_pair(vl, vr, params: KernelParams, bc: Boundary, mode: str):
     """One application of D_L to vl and D_R to vr.
 
     Periodic closures are independent, so vr may be None there and only
@@ -211,25 +185,27 @@ def _d_pair(vl, vr, fam: _Family, bc: Boundary, mode: str):
     periodic = bc is Boundary.PERIODIC
     if vr is None and not periodic:
         raise ValueError("the homogeneous closure couples the pair; vr is required")
-    params = fam.params
     JL, si0l, si2l = local_integrals(vl, params, Side.LEFT, mode, bc)
     IL = sweep_left(JL, params)
     si_l = None if si0l is None else (si0l, si2l)
     if periodic:
-        a_l = boundary_coefficients(Side.LEFT, bc, BoundaryData(), IL[..., 0], IL[..., -1], fam.mu)
+        a_l, _ = boundary_coefficients(bc, params.mu, IL[..., 0], IL[..., -1])
     dr = si_r = None
     if vr is not None:
         JR, si0r, si2r = local_integrals(vr, params, Side.RIGHT, mode, bc)
         IR = sweep_right(JR, params)
         if periodic:
-            b_r = boundary_coefficients(Side.RIGHT, bc, BoundaryData(), IR[..., 0], IR[..., -1], fam.mu)
+            _, b_r = boundary_coefficients(bc, params.mu, IR[..., 0], IR[..., -1])
         else:
-            data = BoundaryData(v1_a=vl[..., 0], v1_b=vl[..., -1],
-                                v2_a=vr[..., 0], v2_b=vr[..., -1])
-            a_l, b_r = boundary_coefficients(Side.LEFT, bc, data, IR[..., 0], IL[..., -1], fam.mu)
-        dr = vr - (IR + np.asarray(b_r)[..., None] * fam.e_right)
+            # D_L[vl] - D_R[vr] = 0 at both ends is the homogeneous system in
+            # (A_L, -B_R) with these end values
+            a_l, b_r = boundary_coefficients(bc, params.mu,
+                                             (vr[..., 0] - vl[..., 0]) - IR[..., 0],
+                                             (vr[..., -1] - vl[..., -1]) + IL[..., -1])
+            b_r = -b_r
+        dr = vr - (IR + np.asarray(b_r)[..., None] * params.e_right)
         si_r = None if si0r is None else (si0r, si2r)
-    dl = vl - (IL + np.asarray(a_l)[..., None] * fam.e_left)
+    dl = vl - (IL + np.asarray(a_l)[..., None] * params.e_left)
     return dl, dr, si_l, si_r
 
 
@@ -241,11 +217,10 @@ def d_chain_pair(vl: np.ndarray, vr: np.ndarray, params: KernelParams,
     Returns (powers_left, powers_right, si_left, si_right) with the
     smoothness pairs taken from the first (WENO) pass.
     """
-    fam = _Family(params, vl.shape[-1] - 1)
-    cl, cr, si_l, si_r = _d_pair(vl, vr, fam, bc, mode_first)
+    cl, cr, si_l, si_r = _d_pair(vl, vr, params, bc, mode_first)
     pl, pr = [cl], [cr]
     for _ in range(1, k):
-        cl, cr, _, _ = _d_pair(cl, cr, fam, bc, LINEAR6)
+        cl, cr, _, _ = _d_pair(cl, cr, params, bc, LINEAR6)
         pl.append(cl)
         pr.append(cr)
     return pl, pr, si_l, si_r
@@ -253,18 +228,13 @@ def d_chain_pair(vl: np.ndarray, vr: np.ndarray, params: KernelParams,
 
 def d_chain_zero(v: np.ndarray, params: KernelParams, bc: Boundary, k: int,
                  mode_first: str = WENO5):
-    """Symmetric-family chain D_0^1[v] .. D_0^k[v], re-closing the boundary
-    at every power.
+    """Symmetric-family chain [D_0^1[v], .., D_0^k[v]], re-closing the
+    boundary at every power.
 
-    The first application uses `mode_first` (WENO by default, capturing
-    smoothness data); higher powers always use the linear rule.  Returns
-    (powers, si) where si is the smoothness data of the first pass (None in
-    linear mode).
+    The first application uses `mode_first` (WENO by default); higher powers
+    always use the linear rule.
     """
-    fam = _Family(params, v.shape[-1] - 1)
-    cur, si = _d_zero(v, fam, bc, mode_first)
-    powers = [cur]
+    powers = [_d_zero(v, params, bc, mode_first)]
     for _ in range(1, k):
-        cur, _ = _d_zero(cur, fam, bc, LINEAR6)
-        powers.append(cur)
-    return powers, si
+        powers.append(_d_zero(powers[-1], params, bc, LINEAR6))
+    return powers

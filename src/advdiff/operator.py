@@ -21,67 +21,54 @@ runs per axis on batched lines and the results are summed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import (DEGENERATE_TOL, Boundary, Grid1D, Grid2D, ProblemSpec, ProblemSpec2D,
                    SchemeConfig, WaveBounds, per_axis)
 from .filtering import sigma_fields, xi
-from .kernelops import KernelParams, _Family, _d_pair, _d_zero, d_chain_pair, d_chain_zero
+from .kernelops import KernelParams, _d_pair, _d_zero, d_chain_pair, d_chain_zero
 from .quadrature import LINEAR6
 
 
-@dataclass
-class SplitFlux:
-    fplus: np.ndarray
-    fminus: np.ndarray
-
-
-def flux_split(problem: ProblemSpec, u: np.ndarray, bounds: WaveBounds) -> SplitFlux:
-    """Lax-Friedrichs split f± = (f(u) ± c u)/2, so f+ + f- = f(u) with
-    df+/du >= 0 and df-/du <= 0 over the bounded range."""
+def flux_split(problem: ProblemSpec, u: np.ndarray, bounds: WaveBounds):
+    """Lax-Friedrichs split (f+, f-) = ((f(u) + c u)/2, (f(u) - c u)/2), so
+    f+ + f- = f(u) with df+/du >= 0 and df-/du <= 0 over the bounded range."""
     f = problem.flux(u)
     cu = bounds.c * u
-    return SplitFlux(fplus=0.5 * (f + cu), fminus=0.5 * (f - cu))
+    return 0.5 * (f + cu), 0.5 * (f - cu)
 
 
 def _convection(u, problem, config, bounds, dt, grid, bc):
     k = config.order
-    split = flux_split(problem, u, bounds)
+    fplus, fminus = flux_split(problem, u, bounds)
     params = KernelParams.from_alpha(config.beta / (bounds.c * dt), grid)
     chain_l, chain_r, si_l, si_r = d_chain_pair(
-        split.fplus, split.fminus, params, bc, k, mode_first=config.quadrature)
+        fplus, fminus, params, bc, k, mode_first=config.quadrature)
+    sig_l = sig_r = 1.0
     if config.filter_enabled and k >= 2 and si_l is not None:
         sig_l, sig_r = sigma_fields(xi(*si_l), xi(*si_r), bc)
-    else:
-        sig_l = sig_r = None
     h = -chain_l[0]
     for p in range(2, k + 1):
-        term = chain_l[p - 1]
-        h = h - (sig_l ** (p - 1) * term if sig_l is not None else term)
+        h = h - sig_l ** (p - 1) * chain_l[p - 1]
     h = h + chain_r[0]
     for p in range(2, k + 1):
-        term = chain_r[p - 1]
-        h = h + (sig_r ** (p - 1) * term if sig_r is not None else term)
+        h = h + sig_r ** (p - 1) * chain_r[p - 1]
     if k == 3 and config.cross_term_k3:
-        # shares params, and so the quadrature tables, with the chain above
-        fam = _Family(params, u.shape[-1] - 1)
-        # extra left chain on f-, paired with a right chain on f+ so the
-        # homogeneous closure stays well-posed; periodic closures are
+        # shares params, and so the tables and edge profiles, with the chain
+        # above; an extra left chain on f-, paired with a right chain on f+ so
+        # the homogeneous closure stays well-posed; periodic closures are
         # independent, so there the right chain is skipped
-        partner = None if bc is Boundary.PERIODIC else split.fplus
-        lm, rp, _, _ = _d_pair(split.fminus, partner, fam, bc, LINEAR6)
-        lm2, _, _, _ = _d_pair(lm, rp, fam, bc, LINEAR6)
-        correction, _ = _d_zero(chain_l[1] - lm2, fam, bc, LINEAR6)
-        h = h + correction
+        partner = None if bc is Boundary.PERIODIC else fplus
+        lm, rp, _, _ = _d_pair(fminus, partner, params, bc, LINEAR6)
+        lm2, _, _, _ = _d_pair(lm, rp, params, bc, LINEAR6)
+        h = h + _d_zero(chain_l[1] - lm2, params, bc, LINEAR6)
     return params.alpha * h
 
 
 def _diffusion(u, problem, config, bounds, dt, grid, bc):
     params = KernelParams.from_alpha(np.sqrt(config.beta / (bounds.b_diff * dt)), grid)
-    chain, _ = d_chain_zero(problem.diffusion(u), params, bc, config.order,
-                            mode_first=config.quadrature)
+    chain = d_chain_zero(problem.diffusion(u), params, bc, config.order,
+                         mode_first=config.quadrature)
     return -params.alpha ** 2 * sum(chain)
 
 

@@ -132,7 +132,6 @@ class BenchmarkCase:
     default_cfl: float
     beta_defaults: dict = dc_field(default_factory=dict)
     exact: Optional[Callable] = None
-    params: dict = dc_field(default_factory=dict)
 
     @property
     def is_2d(self) -> bool:
@@ -199,22 +198,19 @@ def _build_case(name: str, params: dict) -> BenchmarkCase:
         spec = ProblemSpec(
             flux=lambda u: c * u, flux_deriv=lambda u: c * np.ones_like(np.asarray(u, dtype=float)),
             diffusion=lambda u: b * u, diffusion_deriv=lambda u: b * np.ones_like(np.asarray(u, dtype=float)),
-            initial=np.sin, bc=Boundary.PERIODIC,
-            exact=lambda x, t: exact_advdiff(x, t, c, b))
+            initial=np.sin, bc=Boundary.PERIODIC)
         return BenchmarkCase(name=name, spec=spec, domain=(-np.pi, np.pi),
                              default_n=160, t0=0.0, t_final=2.0, default_cfl=0.5,
                              beta_defaults={1: 1.0, 2: 0.5, 3: 0.4},
-                             exact=spec.exact, params={"c": c, "b": b})
+                             exact=lambda x, t: exact_advdiff(x, t, c, b))
     if name == "pme_barenblatt":
         m = params.pop("m", 5)
         g, gp = _pme_g(m)
         spec = ProblemSpec(flux=_zero, flux_deriv=_zero, diffusion=g, diffusion_deriv=gp,
-                           initial=lambda x: barenblatt(x, 1.0, m), bc=Boundary.HOMOGENEOUS,
-                           exact=lambda x, t: barenblatt(x, t, m))
+                           initial=lambda x: barenblatt(x, 1.0, m), bc=Boundary.HOMOGENEOUS)
         return BenchmarkCase(name=name, spec=spec, domain=(-6.0, 6.0),
                              default_n=200, t0=1.0, t_final=2.0, default_cfl=1.0,
-                             beta_defaults={3: 0.8}, exact=spec.exact,
-                             params={"m": m})
+                             beta_defaults={3: 0.8}, exact=lambda x, t: barenblatt(x, t, m))
     if name == "pme_two_box":
         m = params.pop("m", 6)
         g, gp = _pme_g(m)
@@ -227,7 +223,7 @@ def _build_case(name: str, params: dict) -> BenchmarkCase:
                            initial=boxes, bc=Boundary.HOMOGENEOUS)
         return BenchmarkCase(name=name, spec=spec, domain=(-6.0, 6.0),
                              default_n=400, t0=0.0, t_final=0.12, default_cfl=0.5,
-                             beta_defaults={3: 0.8}, params={"m": m})
+                             beta_defaults={3: 0.8})
     if name == "buckley_leverett":
         gravity = params.pop("gravity", False)
         eps = params.pop("eps", 0.01)
@@ -239,8 +235,7 @@ def _build_case(name: str, params: dict) -> BenchmarkCase:
                            bc=Boundary.HOMOGENEOUS)
         return BenchmarkCase(name=name, spec=spec, domain=(0.0, 1.0),
                              default_n=200, t0=0.0, t_final=0.2, default_cfl=0.5,
-                             beta_defaults={1: 1.0, 2: 0.5, 3: 0.4},
-                             params={"gravity": gravity, "eps": eps})
+                             beta_defaults={1: 1.0, 2: 0.5, 3: 0.4})
     if name == "strong_degenerate":
         eps = params.pop("eps", 0.1)
         g, gp = _sd_g(eps)
@@ -256,8 +251,7 @@ def _build_case(name: str, params: dict) -> BenchmarkCase:
                            bc=Boundary.HOMOGENEOUS)
         return BenchmarkCase(name=name, spec=spec, domain=(-2.0, 2.0),
                              default_n=200, t0=0.0, t_final=0.7, default_cfl=0.5,
-                             beta_defaults={1: 1.0, 2: 0.5, 3: 0.4},
-                             params={"eps": eps})
+                             beta_defaults={1: 1.0, 2: 0.5, 3: 0.4})
     if name == "strong_degenerate_2d":
         eps = params.pop("eps", 0.1)
         g, gp = _sd_g(eps)
@@ -274,7 +268,7 @@ def _build_case(name: str, params: dict) -> BenchmarkCase:
                              initial=discs, bc=Boundary.HOMOGENEOUS)
         return BenchmarkCase(name=name, spec=spec, domain=(-1.5, 1.5, -1.5, 1.5),
                              default_n=200, t0=0.0, t_final=0.5, default_cfl=0.5,
-                             beta_defaults={3: 0.2}, params={"eps": eps})
+                             beta_defaults={3: 0.2})
     if name == "buckley_leverett_2d":
         eps = params.pop("eps", 0.01)
         f1, f1p = _bl_flux(False)
@@ -290,7 +284,7 @@ def _build_case(name: str, params: dict) -> BenchmarkCase:
                              initial=disc, bc=Boundary.HOMOGENEOUS)
         return BenchmarkCase(name=name, spec=spec, domain=(-1.5, 1.5, -1.5, 1.5),
                              default_n=200, t0=0.0, t_final=0.5, default_cfl=0.5,
-                             beta_defaults={3: 0.2}, params={"eps": eps})
+                             beta_defaults={3: 0.2})
     raise ValueError(f"unknown benchmark case {name!r}")
 
 
@@ -341,10 +335,6 @@ def reference_solution(case: BenchmarkCase, T: Optional[float] = None,
     if periodic:
         u = np.append(u, u[0])
     return grid, SolutionField(values=u, time=t)
-
-
-def interpolate_to(field: SolutionField, from_grid: Grid1D, to_grid: Grid1D) -> np.ndarray:
-    return np.interp(to_grid.nodes, from_grid.nodes, field.values)
 
 
 # ---------------------------------------------------------------------------

@@ -91,13 +91,6 @@ _D0_SERIES = (
     -6.803572320961718e-11, 8.884116547311423e-12, 6.731832782774334e-13,
     -1.1760574017924747e-13, -6.20500780840164e-15, 1.5147288108349163e-15,
 )
-_D2_SERIES = (
-    0.18333333333333332, 0.009682539682539683, 0.0002037037037037037,
-    -6.331569664902998e-05, -3.093138489963887e-06, 6.297339736493175e-07,
-    4.5791288207513955e-08, -6.5925288407861686e-09, -6.499934324183366e-10,
-    6.803572320961718e-11, 8.884116547311423e-12, -6.731832782774334e-13,
-    -1.1760574017924747e-13, 6.20500780840164e-15, 1.5147288108349163e-15,
-)
 
 
 def _horner(coefs, x):
@@ -140,8 +133,10 @@ def linear_weights(nu: float) -> tuple[float, float, float]:
     if nu <= 0:
         raise ValueError("nu must be positive")
     if nu < _D_SWITCH:
+        # d2(nu) = d0(-nu): the series of d2 is that of d0 with the odd
+        # coefficients negated, which Horner at -nu reproduces bit for bit
         d0 = _horner(_D0_SERIES, nu)
-        d2 = _horner(_D2_SERIES, nu)
+        d2 = _horner(_D0_SERIES, -nu)
     else:
         e = np.exp(-nu)
         n2, n3, n4 = nu * nu, nu ** 3, nu ** 4
@@ -169,11 +164,6 @@ def coef_tables(nu: float) -> CoefTables:
     for r in range(3):
         out[r:r + 4] += d[r] * cs[r]
     return CoefTables(cs, d, out)
-
-
-def linear_coefficients(nu: float) -> np.ndarray:
-    """Six coefficients of the quintic-exact linear rule on offsets -3 .. 2."""
-    return coef_tables(nu).linear
 
 
 def smoothness_indicators(window):

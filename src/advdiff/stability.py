@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quadrature import linear_coefficients
+from .quadrature import coef_tables
 from .kernelops import Side
 
 SEMI_DISCRETE = "semi_discrete"
@@ -79,7 +79,7 @@ def _dhat(side: Side, kappa_dx, nu: float, mode: str):
         d = 1j * theta / (1.0 + 1j * theta)
         return d if side is Side.LEFT else np.conj(d)
     if mode == FULLY_DISCRETE:
-        c = linear_coefficients(nu)
+        c = coef_tables(nu).linear
         r = np.arange(-3, 3)
         jp = np.tensordot(np.exp(1j * np.multiply.outer(kdx, r)), c, axes=([-1], [0]))
         gp = jp / (1.0 - np.exp(-nu - 1j * kdx))

@@ -16,12 +16,16 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import (Grid1D, Grid2D, ProblemSpec, ProblemSpec2D, SchemeConfig,
-                   SolutionField, compute_bounds, compute_dt)
+from .core import (Boundary, Grid1D, Grid2D, ProblemSpec, ProblemSpec2D,
+                   SchemeConfig, SolutionField, compute_bounds, compute_dt)
 from .operator import build_H
 
 #: relative slack when deciding whether the target time is reached
 TIME_TOL = 1e-12
+
+#: largest accepted gap max|u[..., N] - u[..., 0]| on a periodic axis,
+#: relative to max|u|: node N repeats node 0
+PERIODIC_TOL = 1e-12
 
 
 class UnstableSolution(RuntimeError):
@@ -60,14 +64,24 @@ def advance(u0: SolutionField, T: float, problem: ProblemSpec | ProblemSpec2D,
 
     Returns the final field, or (final, snapshots) when snapshot_times is
     given; snapshots maps each distinct requested time to a SolutionField.
-    Snapshot times must lie in (u0.time, T].
+    Snapshot times must lie in (u0.time, T], and on a periodic axis the
+    last node must repeat the first.
     """
+    if not np.isfinite(T):
+        raise ValueError(f"target time must be finite, got {T}")
     if T < u0.time:
         raise ValueError("target time lies before the field's time")
     marks = sorted(set(snapshot_times or ()))
     outside = [t for t in marks if not u0.time < t <= T]
     if outside:
         raise ValueError(f"snapshot times {outside} lie outside ({u0.time:g}, {T:g}]")
+    scale = PERIODIC_TOL * np.max(np.abs(u0.values))
+    for name, spec in zip("xy", problem.axes):
+        v = u0.values.T if name == "y" else u0.values
+        gap = np.max(np.abs(v[..., -1] - v[..., 0]))
+        if spec.bc is Boundary.PERIODIC and gap > scale:
+            raise ValueError(f"periodic data along {name} differs at its two ends "
+                             f"(max gap {gap:.3g}); node N must repeat node 0")
     snaps = {}
     u = u0.copy()
     tol = TIME_TOL * max(1.0, abs(T))

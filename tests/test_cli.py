@@ -71,6 +71,16 @@ def test_run_rejects_grid_sizes_it_cannot_use(sizes, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag,value,field", [("--T", "nan", "time"), ("--T", "inf", "time"),
+                                              ("--cfl", "inf", "cfl"), ("--beta", "nan", "beta")])
+def test_run_rejects_nonfinite_input(flag, value, field, tmp_path, capsys):
+    out = tmp_path / "sol.csv"
+    assert main(["run", "--case", "linear_advdiff", "--N", "40", flag, value,
+                 "--out", str(out)]) == 1
+    assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_convergence_command(tmp_path):
     out = tmp_path / "conv.csv"
     rc = main(["convergence", "--case", "linear_advdiff", "--k", "2",

@@ -126,6 +126,13 @@ def test_config_validation():
     assert SchemeConfig(order=3).cross_term_k3 is True
 
 
+@pytest.mark.parametrize("name", ["beta", "cfl"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_config_rejects_nonfinite_beta_and_cfl(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+        SchemeConfig(order=2, **{name: value})
+
+
 def test_boundary_enum_values():
     assert Boundary.PERIODIC.value == "periodic"
     assert Boundary.HOMOGENEOUS.value == "homogeneous"

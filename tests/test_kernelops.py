@@ -3,8 +3,7 @@ import pytest
 
 from advdiff import (Boundary, KernelParams, Side, build_grid_1d, kernelops,
                      local_integrals, sweep_left, sweep_right)
-from advdiff.kernelops import (BoundaryData, _d_pair, _Family,
-                               boundary_coefficients, d_chain_pair,
+from advdiff.kernelops import (_d_pair, boundary_coefficients, d_chain_pair,
                                d_chain_zero)
 from advdiff.quadrature import LINEAR6, WENO5
 from conftest import direct_sweep_left, direct_sweep_right, exp_cell_integral
@@ -28,7 +27,7 @@ def apply_D(side, v, p, bc, mode, partner=None):
     """One application of D: the first power of the family's chain.  A
     one-sided family runs its opposite chain on partner (zero by default)."""
     if side is Side.ZERO:
-        return d_chain_zero(v, p, bc, 1, mode)[0][0]
+        return d_chain_zero(v, p, bc, 1, mode)[0]
     partner = np.zeros_like(v) if partner is None else partner
     if side is Side.LEFT:
         return d_chain_pair(v, partner, p, bc, 1, mode)[0][0]
@@ -40,9 +39,18 @@ def apply_L_inverse(side, v, p, bc, mode, partner=None):
     return v - apply_D(side, v, p, bc, mode, partner)
 
 
+def test_kernel_params_caches_family_data():
+    grid = build_grid_1d(0.0, 2.0, 16)
+    p = params_for(3.0, grid)
+    assert p.mu == np.exp(-p.nu * 16)
+    assert np.allclose(p.e_left, np.exp(-3.0 * grid.nodes), rtol=1e-14)
+    assert np.array_equal(p.e_right, p.e_left[::-1])
+    assert p.e_left is p.e_left and p.e_right is p.e_right and p.tables is p.tables
+
+
 def test_sweep_left_small_example():
     # decay factor 0.5 corresponds to nu = ln 2
-    p = KernelParams(alpha=np.log(2.0), nu=np.log(2.0), mu=0.125)
+    p = KernelParams(alpha=np.log(2.0), nu=np.log(2.0), n_cells=3)  # mu = 0.125
     J = np.array([np.nan, 0.5, 0.5, 0.5])
     J[0] = 0.0
     I = sweep_left(J, p)
@@ -74,7 +82,7 @@ def test_sweep_zero_input():
 def test_sweeps_match_direct_summation(nu, rng):
     n = 257
     grid = build_grid_1d(0.0, 1.0, n)
-    p = KernelParams(alpha=nu / grid.dx, nu=nu, mu=float(np.exp(-nu * n)))
+    p = KernelParams(alpha=nu / grid.dx, nu=nu, n_cells=n)
     J = rng.standard_normal(n + 1)
     q = np.exp(-nu)
     JL = J.copy(); JL[0] = 0.0
@@ -132,8 +140,7 @@ def test_boundary_coefficients_periodic_constant():
     grid = build_grid_1d(0.0, 1.0, 40)
     p = params_for(2.0, grid)
     I0 = convolve_zero(np.ones(41), p, PER)
-    a0, b0 = boundary_coefficients(Side.ZERO, PER, BoundaryData(),
-                                   I0[0], I0[-1], p.mu)
+    a0, b0 = boundary_coefficients(PER, p.mu, I0[0], I0[-1])
     assert a0 == pytest.approx(0.5, rel=1e-12)
     assert b0 == pytest.approx(0.5, rel=1e-12)
 
@@ -142,17 +149,16 @@ def test_boundary_coefficients_homogeneous_constant():
     grid = build_grid_1d(0.0, 1.0, 40)
     p = params_for(2.0, grid)
     I0 = convolve_zero(np.ones(41), p, HOM)
-    data = BoundaryData(v1_a=1.0, v1_b=1.0)
-    a0, b0 = boundary_coefficients(Side.ZERO, HOM, data, I0[0], I0[-1], p.mu)
+    a0, b0 = boundary_coefficients(HOM, p.mu, I0[0] - 1.0, I0[-1] - 1.0)
     assert a0 == pytest.approx(0.5, rel=1e-12)
     assert b0 == pytest.approx(0.5, rel=1e-12)
 
 
 def test_boundary_coefficients_zero_data():
-    vals = boundary_coefficients(Side.ZERO, PER, BoundaryData(), 0.0, 0.0, 0.3)
+    vals = boundary_coefficients(PER, 0.3, 0.0, 0.0)
     assert vals == (0.0, 0.0)
     with pytest.raises(ValueError):
-        boundary_coefficients(Side.ZERO, PER, BoundaryData(), 0.0, 0.0, 1.0)
+        boundary_coefficients(PER, 1.0, 0.0, 0.0)
 
 
 @pytest.mark.parametrize("side", [Side.ZERO, Side.LEFT, Side.RIGHT])
@@ -196,13 +202,13 @@ def test_D_zero_homogeneous_constant():
 def test_power_chain_constants_and_k1():
     grid = build_grid_1d(0.0, 2.0, 32)
     p = params_for(1.5, grid)
-    powers, _ = d_chain_zero(np.full(33, 4.0), p, PER, 3, WENO5)
+    powers = d_chain_zero(np.full(33, 4.0), p, PER, 3, WENO5)
     for d in powers:
         assert np.max(np.abs(d)) < 1e-11
     v = np.sin(np.pi * np.linspace(0, 2, 33))
     zero = np.zeros_like(v)
     one, _, _, _ = d_chain_pair(v, zero, p, PER, 1, LINEAR6)
-    direct, _, _, _ = _d_pair(v, zero, _Family(p, 32), PER, LINEAR6)
+    direct, _, _, _ = _d_pair(v, zero, p, PER, LINEAR6)
     assert np.array_equal(one[0], direct)
 
 
@@ -210,7 +216,7 @@ def test_power_chain_fourier_symbol_powers():
     grid = build_grid_1d(-np.pi, np.pi, 512)
     p = params_for(2.0, grid)
     v = np.sin(grid.nodes)
-    powers, _ = d_chain_zero(v, p, PER, 3, LINEAR6)
+    powers = d_chain_zero(v, p, PER, 3, LINEAR6)
     for k, d in enumerate(powers, start=1):
         assert np.max(np.abs(d - 0.2 ** k * v)) < 1e-8
 
@@ -244,7 +250,7 @@ def test_homogeneous_closures_vanish_at_ends(rng):
     v = np.exp(-4 * grid.nodes ** 2)
     w = np.where(np.abs(grid.nodes) < 1, (1 - grid.nodes ** 2) ** 2, 0.0)
     p = params_for(7.0, grid)
-    powers, _ = d_chain_zero(v, p, HOM, 3, WENO5)
+    powers = d_chain_zero(v, p, HOM, 3, WENO5)
     for d in powers:
         assert abs(d[0]) < 1e-12 and abs(d[-1]) < 1e-12
     pl, pr, _, _ = d_chain_pair(v, w, p, HOM, 3, WENO5)
@@ -345,10 +351,10 @@ def test_padded_windows_match_fancy_index_gather(side, mode, bc, shape, rng, mon
 @pytest.mark.parametrize("mode", [WENO5, LINEAR6])
 def test_left_only_pair_matches_paired_left_output(mode, rng):
     grid = build_grid_1d(0.0, 1.0, 40)
-    fam = _Family(params_for(4.0, grid), 40)
+    p = params_for(4.0, grid)
     vl, vr = rng.standard_normal((2, 3, 41))
-    dl, dr, si_l, si_r = _d_pair(vl, None, fam, PER, mode)
-    pl, _, psi_l, _ = _d_pair(vl, vr, fam, PER, mode)
+    dl, dr, si_l, si_r = _d_pair(vl, None, p, PER, mode)
+    pl, _, psi_l, _ = _d_pair(vl, vr, p, PER, mode)
     assert dr is None and si_r is None
     assert dl.tobytes() == pl.tobytes()
     if mode == WENO5:
@@ -356,4 +362,4 @@ def test_left_only_pair_matches_paired_left_output(mode, rng):
     else:
         assert si_l is None and psi_l is None
     with pytest.raises(ValueError, match="homogeneous"):
-        _d_pair(vl, None, fam, HOM, mode)
+        _d_pair(vl, None, p, HOM, mode)

@@ -29,24 +29,24 @@ def burgers_like(bc=PER):
 def test_flux_split_consistency():
     prob = burgers_like()
     u = np.array([0.5])
-    split = flux_split(prob, u, WaveBounds(c=2.0, b_diff=0.1))
-    assert split.fplus[0] == pytest.approx(0.625)
-    assert split.fminus[0] == pytest.approx(-0.375)
-    assert split.fplus[0] + split.fminus[0] == pytest.approx(0.25)
+    fplus, fminus = flux_split(prob, u, WaveBounds(c=2.0, b_diff=0.1))
+    assert fplus[0] == pytest.approx(0.625)
+    assert fminus[0] == pytest.approx(-0.375)
+    assert fplus[0] + fminus[0] == pytest.approx(0.25)
 
 
 def test_flux_split_zero():
     prob = burgers_like()
-    split = flux_split(prob, np.zeros(5), WaveBounds(c=2.0, b_diff=0.1))
-    assert np.all(split.fplus == 0) and np.all(split.fminus == 0)
+    fplus, fminus = flux_split(prob, np.zeros(5), WaveBounds(c=2.0, b_diff=0.1))
+    assert np.all(fplus == 0) and np.all(fminus == 0)
 
 
 def test_flux_split_monotone_parts():
     prob = burgers_like()
     u = np.linspace(-1, 1, 400)
-    split = flux_split(prob, u, WaveBounds(c=2.0, b_diff=0.1))
-    assert np.all(np.diff(split.fplus) >= -1e-14)
-    assert np.all(np.diff(split.fminus) <= 1e-14)
+    fplus, fminus = flux_split(prob, u, WaveBounds(c=2.0, b_diff=0.1))
+    assert np.all(np.diff(fplus) >= -1e-14)
+    assert np.all(np.diff(fminus) <= 1e-14)
 
 
 @pytest.mark.parametrize("bc", [PER, HOM])

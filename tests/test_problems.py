@@ -3,7 +3,7 @@ import pytest
 
 from advdiff import (SolutionField, barenblatt, error_norms, exact_advdiff,
                      make_problem, reference_solution, solve_case)
-from advdiff.problems import convergence_study, interpolate_to, observed_orders
+from advdiff.problems import convergence_study, observed_orders
 
 
 def test_exact_advdiff_examples():
@@ -44,13 +44,13 @@ def test_make_problem_catalog():
     assert np.max(u0.values) == pytest.approx(1.0)
 
     bl = make_problem("buckley_leverett")
-    assert bl.params["eps"] == 0.01
+    assert bl.spec.diffusion_deriv(np.array([0.5]))[0] == 0.01  # g'(1/2) = eps
     x0 = 1 - 1 / np.sqrt(2)
     vals = bl.spec.initial(np.array([x0 - 1e-9, x0 + 1e-9]))
     assert vals[0] == 0.0 and vals[1] == 1.0
 
     sd = make_problem("strong_degenerate")
-    assert sd.params["eps"] == 0.1
+    assert sd.spec.diffusion_deriv(np.array([0.5]))[0] == 0.1  # g' = eps off the core
     u = np.array([0.0, 0.2, 0.5, -0.5])
     assert np.allclose(sd.spec.diffusion_deriv(u), [0.0, 0.0, 0.1, 0.1])
 
@@ -76,7 +76,7 @@ def test_build_grid_takes_sizes_as_given():
 def test_make_problem_rejects_unused_params():
     with pytest.raises(ValueError, match="c, q"):
         make_problem("pme_barenblatt", c=2.0, q=1)
-    assert make_problem("pme_barenblatt", m=3).params == {"m": 3}
+    assert make_problem("pme_barenblatt", m=3).spec.diffusion(np.array(2.0)) == 8.0  # u^m
 
 
 def test_default_beta_by_kind():
@@ -125,15 +125,6 @@ def test_reference_scheme_first_order_convergence():
     assert np.all(orders > 0.8)
 
 
-def test_interpolate_to_matches_on_shared_nodes():
-    case = make_problem("linear_advdiff")
-    fine = case.build_grid(80)
-    coarse = case.build_grid(40)
-    field = SolutionField(values=np.sin(fine.nodes), time=0.0)
-    vals = interpolate_to(field, fine, coarse)
-    assert np.allclose(vals, np.sin(coarse.nodes), atol=1e-15)
-
-
 def test_error_norms_examples():
     case = make_problem("linear_advdiff")
     grid = case.build_grid(40)
@@ -177,7 +168,7 @@ def test_strong_degenerate_matches_reference():
     config = case.make_config(order=3)
     grid, u = solve_case(case, config, n=200)
     ref_grid, ref = reference_solution(case, n_ref=1000)
-    ref_vals = interpolate_to(ref, ref_grid, grid)
+    ref_vals = np.interp(grid.nodes, ref_grid.nodes, ref.values)
     l1 = grid.dx * np.sum(np.abs(u.values - ref_vals))
     assert l1 == pytest.approx(3.30e-2, rel=0.2)
     assert np.max(np.abs(u.values)) <= 1.0 + 1e-2

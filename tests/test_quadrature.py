@@ -33,7 +33,7 @@ def test_substencils_exact_on_cubics(nu, rng):
 
 @pytest.mark.parametrize("nu", NU_SET)
 def test_linear_rule_exact_on_quintics(nu, rng):
-    c = qd.linear_coefficients(nu)
+    c = qd.coef_tables(nu).linear
     for _ in range(5):
         coefs = rng.uniform(-2, 2, size=6)
         poly = np.polynomial.Polynomial(coefs)

@@ -75,3 +75,17 @@ def test_bounds_2d_per_axis():
     assert bx.c == pytest.approx(1.0)
     assert bx.b_diff == pytest.approx(0.1)
     assert by.c == 0.0 and by.b_diff == 0.0
+
+
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_periodic_data_whose_ends_differ_is_rejected(axis):
+    prob2 = x_only_problem()
+    grid2 = build_grid_2d(-np.pi, np.pi, 24, -np.pi, np.pi, 12)
+    u0 = initial_field_2d(prob2, grid2)  # sin(x): ends agree to round-off
+    config = make_problem("linear_advdiff").make_config(order=1)
+    advance(u0, 0.01, prob2, config, grid2)
+    # a (ny+1, nx+1) field: x runs along the rows, y down the columns
+    edge = u0.values[:, -1] if axis == "x" else u0.values[-1, :]
+    edge += 1e-9
+    with pytest.raises(ValueError, match=f"periodic data along {axis}"):
+        advance(u0, 0.01, prob2, config, grid2)

@@ -61,6 +61,26 @@ def test_advance_rejects_backwards_target():
         advance(u0, 0.5, case.spec, case.make_config(order=1, beta=1.0), grid)
 
 
+@pytest.mark.parametrize("T", [np.nan, np.inf])
+def test_advance_rejects_nonfinite_target(T):
+    case = make_problem("linear_advdiff")
+    grid = case.build_grid(40)
+    with pytest.raises(ValueError, match="target time must be finite"):
+        advance(case.initial_field(grid), T, case.spec, case.make_config(order=1), grid)
+
+
+def test_advance_rejects_periodic_data_whose_ends_differ():
+    case = make_problem("linear_advdiff")
+    grid = case.build_grid(40)
+    u0 = case.initial_field(grid)
+    # the catalog's sin data closes to round-off and is accepted
+    assert 0 < abs(u0.values[-1] - u0.values[0]) <= 1e-15
+    advance(u0, 0.01, case.spec, case.make_config(order=1), grid)
+    u0.values[-1] += 1e-9
+    with pytest.raises(ValueError, match="periodic data along x"):
+        advance(u0, 0.01, case.spec, case.make_config(order=1), grid)
+
+
 def test_snapshots_land_on_requested_times():
     case = make_problem("linear_advdiff", c=1.0, b=0.01)
     grid = case.build_grid(40)
