@@ -10,12 +10,12 @@ parameter beta.
 from .core import (Boundary, Grid1D, Grid2D, ProblemSpec, ProblemSpec2D,
                    SchemeConfig, SolutionField, WaveBounds, build_grid_1d,
                    build_grid_2d, compute_bounds, compute_dt, initial_field_2d)
-from .kernelops import KernelParams, Side, local_integrals, sweep_left, sweep_right
+from .kernelops import KernelParams, local_integrals, sweep_left
 from .operator import build_H, flux_split
 from .problems import (BenchmarkCase, ErrorReport, barenblatt, error_norms,
                        exact_advdiff, make_problem, reference_solution,
                        solve_case)
-from .stability import (EquationKind, StabilityReport, amplification,
+from .stability import (EquationKind, Side, StabilityReport, amplification,
                         compute_report, export_contours, max_amplification,
                         scan_beta_max)
 from .timestep import UnstableSolution, advance, rk_step
@@ -26,7 +26,7 @@ __all__ = [
     "Boundary", "Grid1D", "Grid2D", "ProblemSpec", "SchemeConfig",
     "SolutionField", "WaveBounds", "build_grid_1d", "build_grid_2d",
     "compute_bounds", "compute_dt",
-    "KernelParams", "Side", "local_integrals", "sweep_left", "sweep_right",
+    "KernelParams", "Side", "local_integrals", "sweep_left",
     "build_H", "flux_split",
     "BenchmarkCase", "ErrorReport", "barenblatt", "error_norms",
     "exact_advdiff", "make_problem", "reference_solution", "solve_case",

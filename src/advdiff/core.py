@@ -73,6 +73,24 @@ def build_grid_2d(ax: float, bx: float, nx: int, ay: float, by: float, ny: int) 
     return Grid2D(gx=build_grid_1d(ax, bx, nx), gy=build_grid_1d(ay, by, ny))
 
 
+def shifted(v: np.ndarray, bc: Boundary, lo: int, hi: int) -> list:
+    """Views w_m = v_{i+m} for m = lo..hi (lo <= 0 <= hi) along the last axis.
+
+    All are slices of one array padded by -lo nodes before and hi after:
+    periodic data wraps over its n unique nodes (node N repeats node 0, so it
+    reads node 0's neighbours), other data repeats its end values.
+    """
+    n = v.shape[-1] - 1
+    if bc is Boundary.PERIODIC:
+        ext = np.concatenate((v[..., n + lo:n], v[..., :n], v[..., :hi + 1]), axis=-1)
+    else:
+        ext = np.empty(v.shape[:-1] + (n + 1 + hi - lo,), dtype=v.dtype)
+        ext[..., :-lo] = v[..., :1]
+        ext[..., -lo:n + 1 - lo] = v
+        ext[..., n + 1 - lo:] = v[..., -1:]
+    return [ext[..., m - lo:m - lo + n + 1] for m in range(lo, hi + 1)]
+
+
 @dataclass
 class ProblemSpec:
     """Scalar 1D problem u_t + f(u)_x = g(u)_xx."""

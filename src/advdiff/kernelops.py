@@ -9,13 +9,14 @@ acts like a scaled derivative: truncated sums of powers of D approximate
 d/dx (one-sided families) and d^2/dx^2 (symmetric family).
 
 Convolutions are evaluated from per-cell local integrals J by the O(N)
-recursions
+recursion (a linear recurrence filter)
 
-    I^L_i = I^L_{i-1} e^{-nu} + J^L_i,   I^L_0 = 0,
-    I^R_i = I^R_{i+1} e^{-nu} + J^R_i,   I^R_N = 0,
+    I^L_i = I^L_{i-1} e^{-nu} + J^L_i,   I^L_0 = 0.
 
-(implemented as a linear recurrence filter), and the symmetric convolution is
-I^0 = (I^L + I^R)/2.  Boundary closures fix the homogeneous-solution
+The right kernel is the left one reflected in space, so I^R (I^R_N = 0) and
+its smoothness pair are the left path run on the reversed data and reversed
+back; the symmetric convolution is I^0 = (I^L + I^R)/2.  The six quadrature
+windows read past the ends through `core.shifted`.  Boundary closures fix the homogeneous-solution
 coefficients: periodic closures enforce end-value matching of D, while the
 homogeneous regime enforces D_0 = 0 at both ends and closes the left/right
 pair jointly so that the combination D_L[v1] - D_R[v2] vanishes at both ends.
@@ -26,22 +27,15 @@ All array operations act along the last axis, so a leading batch dimension
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 from scipy.signal import lfilter
 
-from .core import Boundary, Grid1D
+from .core import Boundary, Grid1D, shifted
 from . import quadrature
 from .quadrature import LINEAR6, WENO5
-
-
-class Side(enum.Enum):
-    LEFT = "left"
-    RIGHT = "right"
-    ZERO = "zero"
 
 
 @dataclass(frozen=True)
@@ -80,50 +74,16 @@ class KernelParams:
         return cls(alpha=float(alpha), nu=float(alpha * grid.dx), n_cells=grid.n_cells)
 
 
-def _gather_windows(v: np.ndarray, bc: Boundary):
-    """Six shifted views w_m = v_{i+m}, m = -3..2, wrapped or clamp-extended.
-
-    All six are slices of one array padded by three nodes at each end:
-    periodic data wraps with period n (so node N reads node 0's neighbours),
-    other data repeats its end values.
-    """
-    n = v.shape[-1] - 1
-    if bc is Boundary.PERIODIC:
-        ext = np.concatenate((v[..., n - 3:n], v[..., :n], v[..., :3]), axis=-1)
-    else:
-        ext = np.empty(v.shape[:-1] + (n + 7,), dtype=v.dtype)
-        ext[..., :3] = v[..., :1]
-        ext[..., 3:n + 4] = v
-        ext[..., n + 4:] = v[..., -1:]
-    return [ext[..., 3 + m:4 + m + n] for m in range(-3, 3)]
-
-
-def local_integrals(v: np.ndarray, params: KernelParams, side: Side,
-                    mode: str, bc: Boundary):
-    """Per-cell local integrals J for one side; returns (J, si0, si2).
-
-    side LEFT:  J_i over [x_{i-1}, x_i], anchored at x_i (entry 0 unused).
-    side RIGHT: J_i over [x_i, x_{i+1}], anchored at x_i (entry N unused),
-                computed as the left rule on the reversed data.
-    si0/si2 are None in linear mode.
-    """
-    if side is Side.ZERO:
-        raise ValueError("local integrals are one-sided; use LEFT or RIGHT")
-    flip = side is Side.RIGHT
-    data = v[..., ::-1] if flip else v
-    win = _gather_windows(data, bc)
+def local_integrals(v: np.ndarray, params: KernelParams, mode: str, bc: Boundary):
+    """Per-cell local integrals J_i over [x_{i-1}, x_i], anchored at x_i (entry
+    0 unused), from the six windows v_{i-3..i+2}; returns (J, si0, si2), the
+    smoothness pair being None in linear mode."""
+    win = shifted(v, bc, -3, 2)
     if mode == WENO5:
-        J, si0, si2 = quadrature.weno_integrals(win, params.tables)
-    elif mode == LINEAR6:
-        J = quadrature.linear_integrals(win, params.tables)
-        si0 = si2 = None
-    else:
-        raise ValueError(f"unknown quadrature mode {mode!r}")
-    if flip:
-        J = J[..., ::-1]
-        if si0 is not None:
-            si0, si2 = si0[..., ::-1], si2[..., ::-1]
-    return J, si0, si2
+        return quadrature.weno_integrals(win, params.tables)
+    if mode == LINEAR6:
+        return quadrature.linear_integrals(win, params.tables), None, None
+    raise ValueError(f"unknown quadrature mode {mode!r}")
 
 
 def sweep_left(J: np.ndarray, params: KernelParams) -> np.ndarray:
@@ -135,13 +95,20 @@ def sweep_left(J: np.ndarray, params: KernelParams) -> np.ndarray:
     return I
 
 
-def sweep_right(J: np.ndarray, params: KernelParams) -> np.ndarray:
-    """I_N = 0; I_i = I_{i+1} e^{-nu} + J_i; mirror of sweep_left."""
-    q = np.exp(-params.nu)
-    I = np.empty_like(J, dtype=float)
-    I[..., -1] = 0.0
-    I[..., :-1] = lfilter([1.0], [1.0, -q], J[..., -2::-1], axis=-1)[..., ::-1]
-    return I
+def _left(v, params: KernelParams, mode: str, bc: Boundary):
+    """Left-oriented convolution I^L of v and its smoothness pair (None in
+    linear mode)."""
+    J, si0, si2 = local_integrals(v, params, mode, bc)
+    return sweep_left(J, params), None if si0 is None else (si0, si2)
+
+
+def _right(v, params: KernelParams, mode: str, bc: Boundary):
+    """Right-oriented convolution I^R of v (I^R_i = I^R_{i+1} e^{-nu} + J^R_i,
+    I^R_N = 0) and its smoothness pair: the right kernel is the left one
+    reflected in space, so this is the left path on the reversed data,
+    reversed back."""
+    I, si = _left(v[..., ::-1], params, mode, bc)
+    return I[..., ::-1], None if si is None else (si[0][..., ::-1], si[1][..., ::-1])
 
 
 def boundary_coefficients(bc: Boundary, mu: float, e_a, e_b):
@@ -162,9 +129,7 @@ def boundary_coefficients(bc: Boundary, mu: float, e_a, e_b):
 def _d_zero(v, params: KernelParams, bc: Boundary, mode: str):
     """One application of the symmetric-family D: D[v] = v - I^0 - A e_left
     - B e_right, closed periodically or so that D[v] vanishes at both ends."""
-    JL, _, _ = local_integrals(v, params, Side.LEFT, mode, bc)
-    JR, _, _ = local_integrals(v, params, Side.RIGHT, mode, bc)
-    I0 = 0.5 * (sweep_left(JL, params) + sweep_right(JR, params))
+    I0 = 0.5 * (_left(v, params, mode, bc)[0] + _right(v, params, mode, bc)[0])
     e_a, e_b = I0[..., 0], I0[..., -1]
     if bc is not Boundary.PERIODIC:
         e_a, e_b = e_a - v[..., 0], e_b - v[..., -1]
@@ -185,15 +150,12 @@ def _d_pair(vl, vr, params: KernelParams, bc: Boundary, mode: str):
     periodic = bc is Boundary.PERIODIC
     if vr is None and not periodic:
         raise ValueError("the homogeneous closure couples the pair; vr is required")
-    JL, si0l, si2l = local_integrals(vl, params, Side.LEFT, mode, bc)
-    IL = sweep_left(JL, params)
-    si_l = None if si0l is None else (si0l, si2l)
+    IL, si_l = _left(vl, params, mode, bc)
     if periodic:
         a_l, _ = boundary_coefficients(bc, params.mu, IL[..., 0], IL[..., -1])
     dr = si_r = None
     if vr is not None:
-        JR, si0r, si2r = local_integrals(vr, params, Side.RIGHT, mode, bc)
-        IR = sweep_right(JR, params)
+        IR, si_r = _right(vr, params, mode, bc)
         if periodic:
             _, b_r = boundary_coefficients(bc, params.mu, IR[..., 0], IR[..., -1])
         else:
@@ -204,7 +166,6 @@ def _d_pair(vl, vr, params: KernelParams, bc: Boundary, mode: str):
                                              (vr[..., -1] - vl[..., -1]) + IL[..., -1])
             b_r = -b_r
         dr = vr - (IR + np.asarray(b_r)[..., None] * params.e_right)
-        si_r = None if si0r is None else (si0r, si2r)
     dl = vl - (IL + np.asarray(a_l)[..., None] * params.e_left)
     return dl, dr, si_l, si_r
 

@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .quadrature import coef_tables
-from .kernelops import Side
 
 SEMI_DISCRETE = "semi_discrete"
 FULLY_DISCRETE = "fully_discrete_linear6"
@@ -37,6 +36,12 @@ STABLE_TOL = 1e-10
 
 #: step-ratio scan range (log-uniform)
 RATIO_RANGE = (1e-3, 1e3)
+
+
+class Side(enum.Enum):
+    LEFT = "left"
+    RIGHT = "right"
+    ZERO = "zero"
 
 
 class EquationKind(enum.Enum):

@@ -64,8 +64,8 @@ def advance(u0: SolutionField, T: float, problem: ProblemSpec | ProblemSpec2D,
 
     Returns the final field, or (final, snapshots) when snapshot_times is
     given; snapshots maps each distinct requested time to a SolutionField.
-    Snapshot times must lie in (u0.time, T], and on a periodic axis the
-    last node must repeat the first.
+    Snapshot times must lie in (u0.time, T], u0 must be finite, and on a
+    periodic axis the last node must repeat the first.
     """
     if not np.isfinite(T):
         raise ValueError(f"target time must be finite, got {T}")
@@ -75,6 +75,8 @@ def advance(u0: SolutionField, T: float, problem: ProblemSpec | ProblemSpec2D,
     outside = [t for t in marks if not u0.time < t <= T]
     if outside:
         raise ValueError(f"snapshot times {outside} lie outside ({u0.time:g}, {T:g}]")
+    if not np.all(np.isfinite(u0.values)):
+        raise ValueError("initial data u0 holds non-finite values")
     scale = PERIODIC_TOL * np.max(np.abs(u0.values))
     for name, spec in zip("xy", problem.axes):
         v = u0.values.T if name == "y" else u0.values

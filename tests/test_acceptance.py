@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import advdiff
-from advdiff import (Boundary, EquationKind, KernelParams, SchemeConfig, Side,
+from advdiff import (Boundary, EquationKind, KernelParams, SchemeConfig,
                      SolutionField, amplification, build_grid_1d,
                      build_grid_2d, local_integrals, make_problem,
                      max_amplification, rk_step, scan_beta_max, solve_case,
@@ -124,7 +124,7 @@ def test_criterion_2_beta_max_recovery():
 def _convolve_left(v, nu):
     grid = build_grid_1d(0.0, 1.0, v.shape[-1] - 1)
     p = KernelParams.from_alpha(nu / grid.dx, grid)
-    J, _, _ = local_integrals(v, p, Side.LEFT, LINEAR6, Boundary.PERIODIC)
+    J, _, _ = local_integrals(v, p, LINEAR6, Boundary.PERIODIC)
     J = J.copy()
     J[..., 0] = 0.0
     return sweep_left(J, p), J, p
@@ -373,7 +373,7 @@ def test_criterion_9_filter_orders():
     for n in (32, 64, 128):
         grid = build_grid_1d(-np.pi, np.pi, n)
         p = KernelParams.from_alpha(2.0 / grid.dx, grid)
-        _, si0, si2 = local_integrals(np.sin(grid.nodes), p, Side.LEFT, WENO5,
+        _, si0, si2 = local_integrals(np.sin(grid.nodes), p, WENO5,
                                       Boundary.PERIODIC)
         worst.append(float(np.max(1.0 - xi(si0, si2))))
     orders = np.log2(np.array(worst[:-1]) / np.array(worst[1:]))
@@ -385,7 +385,7 @@ def test_criterion_9_filter_orders():
         grid = build_grid_1d(-1.0, 1.0, n)
         v = np.where(grid.nodes < 0, 0.0, 1.0) + 0.3 * np.sin(np.pi * grid.nodes)
         p = KernelParams.from_alpha(2.0 / grid.dx, grid)
-        _, si0, si2 = local_integrals(v, p, Side.LEFT, WENO5, Boundary.PERIODIC)
+        _, si0, si2 = local_integrals(v, p, WENO5, Boundary.PERIODIC)
         xif = xi(si0, si2)
         sl, _ = sigma_fields(xif, xif, Boundary.PERIODIC)
         mins.append(float(np.min(sl[n // 2 - 2:n // 2 + 3])))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from advdiff import Boundary, KernelParams, Side, build_grid_1d, local_integrals
+from advdiff import Boundary, KernelParams, build_grid_1d, local_integrals
 from advdiff.filtering import sigma_fields, xi
 from advdiff.quadrature import WENO5
 
@@ -60,7 +60,7 @@ def test_sigma_clamped_neighbors():
 def _xi_of_smooth_sine(n):
     grid = build_grid_1d(-np.pi, np.pi, n)
     p = KernelParams.from_alpha(2.0 / grid.dx, grid)  # nu = 2 fixed
-    _, si0, si2 = local_integrals(np.sin(grid.nodes), p, Side.LEFT, WENO5, PER)
+    _, si0, si2 = local_integrals(np.sin(grid.nodes), p, WENO5, PER)
     return xi(si0, si2)
 
 
@@ -81,7 +81,7 @@ def test_step_sigma_damps_at_least_third_order():
         grid = build_grid_1d(-1.0, 1.0, n)
         v = np.where(grid.nodes < 0, 0.0, 1.0) + 0.3 * np.sin(np.pi * grid.nodes)
         p = KernelParams.from_alpha(2.0 / grid.dx, grid)
-        _, si0, si2 = local_integrals(v, p, Side.LEFT, WENO5, PER)
+        _, si0, si2 = local_integrals(v, p, WENO5, PER)
         xi_f = xi(si0, si2)
         sl, _ = sigma_fields(xi_f, xi_f, PER)
         jump = n // 2
@@ -95,7 +95,7 @@ def test_pure_step_sigma_is_tiny():
     grid = build_grid_1d(-1.0, 1.0, 128)
     v = np.where(grid.nodes < 0, 0.0, 1.0)
     p = KernelParams.from_alpha(2.0 / grid.dx, grid)
-    _, si0, si2 = local_integrals(v, p, Side.LEFT, WENO5, PER)
+    _, si0, si2 = local_integrals(v, p, WENO5, PER)
     xi_f = xi(si0, si2)
     sl, _ = sigma_fields(xi_f, xi_f, PER)
     assert np.min(sl[62:67]) < 1e-12

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from advdiff import (Boundary, KernelParams, Side, build_grid_1d, kernelops,
-                     local_integrals, sweep_left, sweep_right)
+                     local_integrals, sweep_left)
+from advdiff.core import shifted
 from advdiff.kernelops import (_d_pair, boundary_coefficients, d_chain_pair,
                                d_chain_zero)
 from advdiff.quadrature import LINEAR6, WENO5
@@ -17,10 +18,11 @@ def params_for(alpha, grid):
 
 
 def convolve_zero(v, p, bc):
-    """Symmetric convolution I^0 = (I^L + I^R)/2 from the linear-rule sweeps."""
-    JL, _, _ = local_integrals(v, p, Side.LEFT, LINEAR6, bc)
-    JR, _, _ = local_integrals(v, p, Side.RIGHT, LINEAR6, bc)
-    return 0.5 * (sweep_left(JL, p) + sweep_right(JR, p))
+    """Symmetric convolution I^0 = (I^L + I^R)/2 from the linear-rule sweeps,
+    the right one being the left sweep of the reversed data, reversed back."""
+    JL, _, _ = local_integrals(v, p, LINEAR6, bc)
+    JR, _, _ = local_integrals(v[::-1], p, LINEAR6, bc)
+    return 0.5 * (sweep_left(JL, p) + sweep_left(JR, p)[::-1])
 
 
 def apply_D(side, v, p, bc, mode, partner=None):
@@ -65,9 +67,10 @@ def test_sweep_geometric_series_matches_analytic():
     I = sweep_left(J, p)
     i = np.arange(65)
     assert np.allclose(I, 1 - np.exp(-i * p.nu), atol=1e-14)
+    # the right sweep is the left one mirrored
     Jr = np.full(65, -np.expm1(-p.nu))
     Jr[-1] = 0.0
-    Ir = sweep_right(Jr, p)
+    Ir = sweep_left(Jr[::-1], p)[::-1]
     assert np.allclose(Ir, 1 - np.exp(-(64 - i) * p.nu), atol=1e-14)
 
 
@@ -75,7 +78,7 @@ def test_sweep_zero_input():
     grid = build_grid_1d(0, 1, 16)
     p = params_for(1.0, grid)
     assert np.all(sweep_left(np.zeros(17), p) == 0)
-    assert np.all(sweep_right(np.zeros(17), p) == 0)
+    assert np.all(sweep_left(np.zeros(17)[::-1], p)[::-1] == 0)
 
 
 @pytest.mark.parametrize("nu", [1e-3, 0.05, 0.7, 4.0, 50.0])
@@ -88,7 +91,8 @@ def test_sweeps_match_direct_summation(nu, rng):
     JL = J.copy(); JL[0] = 0.0
     assert np.max(np.abs(sweep_left(JL, p) - direct_sweep_left(JL, q))) <= 1e-12 * n
     JR = J.copy(); JR[-1] = 0.0
-    assert np.max(np.abs(sweep_right(JR, p) - direct_sweep_right(JR, q))) <= 1e-12 * n
+    IR = sweep_left(JR[::-1], p)[::-1]
+    assert np.max(np.abs(IR - direct_sweep_right(JR, q))) <= 1e-12 * n
 
 
 def test_local_integrals_constant():
@@ -96,9 +100,10 @@ def test_local_integrals_constant():
     p = params_for(2.5, grid)
     v = np.ones(33)
     for mode in (WENO5, LINEAR6):
-        J, _, _ = local_integrals(v, p, Side.LEFT, mode, PER)
+        J, _, _ = local_integrals(v, p, mode, PER)
         assert np.allclose(J[1:], -np.expm1(-p.nu), rtol=1e-13)
-        Jr, _, _ = local_integrals(v, p, Side.RIGHT, mode, PER)
+        # right-oriented: the left rule on the reversed data, reversed back
+        Jr = local_integrals(v[::-1], p, mode, PER)[0][::-1]
         assert np.allclose(Jr[:-1], -np.expm1(-p.nu), rtol=1e-13)
 
 
@@ -107,13 +112,13 @@ def test_local_integrals_linear_data_vs_quadrature_oracle():
     p = params_for(12.0, grid)
     v = 2.0 * grid.nodes - 0.3
     # interior nodes only: near the ends the replicate extension kinks the data
-    J, _, _ = local_integrals(v, p, Side.LEFT, LINEAR6, HOM)
+    J, _, _ = local_integrals(v, p, LINEAR6, HOM)
     for i in (5, 20, 47):
         # normalized cell coordinates: value at s is v(x_i - s dx)
         xi = grid.nodes[i]
         exact = exp_cell_integral(lambda s: 2.0 * (xi - float(s) * grid.dx) - 0.3, p.nu)
         assert J[i] == pytest.approx(exact, rel=1e-12)
-    Jr, _, _ = local_integrals(v, p, Side.RIGHT, LINEAR6, HOM)
+    Jr = local_integrals(v[::-1], p, LINEAR6, HOM)[0][::-1]
     for i in (5, 20, 30):
         xi = grid.nodes[i]
         exact = exp_cell_integral(lambda s: 2.0 * (xi + float(s) * grid.dx) - 0.3, p.nu)
@@ -123,7 +128,7 @@ def test_local_integrals_linear_data_vs_quadrature_oracle():
 def test_local_integrals_zero():
     grid = build_grid_1d(0, 1, 16)
     p = params_for(1.0, grid)
-    J, _, _ = local_integrals(np.zeros(17), p, Side.LEFT, WENO5, PER)
+    J, _, _ = local_integrals(np.zeros(17), p, WENO5, PER)
     assert np.all(J == 0)
 
 
@@ -321,31 +326,37 @@ def test_L_inverse_property_one_sided(side, rng):
     assert np.max(np.abs(residual)) < 1e-6
 
 
-def fancy_index_windows(v, bc):
-    """Reference gather: w_m = v[..., idx + m] with the index wrapped by np.mod
-    (period n, so node N reads node 0's neighbours) or clamped by np.clip."""
+def fancy_index_shifts(v, bc, lo, hi):
+    """Reference gather: w_m = v[..., idx + m], m = lo..hi, with the index
+    wrapped by np.mod (period n, so node N reads node 0's neighbours) or
+    clamped by np.clip."""
     n = v.shape[-1] - 1
     base = np.arange(n + 1)
     wrap = (lambda idx: np.mod(idx, n)) if bc is PER else (lambda idx: np.clip(idx, 0, n))
-    return [v[..., wrap(base + m)] for m in range(-3, 3)]
+    return [v[..., wrap(base + m)] for m in range(lo, hi + 1)]
 
 
 @pytest.mark.parametrize("shape", [(7,), (42,), (7, 34)])
 @pytest.mark.parametrize("bc", [PER, HOM])
 @pytest.mark.parametrize("mode", [WENO5, LINEAR6])
-@pytest.mark.parametrize("side", [Side.LEFT, Side.RIGHT])
-def test_padded_windows_match_fancy_index_gather(side, mode, bc, shape, rng, monkeypatch):
+@pytest.mark.parametrize("path", [kernelops._left, kernelops._right],
+                         ids=["left", "mirrored_left"])
+def test_padded_windows_match_fancy_index_gather(path, mode, bc, shape, rng, monkeypatch):
     # random data, so under PER node N differs from node 0
     v = rng.standard_normal(shape)
+    # the quadrature windows, then the filter's neighbours of sigma_L and sigma_R
+    for lo, hi in ((-3, 2), (0, 1), (-1, 0)):
+        got, ref = shifted(v, bc, lo, hi), fancy_index_shifts(v, bc, lo, hi)
+        assert len(got) == len(ref) == hi - lo + 1
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, ref))
+    # the convolution and smoothness pair of one orientation, through both gathers
     p = params_for(3.0, build_grid_1d(0.0, 1.0, shape[-1] - 1))
-    got = local_integrals(v, p, side, mode, bc)
-    monkeypatch.setattr(kernelops, "_gather_windows", fancy_index_windows)
-    ref = local_integrals(v, p, side, mode, bc)
-    for a, b in zip(got, ref):
-        if b is None:
-            assert a is None
-        else:
-            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    got = path(v, p, mode, bc)
+    monkeypatch.setattr(kernelops, "shifted", fancy_index_shifts)
+    ref = path(v, p, mode, bc)
+    assert (got[1] is None) == (ref[1] is None) == (mode == LINEAR6)
+    for a, b in zip([got[0], *(got[1] or ())], [ref[0], *(ref[1] or ())]):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("mode", [WENO5, LINEAR6])

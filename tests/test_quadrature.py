@@ -176,14 +176,15 @@ def test_weno_matches_linear_on_smooth_quintic(rng):
 
 
 def test_right_orientation_mirrors_left(rng):
-    # the right-side integral at node i is the left rule fed with the window
-    # reflected about x_i: offsets (+3..-2) instead of (-3..+2)
-    from advdiff import Boundary, KernelParams, Side, build_grid_1d, local_integrals
+    # the right-side integral at node i, the left rule on the reversed data
+    # reversed back, is the left rule fed with the window reflected about
+    # x_i: offsets (+3..-2) instead of (-3..+2)
+    from advdiff import Boundary, KernelParams, build_grid_1d, local_integrals
     nu = 1.3
     grid = build_grid_1d(0.0, 1.0, 24)
     p = KernelParams.from_alpha(nu / grid.dx, grid)
     v = rng.uniform(-1, 1, size=25)
-    JR, _, _ = local_integrals(v, p, Side.RIGHT, qd.WENO5, Boundary.PERIODIC)
+    JR = local_integrals(v[::-1], p, qd.WENO5, Boundary.PERIODIC)[0][::-1]
     for i in (5, 12, 20):
         mirrored = [v[i + 3], v[i + 2], v[i + 1], v[i], v[i - 1], v[i - 2]]
         J_mirror, _, _ = qd.weno_integrals(mirrored, qd.coef_tables(nu))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -89,3 +91,16 @@ def test_periodic_data_whose_ends_differ_is_rejected(axis):
     edge += 1e-9
     with pytest.raises(ValueError, match=f"periodic data along {axis}"):
         advance(u0, 0.01, prob2, config, grid2)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_nonfinite_initial_data_is_rejected(bad):
+    prob2 = x_only_problem()
+    grid2 = build_grid_2d(-np.pi, np.pi, 24, -np.pi, np.pi, 12)
+    u0 = initial_field_2d(prob2, grid2)
+    u0.values[5, 9] = bad
+    config = make_problem("linear_advdiff").make_config(order=3, beta=0.2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="initial data u0 holds non-finite"):
+            advance(u0, 0.01, prob2, config, grid2)

@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -79,6 +80,19 @@ def test_advance_rejects_periodic_data_whose_ends_differ():
     u0.values[-1] += 1e-9
     with pytest.raises(ValueError, match="periodic data along x"):
         advance(u0, 0.01, case.spec, case.make_config(order=1), grid)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_advance_rejects_nonfinite_initial_data(bad):
+    case = make_problem("linear_advdiff")
+    grid = case.build_grid(40)
+    u0 = case.initial_field(grid)
+    u0.values[17] = bad
+    # rejected before the first step, so no arithmetic warning is emitted
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="initial data u0 holds non-finite"):
+            advance(u0, 0.01, case.spec, case.make_config(order=3), grid)
 
 
 def test_snapshots_land_on_requested_times():
