@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Boundary
+from .core import Boundary, shifted
 from .quadrature import WENO_EPSILON
 
 
@@ -27,21 +27,9 @@ def xi(si0, si2, epsilon: float = WENO_EPSILON):
     return (1.0 + (tau / (si_max + epsilon)) ** 2) / (1.0 + (tau / (si_min + epsilon)) ** 2)
 
 
-def _shift_next(a: np.ndarray, bc: Boundary) -> np.ndarray:
-    if bc is Boundary.PERIODIC:
-        return np.roll(a, -1, axis=-1)
-    return np.concatenate([a[..., 1:], a[..., -1:]], axis=-1)
-
-
-def _shift_prev(a: np.ndarray, bc: Boundary) -> np.ndarray:
-    if bc is Boundary.PERIODIC:
-        return np.roll(a, 1, axis=-1)
-    return np.concatenate([a[..., :1], a[..., :-1]], axis=-1)
-
-
 def sigma_fields(xi_left: np.ndarray, xi_right: np.ndarray, bc: Boundary):
     """Damping factors: sigma_L,i = min(xi_i, xi_{i+1}) from the left-pass xi,
-    sigma_R,i = min(xi_{i-1}, xi_i) from the right-pass xi."""
-    sig_l = np.minimum(xi_left, _shift_next(xi_left, bc))
-    sig_r = np.minimum(_shift_prev(xi_right, bc), xi_right)
-    return sig_l, sig_r
+    sigma_R,i = min(xi_{i-1}, xi_i) from the right-pass xi, with neighbours
+    past the ends read as the quadrature windows read them (core.shifted), so
+    periodic node N gets node 0's factors."""
+    return np.minimum(*shifted(xi_left, bc, 0, 1)), np.minimum(*shifted(xi_right, bc, -1, 0))

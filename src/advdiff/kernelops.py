@@ -16,7 +16,8 @@ recursion (a linear recurrence filter)
 The right kernel is the left one reflected in space, so I^R (I^R_N = 0) and
 its smoothness pair are the left path run on the reversed data and reversed
 back; the symmetric convolution is I^0 = (I^L + I^R)/2.  The six quadrature
-windows read past the ends through `core.shifted`.  Boundary closures fix the homogeneous-solution
+windows read past the ends through `core.shifted`, the extension rule the
+filter shares.  Boundary closures fix the homogeneous-solution
 coefficients: periodic closures enforce end-value matching of D, while the
 homogeneous regime enforces D_0 = 0 at both ends and closes the left/right
 pair jointly so that the combination D_L[v1] - D_R[v2] vanishes at both ends.

@@ -99,3 +99,19 @@ def test_pure_step_sigma_is_tiny():
     xi_f = xi(si0, si2)
     sl, _ = sigma_fields(xi_f, xi_f, PER)
     assert np.min(sl[62:67]) < 1e-12
+
+
+def test_periodic_sigma_agrees_at_the_seam():
+    # a jump at the seam x = +-1 (data 1 for x < 0, else 0; node N repeats
+    # node 0): node N must take node 0's damping, its neighbours read past the
+    # ends as the quadrature windows read them
+    n = 64
+    grid = build_grid_1d(-1.0, 1.0, n)
+    v = np.where(grid.nodes < 0, 1.0, 0.0)
+    v[-1] = v[0]
+    p = KernelParams.from_alpha(5.0, grid)
+    xi_l = xi(*local_integrals(v, p, WENO5, PER)[1:])
+    xi_r = xi(*local_integrals(v[::-1], p, WENO5, PER)[1:])[::-1]
+    sl, sr = sigma_fields(xi_l, xi_r, PER)
+    assert sl[0] < 1e-12 and sl[n] == sl[0]
+    assert sr[0] == min(xi_r[n - 1], xi_r[0]) and sr[n] == sr[0]
