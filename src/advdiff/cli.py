@@ -111,13 +111,10 @@ def _cmd_stability(args) -> int:
     kind = EquationKind.ADVECTION if args.kind == "advection" else EquationKind.DIFFUSION
     mode = SEMI_DISCRETE if args.mode == "semi" else FULLY_DISCRETE
     beta = args.beta
-    scanned = None
     if beta is None:
-        scanned = stability.scan_beta_max(args.k, kind, mode=SEMI_DISCRETE)
-        beta = scanned
+        beta = stability.scan_beta_max(args.k, kind, mode=SEMI_DISCRETE)
         print(f"scanned beta_max({args.k}, {kind.value}) = {beta:.4f}")
-    report = stability.compute_report(args.k, kind, beta, mode=mode,
-                                      beta_max_estimate=scanned)
+    report = stability.compute_report(args.k, kind, beta, mode=mode)
     stability.export_contours(report, args.out)
     print(f"wrote {args.out}: max|lambda| = {report.max_abs_lambda:.12f} "
           f"(k={args.k}, {kind.value}, beta={beta:g})")

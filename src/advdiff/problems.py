@@ -28,7 +28,8 @@ import numpy as np
 
 from .core import (Boundary, Grid1D, ProblemSpec, ProblemSpec2D, SchemeConfig,
                    SolutionField, build_grid_1d, build_grid_2d, compute_bounds,
-                   initial_field_2d)
+                   initial_field_2d, shifted)
+from .operator import flux_split
 from .timestep import advance
 
 #: beta_max per order from the stability scans: one-sided (advection),
@@ -297,9 +298,10 @@ CASE_NAMES = ("linear_advdiff", "pme_barenblatt", "pme_two_box", "buckley_levere
 
 def reference_solution(case: BenchmarkCase, T: Optional[float] = None,
                        n_ref: int = 3000) -> tuple[Grid1D, SolutionField]:
-    """Explicit first-order scheme (split upwind flux + central diffusion) on a
-    fine grid, dt = 0.1 dx^2/(c dx + 2b); used to benchmark cases without an
-    exact solution."""
+    """Explicit first-order scheme (upwind differences of the solver's
+    Lax-Friedrichs split + central diffusion) on a fine grid,
+    dt = 0.1 dx^2/(c dx + 2b); used to benchmark cases without an exact
+    solution."""
     if case.is_2d:
         raise ValueError("reference scheme is one-dimensional")
     T = case.t_final if T is None else T
@@ -310,30 +312,20 @@ def reference_solution(case: BenchmarkCase, T: Optional[float] = None,
     c, b = bounds.c, bounds.b_diff
     dx = grid.dx
     dt0 = 0.1 * dx ** 2 / (c * dx + 2.0 * b)
-    periodic = prob.bc is Boundary.PERIODIC
-    if periodic:
-        u = u[:-1]  # evolve the N unique nodes; node N repeats node 0
-
-    def shift(a, off):
-        if periodic:
-            return np.roll(a, -off)
-        if off == 1:
-            return np.concatenate([a[1:], a[-1:]])
-        return np.concatenate([a[:1], a[:-1]])
-
     t = case.t0
     while t < T - 1e-12:
         dt = min(dt0, T - t)
-        f = prob.flux(u)
-        fp = 0.5 * (f + c * u)
-        fm = 0.5 * (f - c * u)
+        fp, fm = flux_split(prob, u, bounds)
+        fp_left, _ = shifted(fp, prob.bc, -1, 0)
+        _, fm_right = shifted(fm, prob.bc, 0, 1)
         g = prob.diffusion(u)
-        u = (u - dt / dx * (fp - shift(fp, -1))
-             - dt / dx * (shift(fm, 1) - fm)
-             + dt / dx ** 2 * (shift(g, 1) - 2.0 * g + shift(g, -1)))
+        g_left, _, g_right = shifted(g, prob.bc, -1, 1)
+        u = (u - dt / dx * (fp - fp_left)
+             - dt / dx * (fm_right - fm)
+             + dt / dx ** 2 * (g_right - 2.0 * g + g_left))
         t += dt
-    if periodic:
-        u = np.append(u, u[0])
+    if prob.bc is Boundary.PERIODIC:
+        u[-1] = u[0]  # node N repeats node 0; its own update is never read
     return grid, SolutionField(values=u, time=t)
 
 

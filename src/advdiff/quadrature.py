@@ -14,7 +14,11 @@ rules take that table.
 
 The closed forms below have nu^3 (substencils) up to nu^6 (linear weights)
 cancellation as nu -> 0, so each quantity switches to a Taylor branch for
-small nu; branch points are chosen so both sides agree to ~1e-13.
+small nu; branch points are chosen so both sides agree to ~1e-13 (absolute).
+The Taylor coefficients are derived at import, in exact rational arithmetic,
+from the stencil offsets alone: each coefficient function is an exponential
+moment of a Lagrange basis, and d0 is the quotient of two such series.  Each
+value is rounded once to float.
 
 Right-oriented integrals (weight e^{-alpha (y - x_i)} over [x_i, x_{i+1}])
 are evaluated by applying the left rule to the reversed window.
@@ -22,6 +26,8 @@ are evaluated by applying the left rule to the reversed window.
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import factorial
 from typing import NamedTuple
 
 import numpy as np
@@ -37,60 +43,39 @@ LINEAR6 = "linear6"
 _C_SWITCH = 0.2
 _D_SWITCH = 0.5
 
-# Taylor coefficients (in nu) of the substencil coefficient functions,
-# rows per substencil r = 0, 1, 2, one tuple per stencil offset.
-_C_SERIES = (
-    (  # substencil 0: offsets -3, -2, -1, 0
-        (0.0, 0.041666666666666664, -0.019444444444444445, 0.005555555555555556,
-         -0.0011904761904761906, 0.00020667989417989417, -3.031305114638448e-05,
-         3.858024691358025e-06, -4.342365453476565e-07, 4.384118967452301e-08),
-        (0.0, -0.20833333333333334, 0.1, -0.029166666666666667,
-         0.006349206349206349, -0.0011160714285714285, 0.00016534391534391533,
-         -2.1219135802469135e-05, 2.405002405002405e-06, -2.442580567580568e-07),
-        (0.0, 0.7916666666666666, -0.475, 0.16666666666666666,
-         -0.04246031746031746, 0.00855654761904762, -0.0014302248677248678,
-         0.0002044753086419753, -2.5553150553150554e-05, 2.8371512746512745e-06),
-        (0.0, 0.375, -0.10555555555555556, 0.02361111111111111,
-         -0.004365079365079365, 0.0006861772486772487, -9.369488536155203e-05,
-         1.1298500881834214e-05, -1.219202608091497e-06, 1.1899751483084816e-07),
-    ),
-    (  # substencil 1: offsets -2, -1, 0, 1
-        (0.0, -0.041666666666666664, 0.022222222222222223, -0.006944444444444444,
-         0.0015873015873015873, -0.00028935185185185184, 4.409171075837743e-05,
-         -5.787037037037037e-06, 6.680562236117792e-07, -6.889329805996472e-08),
-        (0.0, 0.5416666666666666, -0.35833333333333334, 0.13333333333333333,
-         -0.03531746031746032, 0.007316468253968254, -0.0012483465608465608,
-         0.00018132716049382717, -2.2947731281064616e-05, 2.5741041366041367e-06),
-        (0.0, 0.5416666666666666, -0.18333333333333332, 0.04583333333333333,
-         -0.009126984126984128, 0.0015128968253968254, -0.00021494708994708995,
-         2.6730599647266314e-05, -2.956148789482123e-06, 2.943622735289402e-07),
-        (0.0, -0.041666666666666664, 0.019444444444444445, -0.005555555555555556,
-         0.0011904761904761906, -0.00020667989417989417, 3.031305114638448e-05,
-         -3.858024691358025e-06, 4.342365453476565e-07, -4.384118967452301e-08),
-    ),
-    (  # substencil 2: offsets -1, 0, 1, 2
-        (0.0, 0.375, -0.26944444444444443, 0.10555555555555556,
-         -0.02896825396825397, 0.006159060846560847, -0.0010719797178130512,
-         0.00015817901234567902, -2.0275506386617498e-05, 2.2985309443642776e-06),
-        (0.0, 0.7916666666666666, -0.31666666666666665, 0.0875,
-         -0.01865079365079365, 0.0032490079365079367, -0.0004794973544973545,
-         6.145282186948854e-05, -6.964486131152798e-06, 7.077220618887286e-07),
-        (0.0, -0.20833333333333334, 0.10833333333333334, -0.03333333333333333,
-         0.00753968253968254, -0.0013640873015873015, 0.00020667989417989417,
-         -2.7006172839506174e-05, 3.106461439794773e-06, -3.194143819143819e-07),
-        (0.0, 0.041666666666666664, -0.022222222222222223, 0.006944444444444444,
-         -0.0015873015873015873, 0.00028935185185185184, -4.409171075837743e-05,
-         5.787037037037037e-06, -6.680562236117792e-07, 6.889329805996472e-08),
-    ),
-)
 
-_D0_SERIES = (
-    0.18333333333333332, -0.009682539682539683, 0.0002037037037037037,
-    6.331569664902998e-05, -3.093138489963887e-06, -6.297339736493175e-07,
-    4.5791288207513955e-08, 6.5925288407861686e-09, -6.499934324183366e-10,
-    -6.803572320961718e-11, 8.884116547311423e-12, 6.731832782774334e-13,
-    -1.1760574017924747e-13, -6.20500780840164e-15, 1.5147288108349163e-15,
-)
+def _moment_series(offsets, m, terms):
+    """Exact Taylor coefficients, from nu^1 up, of nu*int_0^1 e^{-nu s} l(s) ds
+    for the Lagrange basis l of node offset m on `offsets` (offset n at s = -n):
+    the nu^(k+1) coefficient is (-1)^k/k! * sum_j a_j/(j+k+1), a_j being the
+    monomial coefficients of l."""
+    a = [Fraction(1)]
+    for n in offsets:
+        if n != m:  # multiply by (s + n)/(n - m)
+            a = [(lo * n + hi) / (n - m) for lo, hi in zip(a + [0], [0] + a)]
+    return [Fraction((-1) ** k, factorial(k)) * sum(aj / (j + k + 1) for j, aj in enumerate(a))
+            for k in range(terms)]
+
+
+# Taylor coefficients (in nu, led by nu^0) of the substencil coefficient
+# functions, the moment series of each substencil's Lagrange bases: rows per
+# substencil r = 0, 1, 2, one tuple per stencil offset -3+r .. r.
+_C_SERIES = tuple(tuple((0.0,) + tuple(map(float, _moment_series(range(r - 3, r + 1), m, 9)))
+                        for m in range(r - 3, r + 1)) for r in range(3))
+
+
+def _d0_series():
+    # d0 is the 6-point rule's offset -3 coefficient over substencil 0's, the
+    # only substencil reaching offset -3; both series start at nu^1
+    num = _moment_series(range(-3, 3), -3, 15)
+    den = _moment_series(range(-3, 1), -3, 15)
+    q = []
+    for n in range(15):
+        q.append((num[n] - sum(den[j] * q[n - j] for j in range(1, n + 1))) / den[0])
+    return tuple(map(float, q))
+
+
+_D0_SERIES = _d0_series()
 
 
 def _horner(coefs, x):

@@ -57,7 +57,6 @@ class StabilityReport:
     kappa_dx: np.ndarray
     step_ratio: np.ndarray
     abs_lambda: np.ndarray  # shape (len(step_ratio), len(kappa_dx))
-    beta_max_estimate: float | None = None
     max_abs_lambda: float = field(init=False)
 
     def __post_init__(self):
@@ -148,8 +147,7 @@ def scan_beta_max(order: int, kind: EquationKind, mode: str = SEMI_DISCRETE,
 
 def compute_report(order: int, kind: EquationKind, beta: float,
                    mode: str = FULLY_DISCRETE, n_kappa: int = 512,
-                   n_ratio: int = 64, cross_term: bool | None = None,
-                   beta_max_estimate: float | None = None) -> StabilityReport:
+                   n_ratio: int = 64, cross_term: bool | None = None) -> StabilityReport:
     """|lambda| over the (kappa_dx, step-ratio) scan grid; the k=3 advection
     correction is on unless cross_term says otherwise."""
     if cross_term is None:
@@ -160,8 +158,7 @@ def compute_report(order: int, kind: EquationKind, beta: float,
     for i, s in enumerate(ratios):
         grid[i] = np.abs(amplification(order, kind, beta, kdx, s, mode, cross_term))
     return StabilityReport(kind=kind, order=order, beta=beta,
-                           kappa_dx=kdx, step_ratio=ratios, abs_lambda=grid,
-                           beta_max_estimate=beta_max_estimate)
+                           kappa_dx=kdx, step_ratio=ratios, abs_lambda=grid)
 
 
 def export_contours(report: StabilityReport, path) -> None:
