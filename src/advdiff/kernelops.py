@@ -142,32 +142,24 @@ def _d_zero(v, params: KernelParams, bc: Boundary, mode: str):
 def _d_pair(vl, vr, params: KernelParams, bc: Boundary, mode: str):
     """One application of D_L to vl and D_R to vr.
 
-    Periodic closures are independent, so vr may be None there and only
-    D_L[vl] is computed; in the homogeneous regime the pair is closed jointly
-    so D_L[vl] - D_R[vr] vanishes at both ends.
-    Returns (D_L[vl], D_R[vr], si_left, si_right), with None for the right
-    entries when vr is None.
+    Periodic closures are independent; in the homogeneous regime the pair is
+    closed jointly so D_L[vl] - D_R[vr] vanishes at both ends.
+    Returns (D_L[vl], D_R[vr], si_left, si_right).
     """
-    periodic = bc is Boundary.PERIODIC
-    if vr is None and not periodic:
-        raise ValueError("the homogeneous closure couples the pair; vr is required")
     IL, si_l = _left(vl, params, mode, bc)
-    if periodic:
+    IR, si_r = _right(vr, params, mode, bc)
+    if bc is Boundary.PERIODIC:
         a_l, _ = boundary_coefficients(bc, params.mu, IL[..., 0], IL[..., -1])
-    dr = si_r = None
-    if vr is not None:
-        IR, si_r = _right(vr, params, mode, bc)
-        if periodic:
-            _, b_r = boundary_coefficients(bc, params.mu, IR[..., 0], IR[..., -1])
-        else:
-            # D_L[vl] - D_R[vr] = 0 at both ends is the homogeneous system in
-            # (A_L, -B_R) with these end values
-            a_l, b_r = boundary_coefficients(bc, params.mu,
-                                             (vr[..., 0] - vl[..., 0]) - IR[..., 0],
-                                             (vr[..., -1] - vl[..., -1]) + IL[..., -1])
-            b_r = -b_r
-        dr = vr - (IR + np.asarray(b_r)[..., None] * params.e_right)
+        _, b_r = boundary_coefficients(bc, params.mu, IR[..., 0], IR[..., -1])
+    else:
+        # D_L[vl] - D_R[vr] = 0 at both ends is the homogeneous system in
+        # (A_L, -B_R) with these end values
+        a_l, b_r = boundary_coefficients(bc, params.mu,
+                                         (vr[..., 0] - vl[..., 0]) - IR[..., 0],
+                                         (vr[..., -1] - vl[..., -1]) + IL[..., -1])
+        b_r = -b_r
     dl = vl - (IL + np.asarray(a_l)[..., None] * params.e_left)
+    dr = vr - (IR + np.asarray(b_r)[..., None] * params.e_right)
     return dl, dr, si_l, si_r
 
 

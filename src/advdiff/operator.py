@@ -11,9 +11,10 @@ and H combines the filtered convection chains with the diffusion chain:
         - alpha_0^2 * sum_{p=1..k} D_0^p[g(u)],
 
 f± = (f(u) ± c u)/2 being the Lax-Friedrichs split.  At k = 3 an extra
-correction term alpha_L * D_0[D_L^2[f+] - D_L^2[f-]] (same alpha_L family,
-linear quadrature) restores A-stability of the convection part.  Blocks whose
-wave-speed bound vanishes are skipped.
+correction term alpha_L * D_0[D_L^2[f+] - D_R^2[f-]] (same alpha_L family,
+linear quadrature, second powers taken from the chains above) restores
+A-stability of the convection part; its f- half mirrors the f+ half.  Blocks
+whose wave-speed bound vanishes are skipped.
 
 Everything operates on arrays along the last axis; in 2D the same assembly
 runs per axis on batched lines and the results are summed.
@@ -23,10 +24,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import (DEGENERATE_TOL, Boundary, Grid1D, Grid2D, ProblemSpec, ProblemSpec2D,
+from .core import (DEGENERATE_TOL, Grid1D, Grid2D, ProblemSpec, ProblemSpec2D,
                    SchemeConfig, WaveBounds, per_axis)
 from .filtering import sigma_fields, xi
-from .kernelops import KernelParams, _d_pair, _d_zero, d_chain_pair, d_chain_zero
+from .kernelops import KernelParams, _d_zero, d_chain_pair, d_chain_zero
 from .quadrature import LINEAR6
 
 
@@ -54,14 +55,7 @@ def _convection(u, problem, config, bounds, dt, grid, bc):
     for p in range(2, k + 1):
         h = h + sig_r ** (p - 1) * chain_r[p - 1]
     if k == 3 and config.cross_term_k3:
-        # shares params, and so the tables and edge profiles, with the chain
-        # above; an extra left chain on f-, paired with a right chain on f+ so
-        # the homogeneous closure stays well-posed; periodic closures are
-        # independent, so there the right chain is skipped
-        partner = None if bc is Boundary.PERIODIC else fplus
-        lm, rp, _, _ = _d_pair(fminus, partner, params, bc, LINEAR6)
-        lm2, _, _, _ = _d_pair(lm, rp, params, bc, LINEAR6)
-        h = h + _d_zero(chain_l[1] - lm2, params, bc, LINEAR6)
+        h = h + _d_zero(chain_l[1] - chain_r[1], params, bc, LINEAR6)
     return params.alpha * h
 
 

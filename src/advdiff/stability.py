@@ -12,7 +12,9 @@ with Jhat(±) = sum_r c_r e^{± i r kappa dx} built from the 6-point linear
 quadrature coefficients.  One SSP-RK step of the linear problem multiplies the
 mode by lambda = R_k(z) where z = -beta * sum_{p<=k} Dhat^p (advection uses
 Dhat_L, diffusion Dhat_0; the k=3 advection correction adds
-+beta * Dhat_0 * Dhat_L^2 in the same kernel family).
++beta * Dhat_0 * Dhat_L^2 in the same kernel family).  A left-going wave
+(c < 0) meets the mirrored operators, so its multiplier is the complex
+conjugate and the same bounds hold for either direction.
 
 Scans cover kappa_dx in [0, 2pi] against a log-spaced range of step ratios
 (c dt/dx for advection, b dt/dx^2 for diffusion); the largest beta keeping
@@ -99,11 +101,14 @@ def _dhat(side: Side, kappa_dx, nu: float, mode: str):
 
 def amplification(order: int, kind: EquationKind, beta: float, kappa_dx,
                   step_ratio: float, mode: str = SEMI_DISCRETE,
-                  cross_term: bool = False):
+                  cross_term: bool | None = None):
     """lambda = R_k(z) for one step ratio; vectorized over kappa_dx.
 
-    step_ratio is c dt/dx for advection, b dt/dx^2 for diffusion.
+    step_ratio is c dt/dx for advection, b dt/dx^2 for diffusion.  The k=3
+    advection correction is on unless cross_term says otherwise.
     """
+    if cross_term is None:
+        cross_term = order == 3 and kind is EquationKind.ADVECTION
     if kind is EquationKind.ADVECTION:
         nu = beta / step_ratio
         d = _dhat(Side.LEFT, kappa_dx, nu, mode)
@@ -148,10 +153,7 @@ def scan_beta_max(order: int, kind: EquationKind, mode: str = SEMI_DISCRETE,
 def compute_report(order: int, kind: EquationKind, beta: float,
                    mode: str = FULLY_DISCRETE, n_kappa: int = 512,
                    n_ratio: int = 64, cross_term: bool | None = None) -> StabilityReport:
-    """|lambda| over the (kappa_dx, step-ratio) scan grid; the k=3 advection
-    correction is on unless cross_term says otherwise."""
-    if cross_term is None:
-        cross_term = order == 3 and kind is EquationKind.ADVECTION
+    """|lambda| over the (kappa_dx, step-ratio) scan grid."""
     kdx = np.linspace(0.0, 2 * np.pi, n_kappa)
     ratios = np.geomspace(*RATIO_RANGE, n_ratio)
     grid = np.empty((n_ratio, n_kappa))

@@ -260,15 +260,14 @@ def test_criterion_5_quadrature_exactness():
 # --------------------------------------------------------------------------
 # criterion 6: end-to-end Fourier multiplier equals the analyzed amplification
 
-def _solver_multiplier(kind, order, beta, cfl, m, n=64):
-    case_c = 1.0
+def _solver_multiplier(kind, order, beta, cfl, m, case_c=1.0, n=64):
     if kind is ADV:
         prob = advdiff.ProblemSpec(
             flux=lambda u: case_c * u,
             flux_deriv=lambda u: case_c * np.ones_like(np.asarray(u, dtype=float)),
             diffusion=lambda u: 0.0 * u, diffusion_deriv=lambda u: 0.0 * u,
             initial=np.sin, bc=Boundary.PERIODIC)
-        bounds = advdiff.WaveBounds(c=case_c, b_diff=0.0)
+        bounds = advdiff.WaveBounds(c=abs(case_c), b_diff=0.0)
     else:
         prob = advdiff.ProblemSpec(
             flux=lambda u: 0.0 * u, flux_deriv=lambda u: 0.0 * u,
@@ -288,7 +287,7 @@ def _solver_multiplier(kind, order, beta, cfl, m, n=64):
     re = 2.0 / n * np.sum(w * np.cos(m * x))
     im = -2.0 / n * np.sum(w * np.sin(m * x))
     if kind is ADV:
-        ratio = case_c * dt / grid.dx
+        ratio = abs(case_c) * dt / grid.dx
     else:
         ratio = dt / grid.dx ** 2
     return complex(re, im), ratio, m * grid.dx
@@ -303,14 +302,18 @@ def test_criterion_6_linear_mode_cross_validation():
                 beta = float(rng.uniform(0.1, 1.5))
                 cfl = float(rng.uniform(0.3, 3.0))
                 m = int(rng.integers(1, 30))
-                lam_solver, ratio, kdx = _solver_multiplier(kind, order, beta, cfl, m)
-                lam_symbol = amplification(order, kind, beta, kdx, ratio,
-                                           mode=FULLY_DISCRETE,
-                                           cross_term=(order == 3))
-                assert abs(lam_solver - complex(lam_symbol)) <= 1e-10, \
-                    (order, kind, beta, cfl, m, lam_solver, lam_symbol)
-                checked += 1
-    assert checked == 24
+                # a left-going wave (c = -1) meets the mirrored operator, so
+                # its multiplier is the conjugate of the analysed one
+                for c in ((1.0, -1.0) if kind is ADV else (1.0,)):
+                    lam_solver, ratio, kdx = _solver_multiplier(kind, order, beta, cfl, m, c)
+                    lam_symbol = complex(amplification(order, kind, beta, kdx, ratio,
+                                                       mode=FULLY_DISCRETE))
+                    if c < 0:
+                        lam_symbol = lam_symbol.conjugate()
+                    assert abs(lam_solver - lam_symbol) <= 1e-10, \
+                        (order, kind, c, beta, cfl, m, lam_solver, lam_symbol)
+                    checked += 1
+    assert checked == 36
     _report(6, f"{checked} solver-vs-symbol Fourier multipliers agree to 1e-10")
 
 

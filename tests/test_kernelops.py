@@ -360,17 +360,16 @@ def test_padded_windows_match_fancy_index_gather(path, mode, bc, shape, rng, mon
 
 
 @pytest.mark.parametrize("mode", [WENO5, LINEAR6])
-def test_left_only_pair_matches_paired_left_output(mode, rng):
+def test_periodic_left_output_is_independent_of_the_right_input(mode, rng):
+    # periodic closures are independent: D_L[vl] and its smoothness pair do
+    # not read vr
     grid = build_grid_1d(0.0, 1.0, 40)
     p = params_for(4.0, grid)
-    vl, vr = rng.standard_normal((2, 3, 41))
-    dl, dr, si_l, si_r = _d_pair(vl, None, p, PER, mode)
-    pl, _, psi_l, _ = _d_pair(vl, vr, p, PER, mode)
-    assert dr is None and si_r is None
-    assert dl.tobytes() == pl.tobytes()
+    vl, vr, other = rng.standard_normal((3, 3, 41))
+    dl, _, si_l, _ = _d_pair(vl, vr, p, PER, mode)
+    ol, _, osi_l, _ = _d_pair(vl, other, p, PER, mode)
+    assert dl.tobytes() == ol.tobytes()
     if mode == WENO5:
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(si_l, psi_l))
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(si_l, osi_l))
     else:
-        assert si_l is None and psi_l is None
-    with pytest.raises(ValueError, match="homogeneous"):
-        _d_pair(vl, None, p, HOM, mode)
+        assert si_l is None and osi_l is None

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 import advdiff.filtering
-import advdiff.operator as operator_module
 from advdiff import quadrature as qd
 from advdiff import (Boundary, ProblemSpec, ProblemSpec2D, SchemeConfig,
                      WaveBounds, build_grid_1d, build_grid_2d, build_H,
@@ -223,23 +222,3 @@ def test_coefficient_tables_built_once_per_family(bc, monkeypatch):
     u2 = initial_field_2d(prob2, grid2).values
     build_H(u2, prob2, config, (b, b), dt=0.01, grid=grid2)
     assert 1 <= len(calls) <= 4
-
-
-@pytest.mark.parametrize("bc", [PER, HOM])
-def test_cross_term_right_chain_only_where_the_closure_couples(bc, monkeypatch):
-    # periodic closures are independent, so the cross term runs its two
-    # D_L applications on f- alone; the homogeneous closure needs the pair
-    partners = []
-    d_pair = operator_module._d_pair
-    monkeypatch.setattr(operator_module, "_d_pair",
-                        lambda vl, vr, *a: partners.append(vr) or d_pair(vl, vr, *a))
-    grid = build_grid_1d(-np.pi, np.pi, 64)
-    prob = burgers_like(bc)
-    u = np.sin(grid.nodes)
-    build_H(u, prob, SchemeConfig(order=3, beta=0.4), compute_bounds(prob, u),
-            dt=0.01, grid=grid)
-    assert len(partners) == 2
-    if bc is PER:
-        assert all(vr is None for vr in partners)
-    else:
-        assert all(vr is not None for vr in partners)

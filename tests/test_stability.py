@@ -86,6 +86,18 @@ def test_k3_advection_needs_cross_term():
     assert max_amplification(3, ADV, 1.243, SEMI_DISCRETE, cross_term=True) <= 1 + 1e-10
 
 
+@pytest.mark.parametrize("mode", [SEMI_DISCRETE, FULLY_DISCRETE])
+def test_amplification_defaults_to_the_scheme_the_solver_runs(mode):
+    # the k=3 advection correction is on by default, as in the solver
+    kdx = np.linspace(0, 2 * np.pi, 33)
+    default = amplification(3, ADV, 1.0, kdx, 3.7, mode)
+    assert np.array_equal(default, amplification(3, ADV, 1.0, kdx, 3.7, mode, cross_term=True))
+    assert not np.array_equal(default, amplification(3, ADV, 1.0, kdx, 3.7, mode,
+                                                     cross_term=False))
+    assert np.array_equal(amplification(3, DIF, 1.0, kdx, 3.7, mode),
+                          amplification(3, DIF, 1.0, kdx, 3.7, mode, cross_term=False))
+
+
 def test_conjugate_symmetry_fully_discrete():
     kdx = np.linspace(0, 2 * np.pi, 33)
     lam = amplification(2, ADV, 1.0, kdx, 3.7, FULLY_DISCRETE)
