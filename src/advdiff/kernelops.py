@@ -135,7 +135,8 @@ def _d_zero(v, params: KernelParams, bc: Boundary, mode: str):
     if bc is not Boundary.PERIODIC:
         e_a, e_b = e_a - v[..., 0], e_b - v[..., -1]
     a0, b0 = boundary_coefficients(bc, params.mu, e_a, e_b)
-    w = I0 + np.asarray(a0)[..., None] * params.e_left + np.asarray(b0)[..., None] * params.e_right
+    # grouping the edge terms keeps mirrored data mirrored bit for bit
+    w = I0 + (np.asarray(a0)[..., None] * params.e_left + np.asarray(b0)[..., None] * params.e_right)
     return v - w
 
 

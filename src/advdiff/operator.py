@@ -48,12 +48,12 @@ def _convection(u, problem, config, bounds, dt, grid, bc):
     sig_l = sig_r = 1.0
     if config.filter_enabled and k >= 2 and si_l is not None:
         sig_l, sig_r = sigma_fields(xi(*si_l), xi(*si_r), bc)
-    h = -chain_l[0]
+    # one accumulation order per side keeps mirrored data mirrored bit for bit
+    hl, hr = chain_l[0], chain_r[0]
     for p in range(2, k + 1):
-        h = h - sig_l ** (p - 1) * chain_l[p - 1]
-    h = h + chain_r[0]
-    for p in range(2, k + 1):
-        h = h + sig_r ** (p - 1) * chain_r[p - 1]
+        hl = hl + sig_l ** (p - 1) * chain_l[p - 1]
+        hr = hr + sig_r ** (p - 1) * chain_r[p - 1]
+    h = hr - hl
     if k == 3 and config.cross_term_k3:
         h = h + _d_zero(chain_l[1] - chain_r[1], params, bc, LINEAR6)
     return params.alpha * h
