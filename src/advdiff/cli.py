@@ -14,6 +14,7 @@ precision, so repeated identical invocations produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -72,10 +73,8 @@ def _cmd_run(args) -> int:
 
 
 def _with_suffix(path: str, t: float) -> str:
-    stem, dot, ext = path.rpartition(".")
-    if not dot:
-        return f"{path}_t{t:g}"
-    return f"{stem}_t{t:g}.{ext}"
+    stem, ext = os.path.splitext(path)
+    return f"{stem}_t{t:g}{ext}"
 
 
 def _write_solution_csv(path, grid, u, case):

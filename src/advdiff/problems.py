@@ -311,6 +311,8 @@ def reference_solution(case: BenchmarkCase, T: Optional[float] = None,
     bounds = compute_bounds(prob, u)
     c, b = bounds.c, bounds.b_diff
     dx = grid.dx
+    if c * dx + 2.0 * b <= 0:
+        raise ValueError("both wave-speed bounds vanish; nothing to evolve")
     dt0 = 0.1 * dx ** 2 / (c * dx + 2.0 * b)
     t = case.t0
     while t < T - 1e-12:

@@ -12,13 +12,15 @@ d_r with smoothness-adapted nonlinear weights.  All coefficients depend only
 on nu = alpha*dx; `coef_tables` builds them once per nu and the integral
 rules take that table.
 
-The closed forms below have nu^3 (substencils) up to nu^6 (linear weights)
-cancellation as nu -> 0, so each quantity switches to a Taylor branch for
-small nu; branch points are chosen so both sides agree to ~1e-13 (absolute).
-The Taylor coefficients are derived at import, in exact rational arithmetic,
-from the stencil offsets alone: each coefficient function is an exponential
-moment of a Lagrange basis, and d0 is the quotient of two such series.  Each
-value is rounded once to float.
+Every coefficient is a combination of the exponential moments
+
+    M_j(nu) = nu * int_0^1 e^{-nu s} s^j ds = j! P(j+1, nu) / nu^j,
+
+P being the regularized lower incomplete gamma function
+(`scipy.special.gammainc`), with weights that are the monomial coefficients
+of the stencils' Lagrange bases.  Those are computed exactly from the stencil
+offsets and rounded once at import.  The one formula serves every nu from
+1e-50 up, with no cancellation as nu -> 0 and no switch between forms.
 
 Right-oriented integrals (weight e^{-alpha (y - x_i)} over [x_i, x_{i+1}])
 are evaluated by applying the left rule to the reversed window.
@@ -27,10 +29,10 @@ are evaluated by applying the left rule to the reversed window.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
 from typing import NamedTuple
 
 import numpy as np
+from scipy.special import factorial, gammainc
 
 #: regularization in the nonlinear weights and the filter ratio
 WENO_EPSILON = 1e-6
@@ -39,97 +41,49 @@ WENO_EPSILON = 1e-6
 WENO5 = "weno5"
 LINEAR6 = "linear6"
 
-# switch points between closed-form and series evaluation
-_C_SWITCH = 0.2
-_D_SWITCH = 0.5
+
+def _lagrange_monomials(offsets):
+    """Row per offset n (node at s = -n): the s^0 .. s^(len-1) coefficients of
+    its Lagrange basis on `offsets`, exact, then rounded once."""
+    rows = []
+    for m in offsets:
+        a = [Fraction(1)]
+        for n in offsets:
+            if n != m:  # multiply by (s + n)/(n - m)
+                a = [(lo * n + hi) / (n - m) for lo, hi in zip(a + [0], [0] + a)]
+        rows.append(a)
+    return np.array(rows, dtype=float)
 
 
-def _moment_series(offsets, m, terms):
-    """Exact Taylor coefficients, from nu^1 up, of nu*int_0^1 e^{-nu s} l(s) ds
-    for the Lagrange basis l of node offset m on `offsets` (offset n at s = -n):
-    the nu^(k+1) coefficient is (-1)^k/k! * sum_j a_j/(j+k+1), a_j being the
-    monomial coefficients of l."""
-    a = [Fraction(1)]
-    for n in offsets:
-        if n != m:  # multiply by (s + n)/(n - m)
-            a = [(lo * n + hi) / (n - m) for lo, hi in zip(a + [0], [0] + a)]
-    return [Fraction((-1) ** k, factorial(k)) * sum(aj / (j + k + 1) for j, aj in enumerate(a))
-            for k in range(terms)]
+# substencil r covers offsets -3+r .. r; d0 and d2 need the six-point rule's
+# end offsets -3 and 2, which only substencils 0 and 2 reach
+_SMALL_MONOMIALS = np.array([_lagrange_monomials(range(r - 3, r + 1)) for r in range(3)])
+_END_MONOMIALS = _lagrange_monomials(range(-3, 3))[[0, -1]]
+_POWERS = np.arange(6)
+_FACTORIALS = factorial(_POWERS)
+_NU_MIN = 1e-50  # below it P(6, nu) ~ nu^6/6! is subnormal
 
 
-# Taylor coefficients (in nu, led by nu^0) of the substencil coefficient
-# functions, the moment series of each substencil's Lagrange bases: rows per
-# substencil r = 0, 1, 2, one tuple per stencil offset -3+r .. r.
-_C_SERIES = tuple(tuple((0.0,) + tuple(map(float, _moment_series(range(r - 3, r + 1), m, 9)))
-                        for m in range(r - 3, r + 1)) for r in range(3))
-
-
-def _d0_series():
-    # d0 is the 6-point rule's offset -3 coefficient over substencil 0's, the
-    # only substencil reaching offset -3; both series start at nu^1
-    num = _moment_series(range(-3, 3), -3, 15)
-    den = _moment_series(range(-3, 1), -3, 15)
-    q = []
-    for n in range(15):
-        q.append((num[n] - sum(den[j] * q[n - j] for j in range(1, n + 1))) / den[0])
-    return tuple(map(float, q))
-
-
-_D0_SERIES = _d0_series()
-
-
-def _horner(coefs, x):
-    acc = 0.0
-    for c in reversed(coefs):
-        acc = acc * x + c
-    return acc
+def _moments(nu: float) -> np.ndarray:
+    """The moments M_0 .. M_5 at nu."""
+    if not nu >= _NU_MIN:
+        raise ValueError(f"nu must be at least {_NU_MIN:g}, got {nu}")
+    return _FACTORIALS * gammainc(_POWERS + 1, nu) / float(nu) ** _POWERS
 
 
 def small_stencil_coefficients(nu: float) -> np.ndarray:
     """3x4 table of substencil coefficients; row r covers offsets -3+r .. r."""
-    nu = float(nu)
-    if nu <= 0:
-        raise ValueError("nu must be positive")
-    if nu < _C_SWITCH:
-        return np.array([[_horner(_C_SERIES[r][j], nu) for j in range(4)]
-                         for r in range(3)])
-    e = np.exp(-nu)
-    n2, n3 = nu * nu, nu ** 3
-    return np.array([
-        [(6 - 6 * nu + 2 * n2 - (6 - n2) * e) / (6 * n3),
-         -(6 - 8 * nu + 3 * n2 - (6 - 2 * nu - 2 * n2) * e) / (2 * n3),
-         (6 - 10 * nu + 6 * n2 - (6 - 4 * nu - n2 + 2 * n3) * e) / (2 * n3),
-         -(6 - 12 * nu + 11 * n2 - 6 * n3 - (6 - 6 * nu + 2 * n2) * e) / (6 * n3)],
-        [(6 - n2 - (6 + 6 * nu + 2 * n2) * e) / (6 * n3),
-         -(6 - 2 * nu - 2 * n2 - (6 + 4 * nu - n2 - 2 * n3) * e) / (2 * n3),
-         (6 - 4 * nu - n2 + 2 * n3 - (6 + 2 * nu - 2 * n2) * e) / (2 * n3),
-         -(6 - 6 * nu + 2 * n2 - (6 - n2) * e) / (6 * n3)],
-        [(6 + 6 * nu + 2 * n2 - (6 + 12 * nu + 11 * n2 + 6 * n3) * e) / (6 * n3),
-         -(6 + 4 * nu - n2 - 2 * n3 - (6 + 10 * nu + 6 * n2) * e) / (2 * n3),
-         (6 + 2 * nu - 2 * n2 - (6 + 8 * nu + 3 * n2) * e) / (2 * n3),
-         -(6 - n2 - (6 + 6 * nu + 2 * n2) * e) / (6 * n3)],
-    ])
+    return _SMALL_MONOMIALS @ _moments(nu)[:4]
 
 
 def linear_weights(nu: float) -> tuple[float, float, float]:
     """Weights (d0, d1, d2) combining the substencil rules into the quintic-exact
     6-point rule; d1 = 1 - d0 - d2."""
-    nu = float(nu)
-    if nu <= 0:
-        raise ValueError("nu must be positive")
-    if nu < _D_SWITCH:
-        # d2(nu) = d0(-nu): the series of d2 is that of d0 with the odd
-        # coefficients negated, which Horner at -nu reproduces bit for bit
-        d0 = _horner(_D0_SERIES, nu)
-        d2 = _horner(_D0_SERIES, -nu)
-    else:
-        e = np.exp(-nu)
-        n2, n3, n4 = nu * nu, nu ** 3, nu ** 4
-        d0 = ((2 * n4 - 15 * n2 + 60) - (60 + 60 * nu + 15 * n2 - 5 * n3 - 3 * n4) * e) / \
-             (10 * n2 * (2 * n2 - 6 * nu + 6 + (n2 - 6) * e))
-        d2 = (60 - 60 * nu + 15 * n2 + 5 * n3 - 3 * n4 - (60 - 15 * n2 + 2 * n4) * e) / \
-             (10 * n2 * (6 - n2 - (6 + 6 * nu + 2 * n2) * e))
-    return float(d0), float(1.0 - d0 - d2), float(d2)
+    m = _moments(nu)
+    small = _SMALL_MONOMIALS @ m[:4]
+    ends = _END_MONOMIALS @ m
+    d0, d2 = float(ends[0] / small[0, 0]), float(ends[1] / small[2, 3])
+    return d0, 1.0 - d0 - d2, d2
 
 
 class CoefTables(NamedTuple):

@@ -42,6 +42,15 @@ def test_run_snapshots(tmp_path):
     assert (tmp_path / "sol_t0.25.csv").exists()
 
 
+def test_run_snapshots_into_a_dotted_directory(tmp_path):
+    # the suffix goes on the file name, not on a dotted directory name
+    (tmp_path / "run.d").mkdir()
+    rc = main(["run", "--case", "linear_advdiff", "--N", "40", "--k", "1",
+               "--T", "0.5", "--snapshots", "0.25", "--out", str(tmp_path / "run.d" / "sol")])
+    assert rc == 0
+    assert (tmp_path / "run.d" / "sol_t0.25").exists()
+
+
 def test_run_2d_snapshots(tmp_path):
     out = tmp_path / "sol2d.csv"
     rc = main(["run", "--case", "strong_degenerate_2d", "--N", "24", "--T", "0.02",
@@ -116,6 +125,13 @@ def test_compare_reference_command(tmp_path):
     # in the integral norm (pointwise errors at the shock cell stay O(1))
     l1 = sum(r[3] for r in rows) / 64
     assert l1 < 0.05
+
+
+def test_compare_reference_without_wave_speeds_fails_cleanly(tmp_path, capsys):
+    rc = main(["compare-reference", "--case", "linear_advdiff", "--c", "0", "--b", "0",
+               "--N", "40", "--out", str(tmp_path / "cmp.csv")])
+    assert rc == 1
+    assert "error: both wave-speed bounds vanish" in capsys.readouterr().err
 
 
 def test_unknown_case_fails():

@@ -179,3 +179,52 @@ def test_large_cfl_stays_bounded(order, beta):
         u = rk_step(u, dt, order,
                     lambda v: build_H(v, case.spec, config, bounds, dt, grid))
         assert np.max(np.abs(u.values)) <= cap
+
+
+# solver-level invariances of the linear case (c = 1, b = 0.01, 64 cells,
+# T = 0.5): the solve of transformed data must match the transformed solve
+# to 1e-12 of the solution's size
+_NODES = make_problem("linear_advdiff").build_grid(64).nodes
+_DATA = {"smooth": np.sin(_NODES), "pulse": np.where(np.abs(_NODES) < 1.0, 1.0, 0.0)}
+
+
+def _linear_solve(values, order, linear):
+    case = make_problem("linear_advdiff", c=1.0, b=0.01)
+    kw = dict(quadrature="linear6", filter_enabled=False) if linear else {}
+    return advance(SolutionField(values), 0.5, case.spec, case.make_config(order, **kw),
+                   case.build_grid(64)).values
+
+
+def _translate(u, cells):
+    """Periodic node data moved by whole cells; node N repeats node 0."""
+    body = np.roll(u[:-1], cells)
+    return np.append(body, body[0])
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("data, linear", [("smooth", True), ("pulse", True), ("smooth", False)],
+                         ids=["smooth-linear6", "pulse-linear6", "smooth-defaults"])
+def test_periodic_translation_commutes_with_the_solve(data, linear, order):
+    # the defaults on the pulse reach 1.1e-12 through the filter (ROADMAP item 3)
+    u0 = _DATA[data]
+    u = _linear_solve(u0, order, linear)
+    moved = _linear_solve(_translate(u0, 13), order, linear)
+    assert np.max(np.abs(moved - _translate(u, 13))) <= 1e-12 * np.max(np.abs(u))
+
+
+_AFFINE = [pytest.param(data, scale, shift, True, order, id=f"{data}-{name}-linear6-k{order}")
+           for data in _DATA for order in (1, 2, 3)
+           for name, scale, shift in (("plus2.5", 1.0, 2.5), ("times1e-4", 1e-4, 0.0),
+                                      ("times1e4", 1e4, 0.0))]
+_AFFINE.append(pytest.param(
+    "pulse", 1e-4, 0.0, False, 3, id="pulse-times1e-4-defaults-k3",
+    marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 3")))
+
+
+@pytest.mark.parametrize("data, scale, shift, linear, order", _AFFINE)
+def test_scaling_and_shifting_the_data_commute_with_the_solve(data, scale, shift, linear, order):
+    # the WENO epsilon is absolute, so the defaults see small data as smooth
+    u0 = _DATA[data]
+    want = scale * _linear_solve(u0, order, linear) + shift
+    got = _linear_solve(scale * u0 + shift, order, linear)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
