@@ -213,21 +213,11 @@ def compute_bounds(problem: ProblemSpec, u: SolutionField | np.ndarray) -> WaveB
 def compute_dt(config: SchemeConfig, bounds, grid: Grid1D | Grid2D) -> float:
     """Nominal time step; the integrator truncates the final step to land on T.
 
-    1D:  dt = CFL * dx / (b + c)
-    2D:  dt = CFL / max((b_x+c_x)/dx, (b_y+c_y)/dy)
-
+    dt = CFL / max over axes of (b + c)/dx, which in 1D is CFL dx / (b + c).
     bounds holds one WaveBounds per grid axis (see per_axis).
     """
-    axis_bounds = per_axis(bounds)
-    if isinstance(grid, Grid2D):
-        bx, by = axis_bounds
-        sx = (bx.b_diff + bx.c) / grid.gx.dx
-        sy = (by.b_diff + by.c) / grid.gy.dx
-        if max(sx, sy) <= 0:
-            raise ValueError("both wave-speed bounds vanish; nothing to evolve")
-        return config.cfl / max(sx, sy)
-    (bounds,) = axis_bounds
-    total = bounds.b_diff + bounds.c
-    if total <= 0:
+    rate = max((b.b_diff + b.c) / g.dx
+               for b, g in zip(per_axis(bounds), grid.axes, strict=True))
+    if rate <= 0:
         raise ValueError("both wave-speed bounds vanish; nothing to evolve")
-    return config.cfl * grid.dx / total
+    return config.cfl / rate

@@ -15,12 +15,12 @@ recursion (a linear recurrence filter)
 
 The right kernel is the left one reflected in space, so I^R (I^R_N = 0) and
 its smoothness pair are the left path run on the reversed data and reversed
-back; the symmetric convolution is I^0 = (I^L + I^R)/2.  The six quadrature
-windows read past the ends through `core.shifted`, the extension rule the
-filter shares.  Boundary closures fix the homogeneous-solution
-coefficients: periodic closures enforce end-value matching of D, while the
-homogeneous regime enforces D_0 = 0 at both ends and closes the left/right
-pair jointly so that the combination D_L[v1] - D_R[v2] vanishes at both ends.
+back.  The six quadrature windows read past the ends through `core.shifted`,
+the extension rule the filter shares.  The one primitive, `_d_pair`, applies
+D_L and D_R; D_0 = (D_L + D_R)/2 is half a pair difference, (D_L[v] -
+D_R[-v])/2, so one closure rule serves all three families: periodic closures
+match the end values of D, and homogeneous ones close the pair jointly so
+D_L[v1] - D_R[v2] (for D_0, D_0 itself) vanishes at both ends.
 
 All array operations act along the last axis, so a leading batch dimension
 (used for 2D line sweeps) comes for free.
@@ -96,22 +96,6 @@ def sweep_left(J: np.ndarray, params: KernelParams) -> np.ndarray:
     return I
 
 
-def _left(v, params: KernelParams, mode: str, bc: Boundary):
-    """Left-oriented convolution I^L of v and its smoothness pair (None in
-    linear mode)."""
-    J, si0, si2 = local_integrals(v, params, mode, bc)
-    return sweep_left(J, params), None if si0 is None else (si0, si2)
-
-
-def _right(v, params: KernelParams, mode: str, bc: Boundary):
-    """Right-oriented convolution I^R of v (I^R_i = I^R_{i+1} e^{-nu} + J^R_i,
-    I^R_N = 0) and its smoothness pair: the right kernel is the left one
-    reflected in space, so this is the left path on the reversed data,
-    reversed back."""
-    I, si = _left(v[..., ::-1], params, mode, bc)
-    return I[..., ::-1], None if si is None else (si[0][..., ::-1], si[1][..., ::-1])
-
-
 def boundary_coefficients(bc: Boundary, mu: float, e_a, e_b):
     """Coefficients (A, B) of the edge profiles e_left, e_right from the end
     values e_a, e_b that the caller's closure condition supplies.
@@ -127,31 +111,21 @@ def boundary_coefficients(bc: Boundary, mu: float, e_a, e_b):
     return (mu * e_b - e_a) / one, (mu * e_a - e_b) / one
 
 
-def _d_zero(v, params: KernelParams, bc: Boundary, mode: str):
-    """One application of the symmetric-family D: D[v] = v - I^0 - A e_left
-    - B e_right, closed periodically or so that D[v] vanishes at both ends."""
-    I0 = 0.5 * (_left(v, params, mode, bc)[0] + _right(v, params, mode, bc)[0])
-    e_a, e_b = I0[..., 0], I0[..., -1]
-    if bc is not Boundary.PERIODIC:
-        e_a, e_b = e_a - v[..., 0], e_b - v[..., -1]
-    a0, b0 = boundary_coefficients(bc, params.mu, e_a, e_b)
-    # grouping the edge terms keeps mirrored data mirrored bit for bit
-    w = I0 + (np.asarray(a0)[..., None] * params.e_left + np.asarray(b0)[..., None] * params.e_right)
-    return v - w
-
-
 def _d_pair(vl, vr, params: KernelParams, bc: Boundary, mode: str):
     """One application of D_L to vl and D_R to vr.
 
     Periodic closures are independent; in the homogeneous regime the pair is
-    closed jointly so D_L[vl] - D_R[vr] vanishes at both ends.
-    Returns (D_L[vl], D_R[vr], si_left, si_right).
+    closed jointly so D_L[vl] - D_R[vr] vanishes at both ends.  Returns
+    (D_L[vl], D_R[vr], si_left, si_right), the smoothness pairs None in
+    linear mode.
     """
-    IL, si_l = _left(vl, params, mode, bc)
-    IR, si_r = _right(vr, params, mode, bc)
+    JL, *si_l = local_integrals(vl, params, mode, bc)
+    JR, *si_r = local_integrals(vr[..., ::-1], params, mode, bc)
+    IL = sweep_left(JL, params)
+    IR = sweep_left(JR, params)[..., ::-1]
     if bc is Boundary.PERIODIC:
-        a_l, _ = boundary_coefficients(bc, params.mu, IL[..., 0], IL[..., -1])
-        _, b_r = boundary_coefficients(bc, params.mu, IR[..., 0], IR[..., -1])
+        # each closure reads the far end of its own sweep (I^L_0 = I^R_N = 0)
+        a_l, b_r = boundary_coefficients(bc, params.mu, IR[..., 0], IL[..., -1])
     else:
         # D_L[vl] - D_R[vr] = 0 at both ends is the homogeneous system in
         # (A_L, -B_R) with these end values
@@ -161,7 +135,20 @@ def _d_pair(vl, vr, params: KernelParams, bc: Boundary, mode: str):
         b_r = -b_r
     dl = vl - (IL + np.asarray(a_l)[..., None] * params.e_left)
     dr = vr - (IR + np.asarray(b_r)[..., None] * params.e_right)
-    return dl, dr, si_l, si_r
+    if si_l[0] is None:
+        return dl, dr, None, None
+    return dl, dr, tuple(si_l), tuple(s[..., ::-1] for s in si_r)
+
+
+def _d_zero(v, params: KernelParams, bc: Boundary, mode: str):
+    """One application of the symmetric-family D_0 = (D_L + D_R)/2.
+
+    D_R is odd, so D_L[v] - D_R[-v] = 2 D_0[v]; the pair's closures are
+    D_0's: the periodic ones average, and the homogeneous joint one makes
+    D_0[v] vanish at both ends.
+    """
+    dl, dr, _, _ = _d_pair(v, -v, params, bc, mode)
+    return 0.5 * (dl - dr)
 
 
 def d_chain_pair(vl: np.ndarray, vr: np.ndarray, params: KernelParams,

@@ -26,9 +26,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import (Boundary, Grid1D, ProblemSpec, ProblemSpec2D, SchemeConfig,
-                   SolutionField, build_grid_1d, build_grid_2d, compute_bounds,
-                   initial_field_2d, shifted)
+from .core import (DEGENERATE_TOL, Boundary, Grid1D, ProblemSpec, ProblemSpec2D,
+                   SchemeConfig, SolutionField, build_grid_1d, build_grid_2d,
+                   compute_bounds, initial_field_2d, shifted)
 from .operator import flux_split
 from .timestep import advance
 
@@ -161,8 +161,8 @@ class BenchmarkCase:
             return self.beta_defaults[order]
         u0 = self.initial_field(self.build_grid(max(self.default_n // 4, 8)))
         bounds = [compute_bounds(spec, u0) for spec in self.spec.axes]
-        has_c = max(b.c for b in bounds) > 1e-14
-        has_b = max(b.b_diff for b in bounds) > 1e-14
+        has_c = max(b.c for b in bounds) > DEGENERATE_TOL
+        has_b = max(b.b_diff for b in bounds) > DEGENERATE_TOL
         if has_c and has_b:
             beta = BETA_MAX_MIXED[order]
         elif has_c:

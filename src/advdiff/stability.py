@@ -154,6 +154,8 @@ def compute_report(order: int, kind: EquationKind, beta: float,
                    mode: str = FULLY_DISCRETE, n_kappa: int = 512,
                    n_ratio: int = 64, cross_term: bool | None = None) -> StabilityReport:
     """|lambda| over the (kappa_dx, step-ratio) scan grid."""
+    if not (np.isfinite(beta) and beta > 0):
+        raise ValueError(f"beta must be positive and finite, got {beta}")
     kdx = np.linspace(0.0, 2 * np.pi, n_kappa)
     ratios = np.geomspace(*RATIO_RANGE, n_ratio)
     grid = np.empty((n_ratio, n_kappa))

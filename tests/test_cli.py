@@ -114,6 +114,15 @@ def test_stability_command(tmp_path):
     assert max(r[2] for r in rows) <= 1 + 1e-10
 
 
+@pytest.mark.parametrize("mode", ["semi", "fully"])
+@pytest.mark.parametrize("beta", ["0", "nan", "inf", "-0.5"])
+def test_stability_rejects_bad_beta(beta, mode, tmp_path, capsys):
+    rc = main(["stability", "--kind", "advection", "--k", "2", "--beta", beta,
+               "--mode", mode, "--out", str(tmp_path / "contour.csv")])
+    assert rc == 1
+    assert "error: beta must be positive and finite" in capsys.readouterr().err
+
+
 def test_compare_reference_command(tmp_path):
     out = tmp_path / "cmp.csv"
     rc = main(["compare-reference", "--case", "buckley_leverett", "--N", "64",

@@ -112,6 +112,12 @@ def test_dt_rejects_fully_degenerate():
     config = SchemeConfig(order=1, beta=1.0)
     with pytest.raises(ValueError):
         compute_dt(config, WaveBounds(c=0.0, b_diff=0.0), build_grid_1d(0, 1, 10))
+    # one WaveBounds per grid axis, no more and no fewer
+    b = WaveBounds(c=1.0, b_diff=0.5)
+    with pytest.raises(ValueError):
+        compute_dt(config, (b, b), build_grid_1d(0, 1, 10))
+    with pytest.raises(ValueError):
+        compute_dt(config, b, build_grid_2d(0, 1, 10, 0, 1, 10))
 
 
 def test_config_validation():

@@ -1,10 +1,12 @@
 """Property tests of the kernel layer.
 
-Mirroring the data swaps the one-sided families bit for bit and maps the
-symmetric chain onto its mirror; rolling the N unique nodes of periodic data
-commutes with both chains.  They guard the boundary closures: a closure whose
-end values are swapped, or whose coupled coefficient has the wrong sign,
-breaks the mirror symmetry or the homogeneous end condition.
+Mirroring the data swaps the one-sided families and maps the symmetric chain
+onto its mirror, negating the data negates both chains, and the periodic D_0
+is the mean of D_L and D_R, all bit for bit; rolling the N unique nodes of
+periodic data commutes with both chains.  They guard the boundary closures
+and the derivation of D_0 from the pair: a closure whose end values are
+swapped, or whose coupled coefficient has the wrong sign, breaks the mirror
+symmetry or the homogeneous end condition.
 """
 
 import numpy as np
@@ -76,7 +78,32 @@ def test_zero_chain_mirrors(case):
     got = d_chain_zero(v[..., ::-1], p, bc, k, mode)
     ref = d_chain_zero(v, p, bc, k, mode)
     for a, b in zip(got, ref):
-        assert np.max(np.abs(a - b[..., ::-1])) <= bound(v)
+        assert bitwise_equal(a, b[..., ::-1])
+
+
+@PROPERTY
+@given(kernel_cases())
+def test_chains_are_odd_bitwise(case):
+    p, bc, mode, k, v, w = case
+    pl, pr, si_l, si_r = d_chain_pair(v, w, p, bc, k, mode)
+    nl, nr, nsi_l, nsi_r = d_chain_pair(-v, -w, p, bc, k, mode)
+    zero, nzero = d_chain_zero(v, p, bc, k, mode), d_chain_zero(-v, p, bc, k, mode)
+    # equal values; a closure's exact zero may come out as either signed zero
+    for got, ref in zip(nl + nr + nzero, pl + pr + zero):
+        assert np.array_equal(got, -ref)
+    if mode == WENO5:
+        # the smoothness indicators are even in the data
+        for got, ref in zip(nsi_l + nsi_r, si_l + si_r):
+            assert bitwise_equal(got, ref)
+
+
+@PROPERTY
+@given(kernel_cases(bcs=(PER,)))
+def test_periodic_zero_is_the_pair_mean_bitwise(case):
+    p, bc, mode, _, v, _ = case
+    (dl,), (dr,), _, _ = d_chain_pair(v, v, p, bc, 1, mode)
+    (d0,) = d_chain_zero(v, p, bc, 1, mode)
+    assert bitwise_equal(d0, 0.5 * (dl + dr))
 
 
 @PROPERTY

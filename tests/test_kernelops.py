@@ -339,23 +339,26 @@ def fancy_index_shifts(v, bc, lo, hi):
 @pytest.mark.parametrize("shape", [(7,), (42,), (7, 34)])
 @pytest.mark.parametrize("bc", [PER, HOM])
 @pytest.mark.parametrize("mode", [WENO5, LINEAR6])
-@pytest.mark.parametrize("path", [kernelops._left, kernelops._right],
-                         ids=["left", "mirrored_left"])
-def test_padded_windows_match_fancy_index_gather(path, mode, bc, shape, rng, monkeypatch):
+@pytest.mark.parametrize("swap", [False, True], ids=["v_w", "w_v"])
+def test_padded_windows_match_fancy_index_gather(swap, mode, bc, shape, rng, monkeypatch):
     # random data, so under PER node N differs from node 0
-    v = rng.standard_normal(shape)
+    v, w = rng.standard_normal((2, *shape))
     # the quadrature windows, then the filter's neighbours of sigma_L and sigma_R
     for lo, hi in ((-3, 2), (0, 1), (-1, 0)):
         got, ref = shifted(v, bc, lo, hi), fancy_index_shifts(v, bc, lo, hi)
         assert len(got) == len(ref) == hi - lo + 1
         assert all(a.tobytes() == b.tobytes() for a, b in zip(got, ref))
-    # the convolution and smoothness pair of one orientation, through both gathers
+    # both orientations of the primitive and both smoothness pairs, through
+    # both gathers; swapping the data gives each array to each orientation
     p = params_for(3.0, build_grid_1d(0.0, 1.0, shape[-1] - 1))
-    got = path(v, p, mode, bc)
+    data = (w, v) if swap else (v, w)
+    got = _d_pair(*data, p, bc, mode)
     monkeypatch.setattr(kernelops, "shifted", fancy_index_shifts)
-    ref = path(v, p, mode, bc)
-    assert (got[1] is None) == (ref[1] is None) == (mode == LINEAR6)
-    for a, b in zip([got[0], *(got[1] or ())], [ref[0], *(ref[1] or ())]):
+    ref = _d_pair(*data, p, bc, mode)
+    assert (got[2] is None) == (ref[2] is None) == (mode == LINEAR6)
+    flat = lambda out: [out[0], out[1], *(out[2] or ()), *(out[3] or ())]
+    assert len(flat(got)) == len(flat(ref))
+    for a, b in zip(flat(got), flat(ref)):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
