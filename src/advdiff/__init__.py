@@ -15,9 +15,8 @@ from .operator import build_H, flux_split
 from .problems import (BenchmarkCase, ErrorReport, barenblatt, error_norms,
                        exact_advdiff, make_problem, reference_solution,
                        solve_case)
-from .stability import (EquationKind, Side, StabilityReport, amplification,
-                        compute_report, export_contours, max_amplification,
-                        scan_beta_max)
+from .stability import (EquationKind, StabilityReport, amplification,
+                        compute_report, export_contours, scan_beta_max)
 from .timestep import UnstableSolution, advance, rk_step
 
 __version__ = "0.1.0"
@@ -26,12 +25,12 @@ __all__ = [
     "Boundary", "Grid1D", "Grid2D", "ProblemSpec", "SchemeConfig",
     "SolutionField", "WaveBounds", "build_grid_1d", "build_grid_2d",
     "compute_bounds", "compute_dt",
-    "KernelParams", "Side", "local_integrals", "sweep_left",
+    "KernelParams", "local_integrals", "sweep_left",
     "build_H", "flux_split",
     "BenchmarkCase", "ErrorReport", "barenblatt", "error_norms",
     "exact_advdiff", "make_problem", "reference_solution", "solve_case",
     "ProblemSpec2D", "initial_field_2d",
     "EquationKind", "StabilityReport", "amplification",
-    "compute_report", "export_contours", "max_amplification", "scan_beta_max",
+    "compute_report", "export_contours", "scan_beta_max",
     "UnstableSolution", "advance", "rk_step",
 ]

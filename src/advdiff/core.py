@@ -27,6 +27,11 @@ BOUND_SAMPLES = 2048
 DEGENERATE_TOL = 1e-14
 
 
+def _is_int(value) -> bool:
+    """True for Python and numpy integers; False for bools and floats."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 class Boundary(enum.Enum):
     PERIODIC = "periodic"
     HOMOGENEOUS = "homogeneous"
@@ -62,6 +67,8 @@ def build_grid_1d(a: float, b: float, n_cells: int) -> Grid1D:
     """Uniform grid of n_cells cells (n_cells+1 nodes) on [a, b]."""
     if not b > a:
         raise ValueError(f"need b > a, got [{a}, {b}]")
+    if not _is_int(n_cells):
+        raise ValueError(f"n_cells must be an integer, got {n_cells!r}")
     if n_cells < 6:
         raise ValueError(f"need at least 6 cells for the quadrature stencil, got {n_cells}")
     dx = (b - a) / n_cells
@@ -139,7 +146,7 @@ class SchemeConfig:
     """Scheme parameters: truncation order k, stabilization beta, CFL, quadrature.
 
     cross_term_k3 activates the extra fourth-derivative correction that makes
-    the k=3 convection operator A-stable; it only applies at order 3.
+    the k=3 convection operator A-stable; lower orders ignore it.
     """
 
     order: int = 3
@@ -150,16 +157,14 @@ class SchemeConfig:
     cross_term_k3: bool = True
 
     def __post_init__(self):
-        if self.order not in (1, 2, 3):
-            raise ValueError(f"order must be 1, 2 or 3, got {self.order}")
+        if not _is_int(self.order) or self.order not in (1, 2, 3):
+            raise ValueError(f"order must be 1, 2 or 3, got {self.order!r}")
         for name in ("beta", "cfl"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.quadrature not in ("weno5", "linear6"):
             raise ValueError(f"unknown quadrature {self.quadrature!r}")
-        if self.order < 3:
-            self.cross_term_k3 = False
 
 
 @dataclass

@@ -64,10 +64,6 @@ class KernelParams:
     def e_left(self) -> np.ndarray:
         return np.exp(-self.nu * np.arange(self.n_cells + 1))
 
-    @cached_property
-    def e_right(self) -> np.ndarray:
-        return self.e_left[::-1].copy()
-
     @classmethod
     def from_alpha(cls, alpha: float, grid: Grid1D) -> "KernelParams":
         if alpha <= 0:
@@ -97,8 +93,8 @@ def sweep_left(J: np.ndarray, params: KernelParams) -> np.ndarray:
 
 
 def boundary_coefficients(bc: Boundary, mu: float, e_a, e_b):
-    """Coefficients (A, B) of the edge profiles e_left, e_right from the end
-    values e_a, e_b that the caller's closure condition supplies.
+    """Coefficients (A, B) of the edge profile e_left and its mirror from the
+    end values e_a, e_b that the caller's closure condition supplies.
 
     Periodic: A = e_b/(1-mu), B = e_a/(1-mu).  Homogeneous: the solution of
     A + mu B = -e_a, mu A + B = -e_b.  Entries may be batch arrays.
@@ -134,7 +130,7 @@ def _d_pair(vl, vr, params: KernelParams, bc: Boundary, mode: str):
                                          (vr[..., -1] - vl[..., -1]) + IL[..., -1])
         b_r = -b_r
     dl = vl - (IL + np.asarray(a_l)[..., None] * params.e_left)
-    dr = vr - (IR + np.asarray(b_r)[..., None] * params.e_right)
+    dr = vr - (IR + np.asarray(b_r)[..., None] * params.e_left[..., ::-1])
     if si_l[0] is None:
         return dl, dr, None, None
     return dl, dr, tuple(si_l), tuple(s[..., ::-1] for s in si_r)

@@ -12,8 +12,8 @@ import pytest
 import advdiff
 from advdiff import (Boundary, EquationKind, KernelParams, SchemeConfig,
                      SolutionField, amplification, build_grid_1d,
-                     build_grid_2d, local_integrals, make_problem,
-                     max_amplification, rk_step, scan_beta_max, solve_case,
+                     build_grid_2d, compute_report, local_integrals,
+                     make_problem, rk_step, scan_beta_max, solve_case,
                      sweep_left)
 from advdiff.filtering import sigma_fields, xi
 from advdiff.kernelops import d_chain_pair, d_chain_zero
@@ -112,7 +112,7 @@ def test_criterion_2_beta_max_recovery():
         got = scan_beta_max(order, kind, mode=SEMI_DISCRETE)
         assert got == pytest.approx(expected, abs=0.01), (order, kind, got)
     for order, kind, beta in BETA_TABLE:
-        worst = max_amplification(order, kind, beta, mode=FULLY_DISCRETE)
+        worst = compute_report(order, kind, beta, mode=FULLY_DISCRETE).max_abs_lambda
         assert worst <= 1.0 + 1e-10, (order, kind, worst)
     _report(2, f"beta_max table and |lambda|<=1 scans, {time.time()-t0:.0f}s")
 

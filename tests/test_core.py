@@ -26,6 +26,18 @@ def test_grid_validation():
         build_grid_1d(0.0, 1.0, 4)
 
 
+@pytest.mark.parametrize("n_cells", [6.5, 8.0, True])
+def test_grid_rejects_non_integer_cell_counts(n_cells):
+    # 6.5 cells would silently become 6 with the last node past b
+    with pytest.raises(ValueError, match="n_cells must be an integer"):
+        build_grid_1d(0.0, 1.0, n_cells)
+
+
+def test_grid_accepts_numpy_integers():
+    g = build_grid_1d(0.0, 1.0, np.int64(8))
+    assert g.n_cells == 8 and g.nodes[-1] == 1.0
+
+
 def test_grid_2d():
     g = build_grid_2d(0, 1, 10, -1, 1, 20)
     assert g.gx.n_cells == 10 and g.gy.n_cells == 20
@@ -127,9 +139,14 @@ def test_config_validation():
         SchemeConfig(order=2, beta=-1.0)
     with pytest.raises(ValueError):
         SchemeConfig(order=2, quadrature="weno9")
-    cfg = SchemeConfig(order=2, cross_term_k3=True)
-    assert cfg.cross_term_k3 is False  # only meaningful at k=3
     assert SchemeConfig(order=3).cross_term_k3 is True
+    assert SchemeConfig(order=np.int64(2)).order == 2
+
+
+@pytest.mark.parametrize("order", [True, 3.0])
+def test_config_rejects_non_integer_order(order):
+    with pytest.raises(ValueError, match="order must be 1, 2 or 3"):
+        SchemeConfig(order=order)
 
 
 @pytest.mark.parametrize("name", ["beta", "cfl"])

@@ -132,6 +132,19 @@ def test_k1_filter_flag_is_noop():
     assert np.array_equal(a, b)
 
 
+def test_k2_cross_term_flag_is_noop():
+    # below k = 3 the correction is off whatever the flag says
+    grid = build_grid_1d(-np.pi, np.pi, 64)
+    prob = burgers_like()
+    u = np.sin(grid.nodes)
+    bounds = compute_bounds(prob, u)
+    a = build_H(u, prob, SchemeConfig(order=2, beta=1.0, cross_term_k3=True),
+                bounds, dt=0.02, grid=grid)
+    b = build_H(u, prob, SchemeConfig(order=2, beta=1.0, cross_term_k3=False),
+                bounds, dt=0.02, grid=grid)
+    assert np.array_equal(a, b)
+
+
 def two_d_problem(bc=PER):
     one = lambda u: np.ones_like(np.asarray(u, dtype=float))
     return ProblemSpec2D(

@@ -3,10 +3,10 @@ import csv
 import numpy as np
 import pytest
 
-from advdiff import (EquationKind, Side, amplification, export_contours,
-                     max_amplification, scan_beta_max)
-from advdiff.stability import (FULLY_DISCRETE, SEMI_DISCRETE, _dhat,
-                               compute_report, rk_multiplier)
+from advdiff import (EquationKind, amplification, compute_report,
+                     export_contours, scan_beta_max)
+from advdiff.quadrature import coef_tables
+from advdiff.stability import FULLY_DISCRETE, SEMI_DISCRETE, _dhat, rk_multiplier
 
 ADV = EquationKind.ADVECTION
 DIF = EquationKind.DIFFUSION
@@ -14,26 +14,63 @@ DIF = EquationKind.DIFFUSION
 
 def test_symbol_zero_mode_vanishes():
     for mode in (SEMI_DISCRETE, FULLY_DISCRETE):
-        for side in (Side.LEFT, Side.RIGHT, Side.ZERO):
-            val = complex(_dhat(side, 0.0, 0.8, mode))
-            assert abs(val) < 1e-14
+        assert abs(complex(_dhat(0.0, 0.8, mode))) < 1e-14
 
 
 def test_symbol_semi_discrete_range_and_limits():
     for kdx in np.linspace(0.01, 2 * np.pi, 20):
-        d0 = complex(_dhat(Side.ZERO, kdx, 0.5, SEMI_DISCRETE))
-        assert 0.0 <= d0.real <= 1.0 and abs(d0.imag) < 1e-15
-    # kappa -> infinity: both symbols approach 1
-    huge = complex(_dhat(Side.LEFT, 1e8, 1.0, SEMI_DISCRETE))
+        assert 0.0 <= _dhat(kdx, 0.5, SEMI_DISCRETE).real <= 1.0
+    # kappa -> infinity: D_L's symbol, and so D_0's, approaches 1
+    huge = complex(_dhat(1e8, 1.0, SEMI_DISCRETE))
     assert huge == pytest.approx(1.0, abs=1e-7)
-    assert complex(_dhat(Side.ZERO, 1e8, 1.0, SEMI_DISCRETE)) == pytest.approx(1.0, abs=1e-7)
 
 
-def test_symbol_right_is_conjugate_of_left():
-    for mode in (SEMI_DISCRETE, FULLY_DISCRETE):
-        dl = complex(_dhat(Side.LEFT, 1.3, 0.7, mode))
-        dr = complex(_dhat(Side.RIGHT, 1.3, 0.7, mode))
-        assert dr == pytest.approx(np.conj(dl), rel=1e-13)
+# the right and symmetric families' own symbols, kept as oracles for the
+# conjugate and the real part of D_L's
+KDX = np.linspace(0.0, 2 * np.pi, 257)
+
+
+@pytest.mark.parametrize("nu", [1e-3, 0.3, 1.0, 7.0])
+def test_semi_discrete_zero_symbol_is_real_part_of_left(nu):
+    theta = KDX / nu
+    assert np.max(np.abs(theta ** 2 / (1 + theta ** 2)
+                         - _dhat(KDX, nu, SEMI_DISCRETE).real)) <= 1e-14
+
+
+def _jhat_fractions(nu):
+    """Jhat(±)/(1 - e^{-nu ∓ i kappa dx}) from the linear quadrature rule."""
+    c = coef_tables(nu).linear
+    r = np.arange(-3, 3)
+    gp = np.exp(1j * np.outer(KDX, r)) @ c / (1 - np.exp(-nu - 1j * KDX))
+    gm = np.exp(-1j * np.outer(KDX, r)) @ c / (1 - np.exp(-nu + 1j * KDX))
+    return gp, gm
+
+
+@pytest.mark.parametrize("nu", [1e-3, 0.3, 1.0, 7.0])
+def test_fully_discrete_right_symbol_is_conjugate_of_left(nu):
+    _, gm = _jhat_fractions(nu)
+    dl = _dhat(KDX, nu, FULLY_DISCRETE)
+    assert np.max(np.abs((1 - gm) - np.conj(dl))) <= 1e-14
+
+
+@pytest.mark.parametrize("nu", [1e-3, 0.3, 1.0, 7.0])
+def test_fully_discrete_zero_symbol_is_real_part_of_left(nu):
+    gp, gm = _jhat_fractions(nu)
+    dl = _dhat(KDX, nu, FULLY_DISCRETE)
+    assert np.max(np.abs((1 - 0.5 * (gp + gm)) - dl.real)) <= 1e-14
+
+
+@pytest.mark.parametrize("beta", [0.0, np.nan, np.inf, -0.5])
+def test_amplification_rejects_bad_beta(beta):
+    with pytest.raises(ValueError, match="beta must be positive and finite"):
+        amplification(2, ADV, beta, KDX, 1.0)
+
+
+@pytest.mark.parametrize("ratio", [0.0, -1.0])
+@pytest.mark.parametrize("kind", [ADV, DIF])
+def test_amplification_rejects_bad_step_ratio(ratio, kind):
+    with pytest.raises(ValueError, match="step_ratio must be positive and finite"):
+        amplification(2, kind, 1.0, KDX, ratio)
 
 
 def test_amplification_k1_advection_beta2_is_unimodular():
@@ -63,15 +100,19 @@ def test_rk_multiplier_values():
     assert rk_multiplier(3, z) == 1 + z + z * z / 2 + z ** 3 / 6
 
 
-def test_max_amplification_examples():
-    assert max_amplification(1, ADV, 2.0, SEMI_DISCRETE) == pytest.approx(1.0, abs=1e-12)
-    assert max_amplification(2, DIF, 1.0, FULLY_DISCRETE) <= 1 + 1e-10
-    assert max_amplification(1, DIF, 2.5, SEMI_DISCRETE) > 1.1
+def worst(order, kind, beta, mode, **kw):
+    return compute_report(order, kind, beta, mode, **kw).max_abs_lambda
 
 
-def test_max_amplification_rejects_coarse_scan():
+def test_report_max_amplification_examples():
+    assert worst(1, ADV, 2.0, SEMI_DISCRETE) == pytest.approx(1.0, abs=1e-12)
+    assert worst(2, DIF, 1.0, FULLY_DISCRETE) <= 1 + 1e-10
+    assert worst(1, DIF, 2.5, SEMI_DISCRETE) > 1.1
+
+
+def test_report_rejects_coarse_scan():
     with pytest.raises(ValueError):
-        max_amplification(1, ADV, 1.0, n_kappa=100)
+        compute_report(1, ADV, 1.0, SEMI_DISCRETE, n_kappa=100)
 
 
 def test_scan_beta_max_first_order():
@@ -82,8 +123,8 @@ def test_scan_beta_max_first_order():
 def test_k3_advection_needs_cross_term():
     # without the correction the third-order convection operator is not
     # A-stable for any beta in the scanned range
-    assert max_amplification(3, ADV, 0.5, SEMI_DISCRETE, cross_term=False) > 1 + 1e-6
-    assert max_amplification(3, ADV, 1.243, SEMI_DISCRETE, cross_term=True) <= 1 + 1e-10
+    assert worst(3, ADV, 0.5, SEMI_DISCRETE, cross_term=False) > 1 + 1e-6
+    assert worst(3, ADV, 1.243, SEMI_DISCRETE, cross_term=True) <= 1 + 1e-10
 
 
 @pytest.mark.parametrize("mode", [SEMI_DISCRETE, FULLY_DISCRETE])
