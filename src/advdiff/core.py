@@ -10,6 +10,12 @@ with either periodic boundary conditions or the special homogeneous regime
 constant near the boundary).  A 2D problem is one such law per axis; grids
 and problems expose their per-axis parts as `axes`, so the stepping driver
 and the operator treat 1D as one axis and 2D as two.
+
+Data past the ends is read by one rule: `padded` extends the last axis by
+wrapping periodic data over its N unique nodes and repeating other data's end
+values, and `shifted` returns the neighbour views v_{i+m} as slices of that
+one padded array.  The quadrature rules read the padded line itself, the
+filter reads its slices.
 """
 
 from __future__ import annotations
@@ -80,22 +86,29 @@ def build_grid_2d(ax: float, bx: float, nx: int, ay: float, by: float, ny: int) 
     return Grid2D(gx=build_grid_1d(ax, bx, nx), gy=build_grid_1d(ay, by, ny))
 
 
-def shifted(v: np.ndarray, bc: Boundary, lo: int, hi: int) -> list:
-    """Views w_m = v_{i+m} for m = lo..hi (lo <= 0 <= hi) along the last axis.
+def padded(v: np.ndarray, bc: Boundary, lo: int, hi: int) -> np.ndarray:
+    """v_{i} for i = lo..N+hi (lo <= 0 <= hi) along the last axis: a new array
+    padded by -lo nodes before and hi after.
 
-    All are slices of one array padded by -lo nodes before and hi after:
-    periodic data wraps over its n unique nodes (node N repeats node 0, so it
+    Periodic data wraps over its n unique nodes (node N repeats node 0, so it
     reads node 0's neighbours), other data repeats its end values.
     """
     n = v.shape[-1] - 1
     if bc is Boundary.PERIODIC:
-        ext = np.concatenate((v[..., n + lo:n], v[..., :n], v[..., :hi + 1]), axis=-1)
-    else:
-        ext = np.empty(v.shape[:-1] + (n + 1 + hi - lo,), dtype=v.dtype)
-        ext[..., :-lo] = v[..., :1]
-        ext[..., -lo:n + 1 - lo] = v
-        ext[..., n + 1 - lo:] = v[..., -1:]
-    return [ext[..., m - lo:m - lo + n + 1] for m in range(lo, hi + 1)]
+        return np.concatenate((v[..., n + lo:n], v[..., :n], v[..., :hi + 1]), axis=-1)
+    ext = np.empty(v.shape[:-1] + (n + 1 + hi - lo,), dtype=v.dtype)
+    ext[..., :-lo] = v[..., :1]
+    ext[..., -lo:n + 1 - lo] = v
+    ext[..., n + 1 - lo:] = v[..., -1:]
+    return ext
+
+
+def shifted(v: np.ndarray, bc: Boundary, lo: int, hi: int) -> list:
+    """Views w_m = v_{i+m} for m = lo..hi along the last axis: the slices of
+    `padded(v, bc, lo, hi)`."""
+    ext = padded(v, bc, lo, hi)
+    n = v.shape[-1]
+    return [ext[..., m:m + n] for m in range(hi - lo + 1)]
 
 
 @dataclass

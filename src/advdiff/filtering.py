@@ -20,11 +20,21 @@ from .quadrature import WENO_EPSILON
 
 
 def xi(si0, si2, epsilon: float = WENO_EPSILON):
-    """Smoothness ratio in (0, 1]; equals 1 when SI0 == SI2."""
-    tau = np.abs(si0 - si2)
-    si_max = np.maximum(si0, si2)
-    si_min = np.minimum(si0, si2)
-    return (1.0 + (tau / (si_max + epsilon)) ** 2) / (1.0 + (tau / (si_min + epsilon)) ** 2)
+    """Smoothness ratio in (0, 1]; equals 1 when SI0 == SI2.
+
+    Evaluated in three work arrays, rounding each term as
+    (1 + (tau/(SImax + eps))^2) / (1 + (tau/(SImin + eps))^2) does.
+    """
+    shape = np.broadcast_shapes(np.shape(si0), np.shape(si2))
+    tau, hi, lo = np.empty(shape), np.empty(shape), np.empty(shape)
+    np.abs(np.subtract(si0, si2, out=tau), out=tau)
+    for out, pick in ((hi, np.maximum), (lo, np.minimum)):
+        pick(si0, si2, out=out)
+        out += epsilon
+        np.divide(tau, out, out=out)
+        np.square(out, out=out)
+        out += 1.0
+    return np.divide(hi, lo, out=hi)
 
 
 def sigma_fields(xi_left: np.ndarray, xi_right: np.ndarray, bc: Boundary):

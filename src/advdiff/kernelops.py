@@ -15,12 +15,14 @@ recursion (a linear recurrence filter)
 
 The right kernel is the left one reflected in space, so I^R (I^R_N = 0) and
 its smoothness pair are the left path run on the reversed data and reversed
-back.  The six quadrature windows read past the ends through `core.shifted`,
-the extension rule the filter shares.  The one primitive, `_d_pair`, applies
-D_L and D_R; D_0 = (D_L + D_R)/2 is half a pair difference, (D_L[v] -
-D_R[-v])/2, so one closure rule serves all three families: periodic closures
-match the end values of D, and homogeneous ones close the pair jointly so
-D_L[v1] - D_R[v2] (for D_0, D_0 itself) vanishes at both ends.
+back.  The six quadrature windows are slices of one line padded past the
+ends by `core.padded`, the extension rule the filter shares through
+`core.shifted`.  The one primitive, `_d_pair`, applies D_L and D_R; D_0 =
+(D_L + D_R)/2 is half a pair difference, (D_L[v] - D_R[-v])/2, so one closure
+rule serves all three families: periodic closures match the end values of D,
+and homogeneous ones close the pair jointly so D_L[v1] - D_R[v2] (for D_0,
+D_0 itself) vanishes at both ends.  Each stage writes its sums into arrays it
+made (the sweeps' outputs and spent integrals), never into its inputs.
 
 All array operations act along the last axis, so a leading batch dimension
 (used for 2D line sweeps) comes for free.
@@ -34,7 +36,7 @@ from functools import cached_property
 import numpy as np
 from scipy.signal import lfilter
 
-from .core import Boundary, Grid1D, shifted
+from .core import Boundary, Grid1D, padded
 from . import quadrature
 from .quadrature import LINEAR6, WENO5
 
@@ -73,23 +75,24 @@ class KernelParams:
 
 def local_integrals(v: np.ndarray, params: KernelParams, mode: str, bc: Boundary):
     """Per-cell local integrals J_i over [x_{i-1}, x_i], anchored at x_i (entry
-    0 unused), from the six windows v_{i-3..i+2}; returns (J, si0, si2), the
-    smoothness pair being None in linear mode."""
-    win = shifted(v, bc, -3, 2)
+    0 unused), from the six windows v_{i-3..i+2} of the padded line; returns
+    (J, si0, si2), the smoothness pair being None in linear mode."""
+    line = padded(v, bc, -3, 2)
     if mode == WENO5:
-        return quadrature.weno_integrals(win, params.tables)
+        return quadrature.weno_integrals(line, params.tables)
     if mode == LINEAR6:
-        return quadrature.linear_integrals(win, params.tables), None, None
+        return quadrature.linear_integrals(line, params.tables), None, None
     raise ValueError(f"unknown quadrature mode {mode!r}")
 
 
 def sweep_left(J: np.ndarray, params: KernelParams) -> np.ndarray:
-    """I_0 = 0; I_i = I_{i-1} e^{-nu} + J_i.  O(N) via a linear recurrence."""
-    q = np.exp(-params.nu)
-    I = np.empty_like(J, dtype=float)
-    I[..., 0] = 0.0
-    I[..., 1:] = lfilter([1.0], [1.0, -q], J[..., 1:], axis=-1)
-    return I
+    """I_0 = 0; I_i = I_{i-1} e^{-nu} + J_i.  O(N) via a linear recurrence.
+
+    J's unused entry 0 is set to 0.0 in place, which starts the recurrence
+    at I_0 = 0.
+    """
+    J[..., 0] = 0.0
+    return lfilter([1.0], [1.0, -np.exp(-params.nu)], J, axis=-1)
 
 
 def boundary_coefficients(bc: Boundary, mu: float, e_a, e_b):
@@ -118,7 +121,8 @@ def _d_pair(vl, vr, params: KernelParams, bc: Boundary, mode: str):
     JL, *si_l = local_integrals(vl, params, mode, bc)
     JR, *si_r = local_integrals(vr[..., ::-1], params, mode, bc)
     IL = sweep_left(JL, params)
-    IR = sweep_left(JR, params)[..., ::-1]
+    IR_rev = sweep_left(JR, params)
+    IR = IR_rev[..., ::-1]
     if bc is Boundary.PERIODIC:
         # each closure reads the far end of its own sweep (I^L_0 = I^R_N = 0)
         a_l, b_r = boundary_coefficients(bc, params.mu, IR[..., 0], IL[..., -1])
@@ -129,8 +133,16 @@ def _d_pair(vl, vr, params: KernelParams, bc: Boundary, mode: str):
                                          (vr[..., 0] - vl[..., 0]) - IR[..., 0],
                                          (vr[..., -1] - vl[..., -1]) + IL[..., -1])
         b_r = -b_r
-    dl = vl - (IL + np.asarray(a_l)[..., None] * params.e_left)
-    dr = vr - (IR + np.asarray(b_r)[..., None] * params.e_left[..., ::-1])
+    # D = v - (I + edge term), formed in the sweeps' arrays with the spent
+    # J^L holding the edge terms; D_R in the reversed frame of its sweep,
+    # where its edge profile is e_left
+    edge = np.multiply(np.asarray(a_l)[..., None], params.e_left, out=JL)
+    IL += edge
+    dl = np.subtract(vl, IL, out=IL)
+    np.multiply(np.asarray(b_r)[..., None], params.e_left, out=edge)
+    IR_rev += edge
+    np.subtract(vr[..., ::-1], IR_rev, out=IR_rev)
+    dr = IR
     if si_l[0] is None:
         return dl, dr, None, None
     return dl, dr, tuple(si_l), tuple(s[..., ::-1] for s in si_r)
@@ -144,7 +156,9 @@ def _d_zero(v, params: KernelParams, bc: Boundary, mode: str):
     D_0[v] vanish at both ends.
     """
     dl, dr, _, _ = _d_pair(v, -v, params, bc, mode)
-    return 0.5 * (dl - dr)
+    dl -= dr
+    dl *= 0.5
+    return dl
 
 
 def d_chain_pair(vl: np.ndarray, vr: np.ndarray, params: KernelParams,

@@ -35,57 +35,90 @@ def flux_split(problem: ProblemSpec, u: np.ndarray, bounds: WaveBounds):
     """Lax-Friedrichs split (f+, f-) = ((f(u) + c u)/2, (f(u) - c u)/2), so
     f+ + f- = f(u) with df+/du >= 0 and df-/du <= 0 over the bounded range."""
     f = problem.flux(u)
-    cu = bounds.c * u
-    return 0.5 * (f + cu), 0.5 * (f - cu)
+    fplus = bounds.c * u
+    fminus = np.subtract(f, fplus)
+    fplus += f
+    fplus *= 0.5
+    fminus *= 0.5
+    return fplus, fminus
 
 
-def _convection(u, problem, config, bounds, dt, grid, bc):
+def kernel_families(config: SchemeConfig, bounds, dt: float, grid: Grid1D | Grid2D) -> tuple:
+    """(convection, diffusion) KernelParams of each axis for one step, with
+    alpha_L = beta/(c dt) and alpha_0 = sqrt(beta/(b dt)); None for a block
+    whose wave-speed bound vanishes."""
+    families = []
+    for b, g in zip(per_axis(bounds), grid.axes):
+        conv = (KernelParams.from_alpha(config.beta / (b.c * dt), g)
+                if b.c > DEGENERATE_TOL else None)
+        diff = (KernelParams.from_alpha(np.sqrt(config.beta / (b.b_diff * dt)), g)
+                if b.b_diff > DEGENERATE_TOL else None)
+        families.append((conv, diff))
+    return tuple(families)
+
+
+def _convection(u, problem, config, bounds, params, bc):
     k = config.order
     fplus, fminus = flux_split(problem, u, bounds)
-    params = KernelParams.from_alpha(config.beta / (bounds.c * dt), grid)
     chain_l, chain_r, si_l, si_r = d_chain_pair(
         fplus, fminus, params, bc, k, mode_first=config.quadrature)
     sig_l = sig_r = 1.0
     if config.filter_enabled and k >= 2 and si_l is not None:
         sig_l, sig_r = sigma_fields(xi(*si_l), xi(*si_r), bc)
-    # one accumulation order per side keeps mirrored data mirrored bit for bit
-    hl, hr = chain_l[0], chain_r[0]
-    for p in range(2, k + 1):
-        hl = hl + sig_l ** (p - 1) * chain_l[p - 1]
-        hr = hr + sig_r ** (p - 1) * chain_r[p - 1]
-    h = hr - hl
+    cross = None
     if k == 3 and config.cross_term_k3:
-        h = h + _d_zero(chain_l[1] - chain_r[1], params, bc, LINEAR6)
-    return params.alpha * h
+        # before the sums below overwrite the second powers
+        cross = _d_zero(chain_l[1] - chain_r[1], params, bc, LINEAR6)
+    # one accumulation order per side keeps mirrored data mirrored bit for bit
+    h, hl = chain_r[0], chain_l[0]
+    for p in range(2, k + 1):
+        # sigma^1 is sigma itself; numpy would copy it
+        damp_l, damp_r = (sig_l, sig_r) if p == 2 else (sig_l ** (p - 1), sig_r ** (p - 1))
+        hl += np.multiply(damp_l, chain_l[p - 1], out=chain_l[p - 1])
+        h += np.multiply(damp_r, chain_r[p - 1], out=chain_r[p - 1])
+    h -= hl
+    if cross is not None:
+        h += cross
+    h *= params.alpha
+    return h
 
 
-def _diffusion(u, problem, config, bounds, dt, grid, bc):
-    params = KernelParams.from_alpha(np.sqrt(config.beta / (bounds.b_diff * dt)), grid)
+def _diffusion(u, problem, config, params, bc):
     chain = d_chain_zero(problem.diffusion(u), params, bc, config.order,
                          mode_first=config.quadrature)
-    return -params.alpha ** 2 * sum(chain)
+    h = chain[0]
+    h += 0.0  # sum() starts from 0, and 0 + -0.0 is 0.0
+    for power in chain[1:]:
+        h += power
+    h *= -params.alpha ** 2
+    return h
 
 
 def build_H(u: np.ndarray, problem: ProblemSpec | ProblemSpec2D, config: SchemeConfig,
-            bounds, dt: float, grid: Grid1D | Grid2D) -> np.ndarray:
+            bounds, dt: float, grid: Grid1D | Grid2D, families=None) -> np.ndarray:
     """Spatial operator for one stage; pure in u.
 
     bounds holds one WaveBounds per axis of problem and grid (a bare
-    WaveBounds in 1D).  On a (ny+1, nx+1) field the x-sweeps treat the rows
-    as a batch and the y-sweeps run on the transposed field; both are
-    evaluated from the same input field and summed.
+    WaveBounds in 1D).  families is `kernel_families(config, bounds, dt,
+    grid)`, built here when not given; a caller that evaluates several stages
+    of one step passes it, so each family builds its tables once per step.
+    On a (ny+1, nx+1) field the x-sweeps treat the rows as a batch and the
+    y-sweeps run on the transposed field; both are evaluated from the same
+    input field and summed.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
+    if families is None:
+        families = kernel_families(config, bounds, dt, grid)
     h = np.zeros_like(u)
-    for axis, (spec, b, g) in enumerate(zip(problem.axes, per_axis(bounds), grid.axes)):
-        if b.c <= DEGENERATE_TOL and b.b_diff <= DEGENERATE_TOL:
+    for axis, (spec, b, (conv, diff)) in enumerate(zip(problem.axes, per_axis(bounds), families)):
+        if conv is None and diff is None:
             continue
         v = np.ascontiguousarray(u.T) if axis else u
         hv = np.zeros_like(v)
-        if b.c > DEGENERATE_TOL:
-            hv = hv + _convection(v, spec, config, b, dt, g, spec.bc)
-        if b.b_diff > DEGENERATE_TOL:
-            hv = hv + _diffusion(v, spec, config, b, dt, g, spec.bc)
-        h = h + (hv.T if axis else hv)
+        if conv is not None:
+            hv += _convection(v, spec, config, b, conv, spec.bc)
+        if diff is not None:
+            hv += _diffusion(v, spec, config, diff, spec.bc)
+        h += hv.T if axis else hv
     return h

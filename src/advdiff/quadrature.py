@@ -9,8 +9,15 @@ interpolants on the substencils {x_{i-3+r}, ..., x_{i+r}} (r = 0, 1, 2) give
 candidate values J_{i,r} = sum_j c^{(r)}_j v_j; the quintic interpolant on the
 whole window is recovered by linear weights d_r, and the WENO variant replaces
 d_r with smoothness-adapted nonlinear weights.  All coefficients depend only
-on nu = alpha*dx; `coef_tables` builds them once per nu and the integral
-rules take that table.
+on nu = alpha*dx; `coef_tables` builds them once per nu (evaluating the
+moments below once) and the integral rules take that table.
+
+The rules read the padded line of `core.padded` (offsets -3..2 past each end):
+the window w_m of node i is its slice starting at i + m.  They evaluate the
+textbook expressions in place, in a fixed handful of work arrays, and round
+every term as those expressions do, so the result is the same to the last
+bit; the terms the indicators share (the cubic term one and two nodes on, the
+multiples 3v, 5v, 7v and the cell jump) are computed once.
 
 Every coefficient is a combination of the exponential moments
 
@@ -71,16 +78,24 @@ def _moments(nu: float) -> np.ndarray:
     return _FACTORIALS * gammainc(_POWERS + 1, nu) / float(nu) ** _POWERS
 
 
-def small_stencil_coefficients(nu: float) -> np.ndarray:
-    """3x4 table of substencil coefficients; row r covers offsets -3+r .. r."""
-    return _SMALL_MONOMIALS @ _moments(nu)[:4]
+def small_stencil_coefficients(nu: float, moments=None) -> np.ndarray:
+    """3x4 table of substencil coefficients; row r covers offsets -3+r .. r.
+
+    `moments` are `_moments(nu)`, evaluated here when the caller has not.
+    """
+    m = _moments(nu) if moments is None else moments
+    return _SMALL_MONOMIALS @ m[:4]
 
 
-def linear_weights(nu: float) -> tuple[float, float, float]:
+def linear_weights(nu: float, moments=None, small=None) -> tuple[float, float, float]:
     """Weights (d0, d1, d2) combining the substencil rules into the quintic-exact
-    6-point rule; d1 = 1 - d0 - d2."""
-    m = _moments(nu)
-    small = _SMALL_MONOMIALS @ m[:4]
+    6-point rule; d1 = 1 - d0 - d2.
+
+    `moments` and the substencil table `small` at nu are evaluated here when
+    the caller has not.
+    """
+    m = _moments(nu) if moments is None else moments
+    small = small_stencil_coefficients(nu, m) if small is None else small
     ends = _END_MONOMIALS @ m
     d0, d2 = float(ends[0] / small[0, 0]), float(ends[1] / small[2, 3])
     return d0, 1.0 - d0 - d2, d2
@@ -95,60 +110,109 @@ class CoefTables(NamedTuple):
 
 
 def coef_tables(nu: float) -> CoefTables:
-    """Build the substencil table and the linear weights once, and the 6-point
-    linear coefficients from them."""
-    cs = small_stencil_coefficients(nu)
-    d = linear_weights(nu)
+    """Evaluate the moments once, build the substencil table and the linear
+    weights from them, and the 6-point linear coefficients from those."""
+    m = _moments(nu)
+    cs = small_stencil_coefficients(nu, m)
+    d = linear_weights(nu, m, cs)
     out = np.zeros(6)
     for r in range(3):
         out[r:r + 4] += d[r] * cs[r]
     return CoefTables(cs, d, out)
 
 
-def smoothness_indicators(window):
-    """Smoothness indicators (SI0, SI1, SI2) of one six-value window.
-
-    `window` is a sequence of six arrays (or scalars) w0..w5 holding
-    v_{i-3} .. v_{i+2}; broadcasting applies across grid/batch dimensions.
-    Each indicator combines the squared third difference, a squared
-    second-difference combination, and the squared cell jump, and vanishes
-    exactly on linear data.
-    """
-    w0, w1, w2, w3, w4, w5 = window
-    jump = (w2 - w3) ** 2
-    si0 = (781.0 / 720.0) * (-w0 + 3 * w1 - 3 * w2 + w3) ** 2 \
-        + (13.0 / 48.0) * (w0 - 5 * w1 + 7 * w2 - 3 * w3) ** 2 + jump
-    si1 = (781.0 / 720.0) * (-w1 + 3 * w2 - 3 * w3 + w4) ** 2 \
-        + (13.0 / 48.0) * (w1 - w2 - w3 + w4) ** 2 + jump
-    si2 = (781.0 / 720.0) * (-w2 + 3 * w3 - 3 * w4 + w5) ** 2 \
-        + (13.0 / 48.0) * (-3 * w2 + 7 * w3 - 5 * w4 + w5) ** 2 + jump
-    return si0, si1, si2
+def _stencil_sum(flat, coefs, first: int, out, tmp):
+    """sum(c_j * flat[first + j:] for c_j in coefs), cut to out's length,
+    into out; tmp is a work array of out's length.  Like Python's sum() it
+    starts from 0, so a leading -0.0 product becomes 0.0."""
+    n = len(out)
+    np.multiply(flat[first:first + n], coefs[0], out=out)
+    out += 0.0
+    for j in range(1, len(coefs)):
+        np.multiply(flat[first + j:first + j + n], coefs[j], out=tmp)
+        out += tmp
+    return out
 
 
-def nonlinear_weights(si, d, epsilon: float = WENO_EPSILON):
-    """Normalized nonlinear weights omega_r = (d_r/(eps+SI_r)^2) / sum."""
-    raw = [d[r] / (epsilon + si[r]) ** 2 for r in range(3)]
-    total = raw[0] + raw[1] + raw[2]
-    return raw[0] / total, raw[1] / total, raw[2] / total
+def weno_integrals(line, tables: CoefTables):
+    """WENO-5 local integrals from the padded line and the tables of
+    `coef_tables`.
 
+    line[..., i + m] holds v_{i-3+m} (m = 0..5) for the n nodes i, so it has
+    n + 5 entries along its last axis; the window w_m of node i is
+    line[..., m:m + n].  Returns (J, SI0, SI2); SI0/SI2 feed the oscillation
+    filter.  Each smoothness indicator combines the squared third difference,
+    a squared second-difference combination and the squared cell jump, and
+    vanishes exactly on linear data:
 
-def weno_integrals(window, tables: CoefTables):
-    """Vectorized WENO-5 local integrals from pre-gathered windows and the
-    tables of `coef_tables`.
+        SI0 = 781/720 (-w0 + 3w1 - 3w2 + w3)^2 + 13/48 (w0 - 5w1 + 7w2 - 3w3)^2 + J2
+        SI1 = 781/720 (-w1 + 3w2 - 3w3 + w4)^2 + 13/48 (w1 - w2 - w3 + w4)^2 + J2
+        SI2 = 781/720 (-w2 + 3w3 - 3w4 + w5)^2 + 13/48 (-3w2 + 7w3 - 5w4 + w5)^2 + J2
 
-    Returns (J, SI0, SI2); SI0/SI2 feed the oscillation filter.
+    with J2 = (w2 - w3)^2; the nonlinear weights are omega_r = d_r/(eps +
+    SI_r)^2 normalized to sum 1, and J = sum_r omega_r sum_j c^(r)_j w_{r+j}.
+    Every term is rounded as that textbook form rounds it, evaluated left to
+    right; SI1's and SI2's cubic terms are SI0's one and two nodes on, so they
+    are computed once, and the multiples 3v, 5v, 7v are formed once.
+
+    The rule runs along the flattened batch, where contiguous slices are
+    fastest: the last five nodes of each line then read into the next line,
+    and the returned arrays are views that leave them out.
     """
     cs, d = tables.small, tables.weights
-    cand = [sum(cs[r][j] * window[r + j] for j in range(4)) for r in range(3)]
-    si = smoothness_indicators(window)
-    om = nonlinear_weights(si, d)
-    J = om[0] * cand[0] + om[1] * cand[1] + om[2] * cand[2]
-    return J, si[0], si[2]
+    flat = line.reshape(-1)
+    m = flat.size - 5
+    w = [flat[j:j + m] for j in range(6)]
+    rows = [np.empty(line.shape) for _ in range(3)]
+    J, si0, si2 = (r.reshape(-1)[:m] for r in rows)
+    v3, v5, v7 = 3.0 * flat, 5.0 * flat, 7.0 * flat
+    np.subtract(w[0], v5[1:m + 1], out=si0)
+    si0 += v7[2:m + 2]
+    si0 -= v3[3:m + 3]
+    np.subtract(v7[3:m + 3], v3[2:m + 2], out=si2)
+    si2 -= v5[4:m + 4]
+    si2 += w[5]
+    del v5, v7
+    cubic = np.subtract(v3[1:m + 3], flat[:m + 2])
+    cubic -= v3[2:m + 4]
+    del v3
+    cubic += flat[3:m + 5]
+    np.square(cubic, out=cubic)
+    cubic *= 781.0 / 720.0
+    jump = np.subtract(w[2], w[3])
+    np.square(jump, out=jump)
+    si1 = np.subtract(w[1], w[2])
+    si1 -= w[3]
+    si1 += w[4]
+    for r, si in enumerate((si0, si1, si2)):
+        np.square(si, out=si)
+        si *= 13.0 / 48.0
+        si += cubic[r:r + m]
+        si += jump
+    # omega_0 goes into J, omega_1 over SI1 (not returned), omega_2 into cubic
+    si1 += WENO_EPSILON
+    om = (np.add(si0, WENO_EPSILON, out=J), si1, np.add(si2, WENO_EPSILON, out=cubic[:m]))
+    for w_r, d_r in zip(om, d):
+        np.square(w_r, out=w_r)
+        np.divide(d_r, w_r, out=w_r)
+    total = np.add(om[0], om[1], out=jump)
+    total += om[2]
+    for w_r in om:
+        w_r /= total
+    acc, tmp = jump, np.empty(m)
+    for r, w_r in enumerate(om):
+        w_r *= _stencil_sum(flat, cs[r], r, acc, tmp)
+    J += om[1]
+    J += om[2]
+    n = line.shape[-1] - 5
+    return rows[0][..., :n], rows[1][..., :n], rows[2][..., :n]
 
 
-def linear_integrals(window, tables: CoefTables):
-    """Vectorized 6-point linear local integrals from pre-gathered windows and
-    the tables of `coef_tables`."""
-    c = tables.linear
-    return sum(c[j] * window[j] for j in range(6))
-
+def linear_integrals(line, tables: CoefTables):
+    """6-point linear local integrals sum_j c_j w_j from the padded line of
+    `weno_integrals`, along the flattened batch as there."""
+    flat = line.reshape(-1)
+    m = flat.size - 5
+    out = np.empty(line.shape)
+    _stencil_sum(flat, tables.linear, 0, out.reshape(-1)[:m], np.empty(m))
+    return out[..., :line.shape[-1] - 5]

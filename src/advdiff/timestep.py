@@ -1,7 +1,7 @@
 """Explicit SSP Runge-Kutta time integration of u_t = H[u], in 1D and 2D.
 
-The kernel parameters inside H depend on the step size, so H is rebuilt for
-every step (including the truncated final step).  Stage combinations are the
+The kernel parameters inside H depend on the step size, so they are built
+once per step (including the truncated final step) and shared by its stages.  Stage combinations are the
 classic convex forms:
 
     k=1:  u + dt H[u]
@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import (Boundary, Grid1D, Grid2D, ProblemSpec, ProblemSpec2D,
                    SchemeConfig, SolutionField, compute_bounds, compute_dt)
-from .operator import build_H
+from .operator import build_H, kernel_families
 
 #: relative slack when deciding whether the target time is reached
 TIME_TOL = 1e-12
@@ -92,8 +92,9 @@ def advance(u0: SolutionField, T: float, problem: ProblemSpec | ProblemSpec2D,
         dt = compute_dt(config, bounds, grid)
         limit = marks[0] if marks else T
         dt = min(dt, limit - u.time)
+        families = kernel_families(config, bounds, dt, grid)
         u = rk_step(u, dt, config.order,
-                    lambda v: build_H(v, problem, config, bounds, dt, grid))
+                    lambda v: build_H(v, problem, config, bounds, dt, grid, families))
         while marks and u.time >= marks[0] - tol:
             snaps[marks.pop(0)] = u.copy()
     if snapshot_times is not None:

@@ -3,9 +3,9 @@ import pytest
 
 from advdiff import (Boundary, KernelParams, build_grid_1d, kernelops,
                      local_integrals, sweep_left)
-from advdiff.core import shifted
-from advdiff.kernelops import (_d_pair, boundary_coefficients, d_chain_pair,
-                               d_chain_zero)
+from advdiff.core import padded, shifted
+from advdiff.kernelops import (_d_pair, _d_zero, boundary_coefficients,
+                               d_chain_pair, d_chain_zero)
 from advdiff.quadrature import LINEAR6, WENO5
 from conftest import direct_sweep_left, direct_sweep_right, exp_cell_integral
 
@@ -326,14 +326,23 @@ def test_L_inverse_property_one_sided(side, rng):
     assert np.max(np.abs(residual)) < 1e-6
 
 
+def _wrap(bc, n):
+    """Index rule past the ends: wrapped by np.mod (period n, so node N reads
+    node 0's neighbours) or clamped by np.clip."""
+    return (lambda idx: np.mod(idx, n)) if bc is PER else (lambda idx: np.clip(idx, 0, n))
+
+
+def fancy_index_padded(v, bc, lo, hi):
+    """Reference gather of the padded line: v[..., idx], idx = lo..N+hi."""
+    n = v.shape[-1] - 1
+    return v[..., _wrap(bc, n)(np.arange(lo, n + 1 + hi))]
+
+
 def fancy_index_shifts(v, bc, lo, hi):
-    """Reference gather: w_m = v[..., idx + m], m = lo..hi, with the index
-    wrapped by np.mod (period n, so node N reads node 0's neighbours) or
-    clamped by np.clip."""
+    """Reference gather: w_m = v[..., idx + m], m = lo..hi."""
     n = v.shape[-1] - 1
     base = np.arange(n + 1)
-    wrap = (lambda idx: np.mod(idx, n)) if bc is PER else (lambda idx: np.clip(idx, 0, n))
-    return [v[..., wrap(base + m)] for m in range(lo, hi + 1)]
+    return [v[..., _wrap(bc, n)(base + m)] for m in range(lo, hi + 1)]
 
 
 @pytest.mark.parametrize("shape", [(7,), (42,), (7, 34)])
@@ -345,6 +354,7 @@ def test_padded_windows_match_fancy_index_gather(swap, mode, bc, shape, rng, mon
     v, w = rng.standard_normal((2, *shape))
     # the quadrature windows, then the filter's neighbours of sigma_L and sigma_R
     for lo, hi in ((-3, 2), (0, 1), (-1, 0)):
+        assert padded(v, bc, lo, hi).tobytes() == fancy_index_padded(v, bc, lo, hi).tobytes()
         got, ref = shifted(v, bc, lo, hi), fancy_index_shifts(v, bc, lo, hi)
         assert len(got) == len(ref) == hi - lo + 1
         assert all(a.tobytes() == b.tobytes() for a, b in zip(got, ref))
@@ -353,7 +363,7 @@ def test_padded_windows_match_fancy_index_gather(swap, mode, bc, shape, rng, mon
     p = params_for(3.0, build_grid_1d(0.0, 1.0, shape[-1] - 1))
     data = (w, v) if swap else (v, w)
     got = _d_pair(*data, p, bc, mode)
-    monkeypatch.setattr(kernelops, "shifted", fancy_index_shifts)
+    monkeypatch.setattr(kernelops, "padded", fancy_index_padded)
     ref = _d_pair(*data, p, bc, mode)
     assert (got[2] is None) == (ref[2] is None) == (mode == LINEAR6)
     flat = lambda out: [out[0], out[1], *(out[2] or ()), *(out[3] or ())]
@@ -376,3 +386,23 @@ def test_periodic_left_output_is_independent_of_the_right_input(mode, rng):
         assert all(a.tobytes() == b.tobytes() for a, b in zip(si_l, osi_l))
     else:
         assert si_l is None and osi_l is None
+
+
+@pytest.mark.parametrize("shape", [(41,), (5, 41)])
+@pytest.mark.parametrize("bc", [PER, HOM])
+@pytest.mark.parametrize("mode", [WENO5, LINEAR6])
+def test_primitives_leave_their_inputs_unchanged(mode, bc, shape, rng):
+    # the kernels work in place in arrays they made, never in their inputs
+    p = params_for(3.0, build_grid_1d(0.0, 1.0, shape[-1] - 1))
+    vl, vr = rng.standard_normal((2, *shape))
+    keep = vl.tobytes(), vr.tobytes()
+    unchanged = lambda: (vl.tobytes(), vr.tobytes()) == keep
+    _d_pair(vl, vr, p, bc, mode)
+    assert unchanged()
+    _d_pair(vl, vl, p, bc, mode)
+    assert unchanged()
+    _d_zero(vr, p, bc, mode)
+    assert unchanged()
+    local_integrals(vl, p, mode, bc)
+    local_integrals(vr[..., ::-1], p, mode, bc)
+    assert unchanged()

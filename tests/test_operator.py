@@ -6,6 +6,7 @@ from advdiff import quadrature as qd
 from advdiff import (Boundary, ProblemSpec, ProblemSpec2D, SchemeConfig,
                      WaveBounds, build_grid_1d, build_grid_2d, build_H,
                      compute_bounds, flux_split, initial_field_2d)
+from advdiff.operator import kernel_families
 
 PER = Boundary.PERIODIC
 HOM = Boundary.HOMOGENEOUS
@@ -216,7 +217,7 @@ def test_coefficient_tables_built_once_per_family(bc, monkeypatch):
     calls = []
     build = qd.small_stencil_coefficients
     monkeypatch.setattr(qd, "small_stencil_coefficients",
-                        lambda nu: calls.append(nu) or build(nu))
+                        lambda nu, *rest: calls.append(nu) or build(nu, *rest))
     config = SchemeConfig(order=3, beta=0.2)
     assert config.quadrature == qd.WENO5 and config.filter_enabled and config.cross_term_k3
     grid = build_grid_1d(-np.pi, np.pi, 64)
@@ -235,3 +236,38 @@ def test_coefficient_tables_built_once_per_family(bc, monkeypatch):
     u2 = initial_field_2d(prob2, grid2).values
     build_H(u2, prob2, config, (b, b), dt=0.01, grid=grid2)
     assert 1 <= len(calls) <= 4
+
+
+@pytest.mark.parametrize("quadrature", [qd.WENO5, qd.LINEAR6])
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("bc", [PER, HOM])
+def test_build_H_is_pure(bc, order, quadrature, rng):
+    # f(u) = u and g(u) = u hand u itself to the flux split and the diffusion
+    # chain; the operator's in-place sums may write only into arrays it made
+    ident = lambda u: u
+    ones = lambda u: np.ones_like(u)
+    prob1 = ProblemSpec(flux=ident, flux_deriv=ones, diffusion=ident,
+                        diffusion_deriv=ones, initial=None, bc=bc)
+    prob2 = ProblemSpec2D(f1=ident, f1_deriv=ones, g1=ident, g1_deriv=ones,
+                          f2=ident, f2_deriv=ones, g2=ident, g2_deriv=ones,
+                          initial=None, bc=bc)
+    config = SchemeConfig(order=order, beta=0.3, quadrature=quadrature)
+    b = WaveBounds(c=1.0, b_diff=1.0)
+    u1 = rng.standard_normal(41)
+    u2 = rng.standard_normal((19, 25))
+    if bc is PER:
+        u1[-1] = u1[0]
+        u2[-1], u2[:, -1] = u2[0], u2[:, 0]
+    cases = ((prob1, build_grid_1d(-1.0, 1.0, 40), u1, b),
+             (prob2, build_grid_2d(-1.0, 1.0, 24, -1.0, 1.0, 18), u2, (b, b)))
+    for prob, grid, u, bounds in cases:
+        keep = u.copy()
+        h = build_H(u, prob, config, bounds, dt=0.02, grid=grid)
+        assert u.tobytes() == keep.tobytes()
+        again = build_H(u, prob, config, bounds, dt=0.02, grid=grid)
+        assert again.tobytes() == h.tobytes()
+        families = kernel_families(config, bounds, 0.02, grid)
+        for _ in range(2):  # one step's stages share the families
+            shared = build_H(u, prob, config, bounds, 0.02, grid, families)
+            assert shared.tobytes() == h.tobytes()
+        assert u.tobytes() == keep.tobytes()

@@ -1,9 +1,15 @@
+import tracemalloc
+
 import mpmath as mp
 import numpy as np
 import pytest
 
+from advdiff import Boundary
 from advdiff import quadrature as qd
-from conftest import exp_cell_integral, window_values
+from advdiff.core import padded, shifted
+from advdiff.filtering import xi
+from conftest import (exp_cell_integral, nonlinear_weights, smoothness_indicators,
+                      textbook_linear, textbook_weno, textbook_xi, window_values)
 
 NU_SET = (0.01, 0.1, 1.0, 10.0)
 
@@ -128,19 +134,21 @@ def test_small_stencil_rejects_bad_nu():
 
 
 def test_smoothness_indicators_constant_window():
-    si = qd.smoothness_indicators([np.float64(3.5)] * 6)
+    si = smoothness_indicators([np.float64(3.5)] * 6)
     assert si == (0.0, 0.0, 0.0)
+    _, si0, si2 = qd.weno_integrals(np.full(6, 3.5), qd.coef_tables(1.0))
+    assert si0 == 0.0 and si2 == 0.0
 
 
 def test_smoothness_indicators_linear_window():
     # unit slope: only the cell-jump term survives
-    si = qd.smoothness_indicators([np.float64(j) for j in range(6)])
+    si = smoothness_indicators([np.float64(j) for j in range(6)])
     assert si == pytest.approx((1.0, 1.0, 1.0), abs=1e-14)
 
 
 def test_smoothness_indicators_step_window():
     w = [np.float64(v) for v in (0, 0, 0, 1, 1, 1)]
-    si0, si1, si2 = qd.smoothness_indicators(w)
+    si0, si1, si2 = smoothness_indicators(w)
     # direct evaluation of the three closed forms
     assert si0 == pytest.approx(781 / 720 + 13 * 9 / 48 + 1)
     assert si1 == pytest.approx(781 / 720 * 4 + 1)
@@ -148,25 +156,25 @@ def test_smoothness_indicators_step_window():
     # substencils holding the jump are flagged much rougher than a shifted
     # window whose substencil 2 is entirely on the flat part
     w_shift = [np.float64(v) for v in (0, 0, 1, 1, 1, 1)]
-    s0, _, s2 = qd.smoothness_indicators(w_shift)
+    s0, _, s2 = smoothness_indicators(w_shift)
     assert s2 == 0.0 and s0 > 1.0
 
 
 def test_nonlinear_weights_equal_si_gives_linear():
     d = qd.linear_weights(0.8)
-    om = qd.nonlinear_weights((0.3, 0.3, 0.3), d)
+    om = nonlinear_weights((0.3, 0.3, 0.3), d)
     assert om == pytest.approx(d, rel=1e-14)
 
 
 def test_nonlinear_weights_example():
-    om = qd.nonlinear_weights((0.0, 0.0, 1e3), (0.3, 0.5, 0.2), epsilon=1e-6)
+    om = nonlinear_weights((0.0, 0.0, 1e3), (0.3, 0.5, 0.2), epsilon=1e-6)
     assert om[0] == pytest.approx(0.375, rel=1e-9)
     assert om[1] == pytest.approx(0.625, rel=1e-9)
     assert om[2] == pytest.approx(2.5e-19, rel=1e-6)
 
 
 def test_nonlinear_weights_degenerate_d():
-    om = qd.nonlinear_weights((5.0, 0.1, 7.0), (1.0, 0.0, 0.0))
+    om = nonlinear_weights((5.0, 0.1, 7.0), (1.0, 0.0, 0.0))
     assert om == (1.0, 0.0, 0.0)
 
 
@@ -174,16 +182,17 @@ def test_nonlinear_weights_convexity(rng):
     for _ in range(50):
         si = rng.uniform(0, 10, size=3)
         d = qd.linear_weights(float(rng.uniform(0.01, 20)))
-        om = qd.nonlinear_weights(tuple(si), d)
+        om = nonlinear_weights(tuple(si), d)
         assert abs(sum(om) - 1) < 1e-13
         assert all(0 <= w <= 1 for w in om)
 
 
 def test_weno_constant_window_exact():
     for nu in NU_SET:
-        J, si0, si2 = qd.weno_integrals([1.0] * 6, qd.coef_tables(nu))
-        assert J == pytest.approx(-np.expm1(-nu), rel=1e-13)
-        assert si0 == 0.0 and si2 == 0.0
+        J, si0, si2 = qd.weno_integrals(np.ones(6), qd.coef_tables(nu))
+        assert J.shape == (1,)
+        assert J[0] == pytest.approx(-np.expm1(-nu), rel=1e-13)
+        assert si0[0] == 0.0 and si2[0] == 0.0
 
 
 def test_weno_matches_linear_on_smooth_quintic(rng):
@@ -192,11 +201,11 @@ def test_weno_matches_linear_on_smooth_quintic(rng):
     # smooth, slowly varying data: quintic sampled at dx-scaled offsets
     dx = 0.02
     poly = np.polynomial.Polynomial(coefs)
-    win = window_values(lambda s: poly(float(s) * dx))
+    line = np.array(window_values(lambda s: poly(float(s) * dx)))
     tables = qd.coef_tables(nu)
-    J_w, _, _ = qd.weno_integrals(win, tables)
-    J_l = float(qd.linear_integrals([np.float64(w) for w in win], tables))
-    assert J_w == pytest.approx(J_l, rel=1e-8, abs=1e-12)
+    J_w, _, _ = qd.weno_integrals(line, tables)
+    J_l = qd.linear_integrals(line, tables)
+    assert J_w[0] == pytest.approx(J_l[0], rel=1e-8, abs=1e-12)
 
 
 def test_right_orientation_mirrors_left(rng):
@@ -210,6 +219,59 @@ def test_right_orientation_mirrors_left(rng):
     v = rng.uniform(-1, 1, size=25)
     JR = local_integrals(v[::-1], p, qd.WENO5, Boundary.PERIODIC)[0][::-1]
     for i in (5, 12, 20):
-        mirrored = [v[i + 3], v[i + 2], v[i + 1], v[i], v[i - 1], v[i - 2]]
+        mirrored = v[i - 2:i + 4][::-1]
         J_mirror, _, _ = qd.weno_integrals(mirrored, qd.coef_tables(nu))
-        assert JR[i] == pytest.approx(J_mirror, rel=1e-13)
+        assert JR[i] == pytest.approx(J_mirror[0], rel=1e-13)
+
+
+def _oracle_data(kind, shape, rng):
+    if kind == "random":
+        return rng.standard_normal(shape)
+    # levels repeating every 16 nodes, each line but the first starting at a
+    # random node; the first six are zeros signed opposite to the rules'
+    # coefficients (+ - + + - +), so every product is -0.0
+    pattern = np.array([-0.0, 0.0, -0.0, -0.0, 0.0, -0.0, 1.0, 1.0,
+                        0.0, 0.0, -0.0, -0.0, -2.5, -2.5, 3.0, 3.0])
+    starts = rng.integers(0, 16, size=shape[:-1] + (1,))
+    starts.flat[0] = 0
+    return pattern[(starts + np.arange(shape[-1])) % 16]
+
+
+@pytest.mark.parametrize("shape", [(7,), (42,), (7, 34), (201, 201)])
+@pytest.mark.parametrize("bc", [Boundary.PERIODIC, Boundary.HOMOGENEOUS])
+@pytest.mark.parametrize("kind", ["random", "piecewise_constant"])
+def test_rules_equal_textbook_forms_bytewise(kind, bc, shape, rng):
+    # the in-place rules on the padded line against one expression per
+    # formula on the six windows (sum() starting from 0 included, which
+    # turns a leading -0.0 product into 0.0)
+    v = _oracle_data(kind, shape, rng)
+    if kind != "random":
+        assert np.all(np.any(np.signbit(v) & (v == 0.0), axis=-1))
+    line, window = padded(v, bc, -3, 2), shifted(v, bc, -3, 2)
+    same = lambda a, b: a.shape == b.shape and a.tobytes() == b.tobytes()
+    for nu in NU_SET:
+        tables = qd.coef_tables(nu)
+        got, ref = qd.weno_integrals(line, tables), textbook_weno(window, tables)
+        assert all(same(a, b) for a, b in zip(got, ref))
+        assert same(qd.linear_integrals(line, tables), textbook_linear(window, tables))
+        assert same(xi(got[1], got[2]), textbook_xi(ref[1], ref[2]))
+    assert same(xi(got[1][..., ::-1], got[2]), textbook_xi(ref[1][..., ::-1], ref[2]))
+
+
+def test_weno_peak_allocation_is_pinned(rng):
+    # one 2D-sized WENO call on a (201, 207) padded batch: the outputs J, SI0
+    # and SI2 (rows as wide as the padded line) plus a handful of work arrays,
+    # 7.18 field-sizes when pinned (13.0 when every term made its own
+    # temporaries)
+    line = rng.standard_normal((201, 207))
+    tables = qd.coef_tables(0.7)
+    field = 201 * 202 * 8
+    tracemalloc.start()
+    try:
+        out = qd.weno_integrals(line, tables)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [a.shape for a in out] == [(201, 202)] * 3
+    assert retained / field == pytest.approx(3 * 207 / 202, abs=0.01)
+    assert peak / field <= 7.4
