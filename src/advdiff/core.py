@@ -11,11 +11,12 @@ constant near the boundary).  A 2D problem is one such law per axis; grids
 and problems expose their per-axis parts as `axes`, so the stepping driver
 and the operator treat 1D as one axis and 2D as two.
 
+A periodic field enters and leaves the solver on the grid's N+1 nodes, node N
+repeating node 0; the solver evolves its N unique nodes (`unique_nodes`).
 Data past the ends is read by one rule: `padded` extends the last axis by
-wrapping periodic data over its N unique nodes and repeating other data's end
-values, and `shifted` returns the neighbour views v_{i+m} as slices of that
-one padded array.  The quadrature rules read the padded line itself, the
-filter reads its slices.
+wrapping periodic data and repeating other data's end values, and `shifted`
+returns the neighbour views v_{i+m} as slices of that one padded array.  The
+quadrature rules read the padded line itself, the filter reads its slices.
 """
 
 from __future__ import annotations
@@ -51,9 +52,6 @@ class Grid1D:
     dx: float
     nodes: np.ndarray
 
-    def __len__(self):
-        return self.n_cells + 1
-
     @property
     def axes(self) -> tuple:
         return (self,)
@@ -86,20 +84,29 @@ def build_grid_2d(ax: float, bx: float, nx: int, ay: float, by: float, ny: int) 
     return Grid2D(gx=build_grid_1d(ax, bx, nx), gy=build_grid_1d(ay, by, ny))
 
 
-def padded(v: np.ndarray, bc: Boundary, lo: int, hi: int) -> np.ndarray:
-    """v_{i} for i = lo..N+hi (lo <= 0 <= hi) along the last axis: a new array
-    padded by -lo nodes before and hi after.
+def unique_nodes(values: np.ndarray, bc: Boundary):
+    """The nodes of a grid field that the solver evolves, and the rule that
+    restores the grid's layout: periodic data drops node N of every axis,
+    which repeats node 0, and the rule appends node 0 again; other data keeps
+    its nodes, and the rule copies them."""
+    if bc is not Boundary.PERIODIC:
+        return values, np.copy
+    return values[(slice(-1),) * values.ndim], lambda v: np.pad(v, (0, 1), mode="wrap")
 
-    Periodic data wraps over its n unique nodes (node N repeats node 0, so it
-    reads node 0's neighbours), other data repeats its end values.
+
+def padded(v: np.ndarray, bc: Boundary, lo: int, hi: int) -> np.ndarray:
+    """v_{i} for i = lo..n-1+hi (lo <= 0 <= hi), n = v.shape[-1], along the
+    last axis: a new array padded by -lo nodes before and hi after.
+
+    Periodic data wraps around its n nodes, other data repeats its end values.
     """
-    n = v.shape[-1] - 1
+    n = v.shape[-1]
     if bc is Boundary.PERIODIC:
-        return np.concatenate((v[..., n + lo:n], v[..., :n], v[..., :hi + 1]), axis=-1)
-    ext = np.empty(v.shape[:-1] + (n + 1 + hi - lo,), dtype=v.dtype)
+        return np.concatenate((v[..., n + lo:], v, v[..., :hi]), axis=-1)
+    ext = np.empty(v.shape[:-1] + (n + hi - lo,), dtype=v.dtype)
     ext[..., :-lo] = v[..., :1]
-    ext[..., -lo:n + 1 - lo] = v
-    ext[..., n + 1 - lo:] = v[..., -1:]
+    ext[..., -lo:n - lo] = v
+    ext[..., n - lo:] = v[..., -1:]
     return ext
 
 
@@ -184,9 +191,6 @@ class SchemeConfig:
 class SolutionField:
     values: np.ndarray
     time: float = 0.0
-
-    def copy(self) -> "SolutionField":
-        return SolutionField(values=self.values.copy(), time=self.time)
 
 
 def initial_field_2d(problem: ProblemSpec2D, grid: Grid2D, t0: float = 0.0) -> SolutionField:

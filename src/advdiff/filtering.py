@@ -40,6 +40,6 @@ def xi(si0, si2, epsilon: float = WENO_EPSILON):
 def sigma_fields(xi_left: np.ndarray, xi_right: np.ndarray, bc: Boundary):
     """Damping factors: sigma_L,i = min(xi_i, xi_{i+1}) from the left-pass xi,
     sigma_R,i = min(xi_{i-1}, xi_i) from the right-pass xi, with neighbours
-    past the ends read as the quadrature windows read them (core.shifted), so
-    periodic node N gets node 0's factors."""
+    past the ends read as the quadrature windows read them (core.shifted):
+    wrapped around periodic data, the end values of other data."""
     return np.minimum(*shifted(xi_left, bc, 0, 1)), np.minimum(*shifted(xi_right, bc, -1, 0))

@@ -11,18 +11,21 @@ d/dx (one-sided families) and d^2/dx^2 (symmetric family).
 Convolutions are evaluated from per-cell local integrals J by the O(N)
 recursion (a linear recurrence filter)
 
-    I^L_i = I^L_{i-1} e^{-nu} + J^L_i,   I^L_0 = 0.
+    I^L_i = I^L_{i-1} e^{-nu} + J^L_i,   I^L_{-1} = 0,
 
-The right kernel is the left one reflected in space, so I^R (I^R_N = 0) and
-its smoothness pair are the left path run on the reversed data and reversed
-back.  The six quadrature windows are slices of one line padded past the
-ends by `core.padded`, the extension rule the filter shares through
-`core.shifted`.  The one primitive, `_d_pair`, applies D_L and D_R; D_0 =
-(D_L + D_R)/2 is half a pair difference, (D_L[v] - D_R[-v])/2, so one closure
-rule serves all three families: periodic closures match the end values of D,
-and homogeneous ones close the pair jointly so D_L[v1] - D_R[v2] (for D_0,
-D_0 itself) vanishes at both ends.  Each stage writes its sums into arrays it
-made (the sweeps' outputs and spent integrals), never into its inputs.
+from the cell J_0 left of node 0 on: the wrap cell of periodic data, which
+holds its N unique nodes, or the ghost cell of other data, counted as 0.  The
+right kernel is the left one reflected in space, so I^R and its smoothness
+pair are the left path run on the reversed data and reversed back.  The six
+quadrature windows are slices of one line padded past the ends by
+`core.padded`, the extension rule the filter shares through `core.shifted`.
+The one primitive, `_d_pair`, applies D_L and D_R; D_0 = (D_L + D_R)/2 is
+half a pair difference, (D_L[v] - D_R[-v])/2, so one closure rule serves all
+three families: periodic closures add each sweep's periodic images (a
+circulant convolution), and homogeneous ones close the pair jointly so
+D_L[v1] - D_R[v2] (for D_0, D_0 itself) vanishes at both ends.  Each stage
+writes its sums into arrays it made (the sweeps' outputs and spent
+integrals), never into its inputs.
 
 All array operations act along the last axis, so a leading batch dimension
 (used for 2D line sweeps) comes for free.
@@ -74,9 +77,9 @@ class KernelParams:
 
 
 def local_integrals(v: np.ndarray, params: KernelParams, mode: str, bc: Boundary):
-    """Per-cell local integrals J_i over [x_{i-1}, x_i], anchored at x_i (entry
-    0 unused), from the six windows v_{i-3..i+2} of the padded line; returns
-    (J, si0, si2), the smoothness pair being None in linear mode."""
+    """Per-cell local integrals J_i over [x_{i-1}, x_i] (J_0: the wrap or ghost
+    cell), anchored at x_i, from the six windows v_{i-3..i+2} of the padded
+    line; returns (J, si0, si2), the smoothness pair None in linear mode."""
     line = padded(v, bc, -3, 2)
     if mode == WENO5:
         return quadrature.weno_integrals(line, params.tables)
@@ -86,12 +89,7 @@ def local_integrals(v: np.ndarray, params: KernelParams, mode: str, bc: Boundary
 
 
 def sweep_left(J: np.ndarray, params: KernelParams) -> np.ndarray:
-    """I_0 = 0; I_i = I_{i-1} e^{-nu} + J_i.  O(N) via a linear recurrence.
-
-    J's unused entry 0 is set to 0.0 in place, which starts the recurrence
-    at I_0 = 0.
-    """
-    J[..., 0] = 0.0
+    """I_i = I_{i-1} e^{-nu} + J_i from J_0 on.  O(N) via a linear recurrence."""
     return lfilter([1.0], [1.0, -np.exp(-params.nu)], J, axis=-1)
 
 
@@ -120,12 +118,18 @@ def _d_pair(vl, vr, params: KernelParams, bc: Boundary, mode: str):
     """
     JL, *si_l = local_integrals(vl, params, mode, bc)
     JR, *si_r = local_integrals(vr[..., ::-1], params, mode, bc)
+    periodic = bc is Boundary.PERIODIC
+    if not periodic:
+        # the ghost cells left of each sweep's start lie outside the domain
+        JL[..., 0] = JR[..., 0] = 0.0
     IL = sweep_left(JL, params)
     IR_rev = sweep_left(JR, params)
     IR = IR_rev[..., ::-1]
-    if bc is Boundary.PERIODIC:
-        # each closure reads the far end of its own sweep (I^L_0 = I^R_N = 0)
+    if periodic:
+        # circulant: each sweep from J_0 covers one period, and the images of
+        # the earlier periods add A q^(i+1), A read at the sweep's far end
         a_l, b_r = boundary_coefficients(bc, params.mu, IR[..., 0], IL[..., -1])
+        profile = params.e_left[1:]
     else:
         # D_L[vl] - D_R[vr] = 0 at both ends is the homogeneous system in
         # (A_L, -B_R) with these end values
@@ -133,13 +137,14 @@ def _d_pair(vl, vr, params: KernelParams, bc: Boundary, mode: str):
                                          (vr[..., 0] - vl[..., 0]) - IR[..., 0],
                                          (vr[..., -1] - vl[..., -1]) + IL[..., -1])
         b_r = -b_r
+        profile = params.e_left
     # D = v - (I + edge term), formed in the sweeps' arrays with the spent
     # J^L holding the edge terms; D_R in the reversed frame of its sweep,
-    # where its edge profile is e_left
-    edge = np.multiply(np.asarray(a_l)[..., None], params.e_left, out=JL)
+    # where its edge profile is the left one
+    edge = np.multiply(np.asarray(a_l)[..., None], profile, out=JL)
     IL += edge
     dl = np.subtract(vl, IL, out=IL)
-    np.multiply(np.asarray(b_r)[..., None], params.e_left, out=edge)
+    np.multiply(np.asarray(b_r)[..., None], profile, out=edge)
     IR_rev += edge
     np.subtract(vr[..., ::-1], IR_rev, out=IR_rev)
     dr = IR

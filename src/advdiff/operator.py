@@ -24,8 +24,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import (DEGENERATE_TOL, Grid1D, Grid2D, ProblemSpec, ProblemSpec2D,
-                   SchemeConfig, WaveBounds, per_axis)
+from .core import (DEGENERATE_TOL, Boundary, Grid1D, Grid2D, ProblemSpec,
+                   ProblemSpec2D, SchemeConfig, WaveBounds, per_axis)
 from .filtering import sigma_fields, xi
 from .kernelops import KernelParams, _d_zero, d_chain_pair, d_chain_zero
 from .quadrature import LINEAR6
@@ -57,8 +57,8 @@ def kernel_families(config: SchemeConfig, bounds, dt: float, grid: Grid1D | Grid
     return tuple(families)
 
 
-def _convection(u, problem, config, bounds, params, bc):
-    k = config.order
+def _convection(u, problem, config, bounds, params):
+    k, bc = config.order, problem.bc
     fplus, fminus = flux_split(problem, u, bounds)
     chain_l, chain_r, si_l, si_r = d_chain_pair(
         fplus, fminus, params, bc, k, mode_first=config.quadrature)
@@ -83,8 +83,8 @@ def _convection(u, problem, config, bounds, params, bc):
     return h
 
 
-def _diffusion(u, problem, config, params, bc):
-    chain = d_chain_zero(problem.diffusion(u), params, bc, config.order,
+def _diffusion(u, problem, config, params):
+    chain = d_chain_zero(problem.diffusion(u), params, problem.bc, config.order,
                          mode_first=config.quadrature)
     h = chain[0]
     h += 0.0  # sum() starts from 0, and 0 + -0.0 is 0.0
@@ -102,12 +102,18 @@ def build_H(u: np.ndarray, problem: ProblemSpec | ProblemSpec2D, config: SchemeC
     WaveBounds in 1D).  families is `kernel_families(config, bounds, dt,
     grid)`, built here when not given; a caller that evaluates several stages
     of one step passes it, so each family builds its tables once per step.
-    On a (ny+1, nx+1) field the x-sweeps treat the rows as a batch and the
-    y-sweeps run on the transposed field; both are evaluated from the same
-    input field and summed.
+    u holds N nodes per periodic axis (core.unique_nodes), N+1 otherwise; the
+    x-sweeps treat the rows of a 2D field as a batch and the y-sweeps run on
+    the transposed field; both are evaluated from the same input field and
+    summed.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
+    end_node = int(problem.bc is not Boundary.PERIODIC)
+    expected = tuple(g.n_cells + end_node for g in reversed(grid.axes))
+    if np.shape(u) != expected:
+        raise ValueError(f"expected a field of shape {expected} for {problem.bc.value} "
+                         f"data on this grid, got shape {np.shape(u)}")
     if families is None:
         families = kernel_families(config, bounds, dt, grid)
     h = np.zeros_like(u)
@@ -117,8 +123,8 @@ def build_H(u: np.ndarray, problem: ProblemSpec | ProblemSpec2D, config: SchemeC
         v = np.ascontiguousarray(u.T) if axis else u
         hv = np.zeros_like(v)
         if conv is not None:
-            hv += _convection(v, spec, config, b, conv, spec.bc)
+            hv += _convection(v, spec, config, b, conv)
         if diff is not None:
-            hv += _diffusion(v, spec, config, diff, spec.bc)
+            hv += _diffusion(v, spec, config, diff)
         h += hv.T if axis else hv
     return h

@@ -28,7 +28,7 @@ import numpy as np
 
 from .core import (DEGENERATE_TOL, Boundary, Grid1D, ProblemSpec, ProblemSpec2D,
                    SchemeConfig, SolutionField, build_grid_1d, build_grid_2d,
-                   compute_bounds, initial_field_2d, shifted)
+                   compute_bounds, initial_field_2d, shifted, unique_nodes)
 from .operator import flux_split
 from .timestep import advance
 
@@ -307,7 +307,7 @@ def reference_solution(case: BenchmarkCase, T: Optional[float] = None,
     T = case.t_final if T is None else T
     grid = case.build_grid(n_ref)
     prob = case.spec
-    u = np.asarray(prob.initial(grid.nodes), dtype=float)
+    u, restore = unique_nodes(np.asarray(prob.initial(grid.nodes), dtype=float), prob.bc)
     bounds = compute_bounds(prob, u)
     c, b = bounds.c, bounds.b_diff
     dx = grid.dx
@@ -326,9 +326,7 @@ def reference_solution(case: BenchmarkCase, T: Optional[float] = None,
              - dt / dx * (fm_right - fm)
              + dt / dx ** 2 * (g_right - 2.0 * g + g_left))
         t += dt
-    if prob.bc is Boundary.PERIODIC:
-        u[-1] = u[0]  # node N repeats node 0; its own update is never read
-    return grid, SolutionField(values=u, time=t)
+    return grid, SolutionField(values=restore(u), time=t)
 
 
 # ---------------------------------------------------------------------------

@@ -16,15 +16,15 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import (Boundary, Grid1D, Grid2D, ProblemSpec, ProblemSpec2D,
-                   SchemeConfig, SolutionField, compute_bounds, compute_dt)
+from .core import (Boundary, Grid1D, Grid2D, ProblemSpec, ProblemSpec2D, SchemeConfig,
+                   SolutionField, compute_bounds, compute_dt, unique_nodes)
 from .operator import build_H, kernel_families
 
 #: relative slack when deciding whether the target time is reached
 TIME_TOL = 1e-12
 
-#: largest accepted gap max|u[..., N] - u[..., 0]| on a periodic axis,
-#: relative to max|u|: node N repeats node 0
+#: largest accepted gap max|u[..., N] - u[..., 0]| on a periodic axis of the
+#: input, relative to max|u|: node N repeats node 0 (core.unique_nodes)
 PERIODIC_TOL = 1e-12
 
 
@@ -65,7 +65,8 @@ def advance(u0: SolutionField, T: float, problem: ProblemSpec | ProblemSpec2D,
     Returns the final field, or (final, snapshots) when snapshot_times is
     given; snapshots maps each distinct requested time to a SolutionField.
     Snapshot times must lie in (u0.time, T], u0 must be finite, and on a
-    periodic axis the last node must repeat the first.
+    periodic axis the last node must repeat the first, as it does exactly in
+    every field returned.
     """
     if not np.isfinite(T):
         raise ValueError(f"target time must be finite, got {T}")
@@ -77,15 +78,16 @@ def advance(u0: SolutionField, T: float, problem: ProblemSpec | ProblemSpec2D,
         raise ValueError(f"snapshot times {outside} lie outside ({u0.time:g}, {T:g}]")
     if not np.all(np.isfinite(u0.values)):
         raise ValueError("initial data u0 holds non-finite values")
-    scale = PERIODIC_TOL * np.max(np.abs(u0.values))
-    for name, spec in zip("xy", problem.axes):
-        v = u0.values.T if name == "y" else u0.values
-        gap = np.max(np.abs(v[..., -1] - v[..., 0]))
-        if spec.bc is Boundary.PERIODIC and gap > scale:
-            raise ValueError(f"periodic data along {name} differs at its two ends "
-                             f"(max gap {gap:.3g}); node N must repeat node 0")
+    if problem.bc is Boundary.PERIODIC:
+        scale = PERIODIC_TOL * np.max(np.abs(u0.values))
+        for name, v in zip("xy", (u0.values, u0.values.T)[:u0.values.ndim]):
+            gap = np.max(np.abs(v[..., -1] - v[..., 0]))
+            if gap > scale:
+                raise ValueError(f"periodic data along {name} differs at its two ends "
+                                 f"(max gap {gap:.3g}); node N must repeat node 0")
+    values, restore = unique_nodes(u0.values, problem.bc)
+    u = SolutionField(values=values, time=u0.time)
     snaps = {}
-    u = u0.copy()
     tol = TIME_TOL * max(1.0, abs(T))
     while u.time < T - tol:
         bounds = tuple(compute_bounds(spec, u) for spec in problem.axes)
@@ -96,7 +98,8 @@ def advance(u0: SolutionField, T: float, problem: ProblemSpec | ProblemSpec2D,
         u = rk_step(u, dt, config.order,
                     lambda v: build_H(v, problem, config, bounds, dt, grid, families))
         while marks and u.time >= marks[0] - tol:
-            snaps[marks.pop(0)] = u.copy()
+            snaps[marks.pop(0)] = SolutionField(values=restore(u.values), time=u.time)
+    u = SolutionField(values=restore(u.values), time=u.time)
     if snapshot_times is not None:
         return u, snaps
     return u

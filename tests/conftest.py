@@ -19,22 +19,21 @@ def rng():
 
 def direct_sweep_left(J, q):
     """O(N^2) oracle for the left recursion: I_i = sum_{j<=i} q^{i-j} J_j."""
-    n = len(J) - 1
     I = np.zeros_like(J)
-    for i in range(1, n + 1):
+    for i in range(len(J)):
         acc = 0.0
-        for j in range(1, i + 1):
+        for j in range(i + 1):
             acc += q ** (i - j) * J[j]
         I[i] = acc
     return I
 
 
 def direct_sweep_right(J, q):
-    n = len(J) - 1
+    """O(N^2) oracle for the right recursion: I_i = sum_{j>=i} q^{j-i} J_j."""
     I = np.zeros_like(J)
-    for i in range(n):
+    for i in range(len(J)):
         acc = 0.0
-        for j in range(i, n):
+        for j in range(i, len(J)):
             acc += q ** (j - i) * J[j]
         I[i] = acc
     return I

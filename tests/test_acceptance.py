@@ -121,11 +121,9 @@ def test_criterion_2_beta_max_recovery():
 # criterion 3: fast summation equals direct summation; O(N) wall time
 
 def _convolve_left(v, nu):
-    grid = build_grid_1d(0.0, 1.0, v.shape[-1] - 1)
+    grid = build_grid_1d(0.0, 1.0, v.shape[-1])
     p = KernelParams.from_alpha(nu / grid.dx, grid)
     J, _, _ = local_integrals(v, p, LINEAR6, Boundary.PERIODIC)
-    J = J.copy()
-    J[..., 0] = 0.0
     return sweep_left(J, p), J, p
 
 
@@ -134,17 +132,16 @@ def test_criterion_3_fast_summation():
     for _ in range(8):
         n = int(rng.integers(64, 4097))
         nu = float(np.exp(rng.uniform(np.log(1e-3), np.log(50.0))))
-        v = rng.standard_normal(n + 1)
+        v = rng.standard_normal(n)
         I, J, p = _convolve_left(v, nu)
         q = np.exp(-p.nu)
         # direct O(N^2) summation: I_i = sum_j q^{i-j} J_j over cells j <= i
-        powers = q ** np.maximum(np.subtract.outer(np.arange(n + 1), np.arange(n + 1)), 0)
+        powers = q ** np.maximum(np.subtract.outer(np.arange(n), np.arange(n)), 0)
         direct = np.tril(powers) @ J
-        direct[0] = 0.0
         assert np.max(np.abs(I - direct)) <= 1e-12 * n
 
     def best_time(n, reps):
-        v = np.random.default_rng(1).standard_normal(n + 1)
+        v = np.random.default_rng(1).standard_normal(n)
         best = np.inf
         for _ in range(reps):
             t0 = time.perf_counter()
@@ -189,7 +186,8 @@ def test_criterion_4_truncation_order(bc):
     t0 = time.time()
     grid = build_grid_1d(-np.pi, np.pi, 4096)
     if bc is Boundary.PERIODIC:
-        v, vx, vxx = np.sin(grid.nodes), np.cos(grid.nodes), -np.sin(grid.nodes)
+        x = grid.nodes[:-1]
+        v, vx, vxx = np.sin(x), np.cos(x), -np.sin(x)
     else:
         v, vx, vxx = _taper_sine(grid.nodes)
     for order in (1, 2, 3):
@@ -262,11 +260,11 @@ def _solver_multiplier(kind, order, beta, cfl, m, case_c=1.0, n=64):
     config = SchemeConfig(order=order, beta=beta, cfl=cfl,
                           quadrature="linear6", filter_enabled=False)
     dt = advdiff.compute_dt(config, bounds, grid)
-    u0 = SolutionField(values=np.cos(m * grid.nodes), time=0.0)
+    x = grid.nodes[:n]
+    u0 = SolutionField(values=np.cos(m * x), time=0.0)
     out = rk_step(u0, dt, order,
                   lambda v: build_H(v, prob, config, bounds, dt, grid))
-    w = out.values[:n]
-    x = grid.nodes[:n]
+    w = out.values
     re = 2.0 / n * np.sum(w * np.cos(m * x))
     im = -2.0 / n * np.sum(w * np.sin(m * x))
     if kind is ADV:
@@ -359,7 +357,7 @@ def test_criterion_9_filter_orders():
     for n in (32, 64, 128):
         grid = build_grid_1d(-np.pi, np.pi, n)
         p = KernelParams.from_alpha(2.0 / grid.dx, grid)
-        _, si0, si2 = local_integrals(np.sin(grid.nodes), p, WENO5,
+        _, si0, si2 = local_integrals(np.sin(grid.nodes[:-1]), p, WENO5,
                                       Boundary.PERIODIC)
         worst.append(float(np.max(1.0 - xi(si0, si2))))
     orders = np.log2(np.array(worst[:-1]) / np.array(worst[1:]))
@@ -369,7 +367,8 @@ def test_criterion_9_filter_orders():
     mins = []
     for n in (64, 128, 256):
         grid = build_grid_1d(-1.0, 1.0, n)
-        v = np.where(grid.nodes < 0, 0.0, 1.0) + 0.3 * np.sin(np.pi * grid.nodes)
+        x = grid.nodes[:-1]
+        v = np.where(x < 0, 0.0, 1.0) + 0.3 * np.sin(np.pi * x)
         p = KernelParams.from_alpha(2.0 / grid.dx, grid)
         _, si0, si2 = local_integrals(v, p, WENO5, Boundary.PERIODIC)
         xif = xi(si0, si2)

@@ -61,7 +61,7 @@ def test_sigma_clamped_neighbors():
 def _xi_of_smooth_sine(n):
     grid = build_grid_1d(-np.pi, np.pi, n)
     p = KernelParams.from_alpha(2.0 / grid.dx, grid)  # nu = 2 fixed
-    _, si0, si2 = local_integrals(np.sin(grid.nodes), p, WENO5, PER)
+    _, si0, si2 = local_integrals(np.sin(grid.nodes[:-1]), p, WENO5, PER)
     return xi(si0, si2)
 
 
@@ -80,7 +80,8 @@ def test_step_sigma_damps_at_least_third_order():
     mins = []
     for n in (64, 128, 256):
         grid = build_grid_1d(-1.0, 1.0, n)
-        v = np.where(grid.nodes < 0, 0.0, 1.0) + 0.3 * np.sin(np.pi * grid.nodes)
+        x = grid.nodes[:-1]
+        v = np.where(x < 0, 0.0, 1.0) + 0.3 * np.sin(np.pi * x)
         p = KernelParams.from_alpha(2.0 / grid.dx, grid)
         _, si0, si2 = local_integrals(v, p, WENO5, PER)
         xi_f = xi(si0, si2)
@@ -94,7 +95,7 @@ def test_step_sigma_damps_at_least_third_order():
 def test_pure_step_sigma_is_tiny():
     # between exact constants the damping saturates near the epsilon floor
     grid = build_grid_1d(-1.0, 1.0, 128)
-    v = np.where(grid.nodes < 0, 0.0, 1.0)
+    v = np.where(grid.nodes[:-1] < 0, 0.0, 1.0)
     p = KernelParams.from_alpha(2.0 / grid.dx, grid)
     _, si0, si2 = local_integrals(v, p, WENO5, PER)
     xi_f = xi(si0, si2)
@@ -103,24 +104,31 @@ def test_pure_step_sigma_is_tiny():
 
 
 def test_periodic_sigma_agrees_at_the_seam():
-    # a jump at the seam x = +-1 (data 1 for x < 0, else 0; node N repeats
-    # node 0): node N must take node 0's damping, its neighbours read past the
-    # ends as the quadrature windows read them
+    # a jump at the seam x = +-1 (data 1 for x < 0, else 0, on the N unique
+    # nodes): the factors at both ends must read their neighbours across the
+    # seam, as the quadrature windows read them, and so match the factors of
+    # the data rolled by half a period, where the seam is interior
     n = 64
     grid = build_grid_1d(-1.0, 1.0, n)
-    v = np.where(grid.nodes < 0, 1.0, 0.0)
-    v[-1] = v[0]
+    v = np.where(grid.nodes[:-1] < 0, 1.0, 0.0)
     p = KernelParams.from_alpha(5.0, grid)
-    xi_l = xi(*local_integrals(v, p, WENO5, PER)[1:])
-    xi_r = xi(*local_integrals(v[::-1], p, WENO5, PER)[1:])[::-1]
-    sl, sr = sigma_fields(xi_l, xi_r, PER)
-    assert sl[0] < 1e-12 and sl[n] == sl[0]
-    assert sr[0] == min(xi_r[n - 1], xi_r[0]) and sr[n] == sr[0]
+
+    def sigmas(data):
+        xi_l = xi(*local_integrals(data, p, WENO5, PER)[1:])
+        xi_r = xi(*local_integrals(data[::-1], p, WENO5, PER)[1:])[::-1]
+        return xi_l, xi_r, sigma_fields(xi_l, xi_r, PER)
+
+    xi_l, xi_r, (sl, sr) = sigmas(v)
+    assert sl[0] < 1e-12 and sl[n - 1] == min(xi_l[n - 1], xi_l[0])
+    assert sr[0] == min(xi_r[n - 1], xi_r[0]) and sr[n - 1] == min(xi_r[n - 2], xi_r[n - 1])
+    _, _, (rolled_l, rolled_r) = sigmas(np.roll(v, n // 2))
+    assert np.array_equal(np.roll(rolled_l, -(n // 2)), sl)
+    assert np.array_equal(np.roll(rolled_r, -(n // 2)), sr)
 
 
 @pytest.mark.parametrize("filter_enabled", [
     pytest.param(True, marks=pytest.mark.xfail(
-        strict=True, reason="the filter amplifies round-off to 6.65e-3: xi is steep "
+        strict=True, reason="the filter amplifies round-off to 2.94e-3: xi is steep "
                             "where the indicators are near WENO_EPSILON (ROADMAP open "
                             "item 3)")),
     False,

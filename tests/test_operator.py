@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from advdiff import quadrature as qd
 from advdiff import (Boundary, ProblemSpec, ProblemSpec2D, SchemeConfig,
                      WaveBounds, build_grid_1d, build_grid_2d, build_H,
                      compute_bounds, flux_split, initial_field_2d)
+from advdiff.core import unique_nodes
 from advdiff.operator import kernel_families
 
 PER = Boundary.PERIODIC
@@ -55,7 +58,7 @@ def test_H_annihilates_constants(bc, order):
     grid = build_grid_1d(-1.0, 1.0, 64)
     prob = burgers_like(bc)
     config = SchemeConfig(order=order, beta=0.4, cfl=0.5)
-    u = np.full(65, 0.7)
+    u = np.full(64 + (bc is HOM), 0.7)
     bounds = compute_bounds(prob, u)
     h = build_H(u, prob, config, bounds, dt=0.01, grid=grid)
     assert np.max(np.abs(h)) < 1e-11
@@ -66,7 +69,22 @@ def test_H_rejects_bad_dt():
     prob = burgers_like()
     config = SchemeConfig(order=1, beta=1.0)
     with pytest.raises(ValueError):
-        build_H(np.ones(65), prob, config, WaveBounds(2.0, 0.1), dt=0.0, grid=grid)
+        build_H(np.ones(64), prob, config, WaveBounds(2.0, 0.1), dt=0.0, grid=grid)
+
+
+def layout_error(expected, got):
+    return re.escape(f"shape {expected}") + ".*" + re.escape(f"shape {got}")
+
+
+def test_H_rejects_a_field_in_the_wrong_layout():
+    # periodic data on N unique nodes, other data on N+1; the grid's N+1
+    # periodic nodes are advance's layout, not the operator's
+    grid = build_grid_1d(-1.0, 1.0, 64)
+    config = SchemeConfig(order=1, beta=1.0)
+    bounds = WaveBounds(2.0, 0.1)
+    for bc, nodes, want in ((PER, 65, 64), (HOM, 64, 65)):
+        with pytest.raises(ValueError, match=layout_error((want,), (nodes,))):
+            build_H(np.ones(nodes), burgers_like(bc), config, bounds, dt=0.01, grid=grid)
 
 
 @pytest.mark.parametrize("order", [1, 2, 3])
@@ -75,8 +93,9 @@ def test_H_consistency_order_in_dt(order):
     c, b = 1.0, 0.5
     grid = build_grid_1d(-np.pi, np.pi, 1024)
     prob = linear_problem(c, b)
-    u = np.sin(grid.nodes)
-    target = -c * np.cos(grid.nodes) - b * np.sin(grid.nodes)
+    x = grid.nodes[:-1]
+    u = np.sin(x)
+    target = -c * np.cos(x) - b * np.sin(x)
     bounds = WaveBounds(c=c, b_diff=b)
     config = SchemeConfig(order=order, beta={1: 1.0, 2: 0.5, 3: 0.4}[order],
                           quadrature="linear6", cross_term_k3=False)
@@ -99,7 +118,7 @@ def test_H_pure_diffusion_single_mode():
                        initial=np.sin, bc=PER)
     beta, dt = 1.0, 0.05
     config = SchemeConfig(order=1, beta=beta, quadrature="linear6")
-    u = np.sin(grid.nodes)
+    u = np.sin(grid.nodes[:-1])
     h = build_H(u, prob, config, WaveBounds(c=0.0, b_diff=1.0), dt=dt, grid=grid)
     alpha0_sq = beta / dt
     factor = -(beta / dt) * (1.0 / alpha0_sq) / (1.0 + 1.0 / alpha0_sq)
@@ -109,7 +128,8 @@ def test_H_pure_diffusion_single_mode():
 def test_filter_neutrality_bitwise(monkeypatch):
     grid = build_grid_1d(-np.pi, np.pi, 128)
     prob = burgers_like()
-    u = np.sin(grid.nodes) + 0.2 * np.sin(3 * grid.nodes)
+    x = grid.nodes[:-1]
+    u = np.sin(x) + 0.2 * np.sin(3 * x)
     bounds = compute_bounds(prob, u)
     config_off = SchemeConfig(order=3, beta=0.4, filter_enabled=False)
     h_off = build_H(u, prob, config_off, bounds, dt=0.02, grid=grid)
@@ -124,7 +144,7 @@ def test_filter_neutrality_bitwise(monkeypatch):
 def test_k1_filter_flag_is_noop():
     grid = build_grid_1d(-np.pi, np.pi, 64)
     prob = burgers_like()
-    u = np.sin(grid.nodes)
+    u = np.sin(grid.nodes[:-1])
     bounds = compute_bounds(prob, u)
     a = build_H(u, prob, SchemeConfig(order=1, beta=1.0, filter_enabled=True),
                 bounds, dt=0.02, grid=grid)
@@ -137,7 +157,7 @@ def test_k2_cross_term_flag_is_noop():
     # below k = 3 the correction is off whatever the flag says
     grid = build_grid_1d(-np.pi, np.pi, 64)
     prob = burgers_like()
-    u = np.sin(grid.nodes)
+    u = np.sin(grid.nodes[:-1])
     bounds = compute_bounds(prob, u)
     a = build_H(u, prob, SchemeConfig(order=2, beta=1.0, cross_term_k3=True),
                 bounds, dt=0.02, grid=grid)
@@ -155,10 +175,25 @@ def two_d_problem(bc=PER):
         initial=lambda x, y: np.sin(x) + 0.0 * y, bc=bc)
 
 
+def test_H_2d_rejects_a_field_in_the_wrong_layout():
+    # a (ny+1, nx+1) grid field is advance's layout; periodic data enters the
+    # operator on (ny, nx) nodes
+    grid2 = build_grid_2d(-np.pi, np.pi, 24, -np.pi, np.pi, 16)
+    prob2 = two_d_problem()
+    u2 = initial_field_2d(prob2, grid2).values
+    config = SchemeConfig(order=1, beta=1.0)
+    bounds = (WaveBounds(1.0, 0.5), WaveBounds(0.0, 0.0))
+    for field in (u2, u2[:-1], u2[:, :-1]):
+        with pytest.raises(ValueError, match=layout_error((16, 24), field.shape)):
+            build_H(field, prob2, config, bounds, dt=0.01, grid=grid2)
+    with pytest.raises(ValueError, match=layout_error((17, 25), (16, 24))):
+        build_H(u2[:-1, :-1], two_d_problem(HOM), config, bounds, dt=0.01, grid=grid2)
+
+
 def test_H_2d_reduces_to_1d_on_y_independent_data():
     grid2 = build_grid_2d(-np.pi, np.pi, 64, -np.pi, np.pi, 32)
     prob2 = two_d_problem()
-    u2 = initial_field_2d(prob2, grid2).values
+    u2 = initial_field_2d(prob2, grid2).values[:-1, :-1]
     config = SchemeConfig(order=3, beta=0.2)
     bx = WaveBounds(c=1.0, b_diff=0.5)
     by = WaveBounds(c=0.0, b_diff=0.0)
@@ -195,8 +230,8 @@ def test_H_2d_separable_linear_mode():
                           g2=lambda u: b * u, g2_deriv=lambda u: b * one(u),
                           initial=lambda x, y: np.sin(x) * np.sin(y), bc=PER)
     grid2 = build_grid_2d(-np.pi, np.pi, 256, -np.pi, np.pi, 256)
-    u2 = initial_field_2d(prob2, grid2).values
-    X, Y = np.meshgrid(grid2.gx.nodes, grid2.gy.nodes)
+    u2 = initial_field_2d(prob2, grid2).values[:-1, :-1]
+    X, Y = np.meshgrid(grid2.gx.nodes[:-1], grid2.gy.nodes[:-1])
     target = (-c * (np.cos(X) * np.sin(Y) + np.sin(X) * np.cos(Y))
               - 2 * b * np.sin(X) * np.sin(Y))
     config = SchemeConfig(order=3, beta=0.2, quadrature="linear6", cross_term_k3=False)
@@ -222,7 +257,7 @@ def test_coefficient_tables_built_once_per_family(bc, monkeypatch):
     assert config.quadrature == qd.WENO5 and config.filter_enabled and config.cross_term_k3
     grid = build_grid_1d(-np.pi, np.pi, 64)
     prob = burgers_like(bc)
-    u = np.sin(grid.nodes)
+    u = unique_nodes(np.sin(grid.nodes), bc)[0]
     build_H(u, prob, config, compute_bounds(prob, u), dt=0.01, grid=grid)
     assert 1 <= len(calls) <= 2
     calls.clear()
@@ -233,7 +268,7 @@ def test_coefficient_tables_built_once_per_family(bc, monkeypatch):
                           f2_deriv=lambda u: 2 * u, g2=lambda u: u,
                           g2_deriv=lambda u: np.ones_like(u),
                           initial=lambda x, y: np.sin(x) * np.cos(y), bc=bc)
-    u2 = initial_field_2d(prob2, grid2).values
+    u2 = unique_nodes(initial_field_2d(prob2, grid2).values, bc)[0]
     build_H(u2, prob2, config, (b, b), dt=0.01, grid=grid2)
     assert 1 <= len(calls) <= 4
 
@@ -253,11 +288,7 @@ def test_build_H_is_pure(bc, order, quadrature, rng):
                           initial=None, bc=bc)
     config = SchemeConfig(order=order, beta=0.3, quadrature=quadrature)
     b = WaveBounds(c=1.0, b_diff=1.0)
-    u1 = rng.standard_normal(41)
-    u2 = rng.standard_normal((19, 25))
-    if bc is PER:
-        u1[-1] = u1[0]
-        u2[-1], u2[:, -1] = u2[0], u2[:, 0]
+    u1, u2 = (unique_nodes(rng.standard_normal(shape), bc)[0] for shape in (41, (19, 25)))
     cases = ((prob1, build_grid_1d(-1.0, 1.0, 40), u1, b),
              (prob2, build_grid_2d(-1.0, 1.0, 24, -1.0, 1.0, 18), u2, (b, b)))
     for prob, grid, u, bounds in cases:

@@ -216,7 +216,7 @@ def test_right_orientation_mirrors_left(rng):
     nu = 1.3
     grid = build_grid_1d(0.0, 1.0, 24)
     p = KernelParams.from_alpha(nu / grid.dx, grid)
-    v = rng.uniform(-1, 1, size=25)
+    v = rng.uniform(-1, 1, size=24)
     JR = local_integrals(v[::-1], p, qd.WENO5, Boundary.PERIODIC)[0][::-1]
     for i in (5, 12, 20):
         mirrored = v[i - 2:i + 4][::-1]
