@@ -9,7 +9,7 @@ parameter beta.
 
 from .core import (Boundary, Grid1D, Grid2D, ProblemSpec, ProblemSpec2D,
                    SchemeConfig, SolutionField, WaveBounds, build_grid_1d,
-                   build_grid_2d, compute_bounds, compute_dt, initial_field_2d)
+                   build_grid_2d, compute_bounds, compute_dt, initial_field)
 from .kernelops import KernelParams, local_integrals, sweep_left
 from .operator import build_H, flux_split
 from .problems import (BenchmarkCase, ErrorReport, barenblatt, error_norms,
@@ -29,7 +29,7 @@ __all__ = [
     "build_H", "flux_split",
     "BenchmarkCase", "ErrorReport", "barenblatt", "error_norms",
     "exact_advdiff", "make_problem", "reference_solution", "solve_case",
-    "ProblemSpec2D", "initial_field_2d",
+    "ProblemSpec2D", "initial_field",
     "EquationKind", "StabilityReport", "amplification",
     "compute_report", "export_contours", "scan_beta_max",
     "UnstableSolution", "advance", "rk_step",

@@ -21,6 +21,7 @@ import numpy as np
 
 from . import problems, stability
 from .core import SchemeConfig
+from .quadrature import LINEAR6, WENO5
 from .stability import EquationKind, FULLY_DISCRETE, SEMI_DISCRETE
 from .timestep import UnstableSolution, advance
 
@@ -139,7 +140,7 @@ def _add_scheme_flags(p):
     p.add_argument("--beta", type=float, default=None,
                    help="stabilization parameter (default: case/table value)")
     p.add_argument("--cfl", type=float, default=None, help="CFL number")
-    p.add_argument("--quadrature", choices=("weno5", "linear6"), default=None)
+    p.add_argument("--quadrature", choices=(WENO5, LINEAR6), default=None)
     p.add_argument("--no-filter", action="store_true", help="disable the oscillation filter")
     p.add_argument("--no-cross-term", action="store_true",
                    help="disable the k=3 stabilization term")

@@ -9,7 +9,8 @@ with either periodic boundary conditions or the special homogeneous regime
 (all spatial derivatives vanish at both ends; satisfied by data that is
 constant near the boundary).  A 2D problem is one such law per axis; grids
 and problems expose their per-axis parts as `axes`, so the stepping driver
-and the operator treat 1D as one axis and 2D as two.
+and the operator treat 1D as one axis and 2D as two, with one WaveBounds per
+axis (a one-entry tuple in 1D) and one sampler of u0, `initial_field`.
 
 A periodic field enters and leaves the solver on the grid's N+1 nodes, node N
 repeating node 0; the solver evolves its N unique nodes (`unique_nodes`).
@@ -26,6 +27,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+
+from .quadrature import LINEAR6, WENO5
 
 #: samples used when bounding |f'| and |g'| over the solution range
 BOUND_SAMPLES = 2048
@@ -172,7 +175,7 @@ class SchemeConfig:
     order: int = 3
     beta: float = 0.4
     cfl: float = 0.5
-    quadrature: str = "weno5"  # "weno5" or "linear6"
+    quadrature: str = WENO5  # WENO5 or LINEAR6
     filter_enabled: bool = True
     cross_term_k3: bool = True
 
@@ -183,7 +186,7 @@ class SchemeConfig:
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
-        if self.quadrature not in ("weno5", "linear6"):
+        if self.quadrature not in (WENO5, LINEAR6):
             raise ValueError(f"unknown quadrature {self.quadrature!r}")
 
 
@@ -193,10 +196,12 @@ class SolutionField:
     time: float = 0.0
 
 
-def initial_field_2d(problem: ProblemSpec2D, grid: Grid2D, t0: float = 0.0) -> SolutionField:
-    """Sample u0 on the tensor grid as a (ny+1, nx+1) field."""
-    X, Y = np.meshgrid(grid.gx.nodes, grid.gy.nodes)
-    return SolutionField(values=np.asarray(problem.initial(X, Y), dtype=float), time=t0)
+def initial_field(problem: ProblemSpec | ProblemSpec2D, grid: Grid1D | Grid2D,
+                  t0: float) -> SolutionField:
+    """Sample u0 on the grid's nodes at time t0: N+1 values in 1D, a
+    (ny+1, nx+1) field in 2D with x along the last axis."""
+    nodes = np.meshgrid(*(g.nodes for g in grid.axes))
+    return SolutionField(values=np.asarray(problem.initial(*nodes), dtype=float), time=t0)
 
 
 @dataclass(frozen=True)
@@ -205,19 +210,13 @@ class WaveBounds:
     b_diff: float  # max |g'(u)| over the sampled range
 
 
-def per_axis(bounds) -> tuple:
-    """Bounds as one WaveBounds per axis; a bare WaveBounds is the one axis of
-    a 1D problem."""
-    return (bounds,) if isinstance(bounds, WaveBounds) else tuple(bounds)
-
-
-def compute_bounds(problem: ProblemSpec, u: SolutionField | np.ndarray) -> WaveBounds:
-    """Bound |f'| and |g'| by dense sampling over the current solution range.
+def compute_bounds(problem: ProblemSpec, values: np.ndarray) -> WaveBounds:
+    """Bound |f'| and |g'| of one axis's problem by dense sampling over the
+    range of the field values.
 
     The range [min u, max u] is widened by 1e-6*(range+1) so endpoint extrema
     are not missed, then sampled at BOUND_SAMPLES points.
     """
-    values = u.values if isinstance(u, SolutionField) else np.asarray(u)
     if values.size == 0:
         raise ValueError("empty solution field")
     lo, hi = float(np.min(values)), float(np.max(values))
@@ -236,10 +235,9 @@ def compute_dt(config: SchemeConfig, bounds, grid: Grid1D | Grid2D) -> float:
     """Nominal time step; the integrator truncates the final step to land on T.
 
     dt = CFL / max over axes of (b + c)/dx, which in 1D is CFL dx / (b + c).
-    bounds holds one WaveBounds per grid axis (see per_axis).
+    bounds holds one WaveBounds per grid axis, a one-entry tuple in 1D.
     """
-    rate = max((b.b_diff + b.c) / g.dx
-               for b, g in zip(per_axis(bounds), grid.axes, strict=True))
+    rate = max((b.b_diff + b.c) / g.dx for b, g in zip(bounds, grid.axes, strict=True))
     if rate <= 0:
         raise ValueError("both wave-speed bounds vanish; nothing to evolve")
     return config.cfl / rate

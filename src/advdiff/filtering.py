@@ -19,7 +19,7 @@ from .core import Boundary, shifted
 from .quadrature import WENO_EPSILON
 
 
-def xi(si0, si2, epsilon: float = WENO_EPSILON):
+def xi(si0, si2):
     """Smoothness ratio in (0, 1]; equals 1 when SI0 == SI2.
 
     Evaluated in three work arrays, rounding each term as
@@ -30,7 +30,7 @@ def xi(si0, si2, epsilon: float = WENO_EPSILON):
     np.abs(np.subtract(si0, si2, out=tau), out=tau)
     for out, pick in ((hi, np.maximum), (lo, np.minimum)):
         pick(si0, si2, out=out)
-        out += epsilon
+        out += WENO_EPSILON
         np.divide(tau, out, out=out)
         np.square(out, out=out)
         out += 1.0

@@ -167,12 +167,12 @@ def _d_zero(v, params: KernelParams, bc: Boundary, mode: str):
 
 
 def d_chain_pair(vl: np.ndarray, vr: np.ndarray, params: KernelParams,
-                 bc: Boundary, k: int, mode_first: str = WENO5):
+                 bc: Boundary, k: int, mode_first: str):
     """Left chain on vl and right chain on vr advanced together through k
     powers (the form the convection operator consumes).
 
     Returns (powers_left, powers_right, si_left, si_right) with the
-    smoothness pairs taken from the first (WENO) pass.
+    smoothness pairs of the first pass, in `mode_first` (None if linear).
     """
     cl, cr, si_l, si_r = _d_pair(vl, vr, params, bc, mode_first)
     pl, pr = [cl], [cr]
@@ -184,12 +184,11 @@ def d_chain_pair(vl: np.ndarray, vr: np.ndarray, params: KernelParams,
 
 
 def d_chain_zero(v: np.ndarray, params: KernelParams, bc: Boundary, k: int,
-                 mode_first: str = WENO5):
+                 mode_first: str):
     """Symmetric-family chain [D_0^1[v], .., D_0^k[v]], re-closing the
     boundary at every power.
 
-    The first application uses `mode_first` (WENO by default); higher powers
-    always use the linear rule.
+    The first application uses `mode_first`, higher powers the linear rule.
     """
     powers = [_d_zero(v, params, bc, mode_first)]
     for _ in range(1, k):

@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import (DEGENERATE_TOL, Boundary, Grid1D, Grid2D, ProblemSpec,
-                   ProblemSpec2D, SchemeConfig, WaveBounds, per_axis)
+                   ProblemSpec2D, SchemeConfig, WaveBounds)
 from .filtering import sigma_fields, xi
 from .kernelops import KernelParams, _d_zero, d_chain_pair, d_chain_zero
 from .quadrature import LINEAR6
@@ -44,11 +44,13 @@ def flux_split(problem: ProblemSpec, u: np.ndarray, bounds: WaveBounds):
 
 
 def kernel_families(config: SchemeConfig, bounds, dt: float, grid: Grid1D | Grid2D) -> tuple:
-    """(convection, diffusion) KernelParams of each axis for one step, with
-    alpha_L = beta/(c dt) and alpha_0 = sqrt(beta/(b dt)); None for a block
-    whose wave-speed bound vanishes."""
+    """(convection, diffusion) KernelParams of each grid axis and its WaveBounds
+    for one step of size dt > 0, with alpha_L = beta/(c dt) and alpha_0 =
+    sqrt(beta/(b dt)); None for a block whose wave-speed bound vanishes."""
+    if dt <= 0:
+        raise ValueError("dt must be positive")
     families = []
-    for b, g in zip(per_axis(bounds), grid.axes):
+    for b, g in zip(bounds, grid.axes, strict=True):
         conv = (KernelParams.from_alpha(config.beta / (b.c * dt), g)
                 if b.c > DEGENERATE_TOL else None)
         diff = (KernelParams.from_alpha(np.sqrt(config.beta / (b.b_diff * dt)), g)
@@ -60,8 +62,7 @@ def kernel_families(config: SchemeConfig, bounds, dt: float, grid: Grid1D | Grid
 def _convection(u, problem, config, bounds, params):
     k, bc = config.order, problem.bc
     fplus, fminus = flux_split(problem, u, bounds)
-    chain_l, chain_r, si_l, si_r = d_chain_pair(
-        fplus, fminus, params, bc, k, mode_first=config.quadrature)
+    chain_l, chain_r, si_l, si_r = d_chain_pair(fplus, fminus, params, bc, k, config.quadrature)
     sig_l = sig_r = 1.0
     if config.filter_enabled and k >= 2 and si_l is not None:
         sig_l, sig_r = sigma_fields(xi(*si_l), xi(*si_r), bc)
@@ -85,7 +86,7 @@ def _convection(u, problem, config, bounds, params):
 
 def _diffusion(u, problem, config, params):
     chain = d_chain_zero(problem.diffusion(u), params, problem.bc, config.order,
-                         mode_first=config.quadrature)
+                         config.quadrature)
     h = chain[0]
     h += 0.0  # sum() starts from 0, and 0 + -0.0 is 0.0
     for power in chain[1:]:
@@ -95,29 +96,24 @@ def _diffusion(u, problem, config, params):
 
 
 def build_H(u: np.ndarray, problem: ProblemSpec | ProblemSpec2D, config: SchemeConfig,
-            bounds, dt: float, grid: Grid1D | Grid2D, families=None) -> np.ndarray:
+            bounds, grid: Grid1D | Grid2D, families) -> np.ndarray:
     """Spatial operator for one stage; pure in u.
 
-    bounds holds one WaveBounds per axis of problem and grid (a bare
-    WaveBounds in 1D).  families is `kernel_families(config, bounds, dt,
-    grid)`, built here when not given; a caller that evaluates several stages
-    of one step passes it, so each family builds its tables once per step.
-    u holds N nodes per periodic axis (core.unique_nodes), N+1 otherwise; the
-    x-sweeps treat the rows of a 2D field as a batch and the y-sweeps run on
-    the transposed field; both are evaluated from the same input field and
-    summed.
+    bounds holds one WaveBounds per axis of problem and grid, a one-entry
+    tuple in 1D, and families is the step's `kernel_families(config, bounds,
+    dt, grid)`, which all its stages share, so each family builds its tables
+    once per step.  u holds N nodes per periodic axis (core.unique_nodes),
+    N+1 otherwise; the x-sweeps treat the rows of a 2D field as a batch and
+    the y-sweeps run on the transposed field; both are evaluated from the
+    same input field and summed.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
     end_node = int(problem.bc is not Boundary.PERIODIC)
     expected = tuple(g.n_cells + end_node for g in reversed(grid.axes))
     if np.shape(u) != expected:
         raise ValueError(f"expected a field of shape {expected} for {problem.bc.value} "
                          f"data on this grid, got shape {np.shape(u)}")
-    if families is None:
-        families = kernel_families(config, bounds, dt, grid)
     h = np.zeros_like(u)
-    for axis, (spec, b, (conv, diff)) in enumerate(zip(problem.axes, per_axis(bounds), families)):
+    for axis, (spec, b, (conv, diff)) in enumerate(zip(problem.axes, bounds, families)):
         if conv is None and diff is None:
             continue
         v = np.ascontiguousarray(u.T) if axis else u

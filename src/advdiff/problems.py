@@ -28,7 +28,7 @@ import numpy as np
 
 from .core import (DEGENERATE_TOL, Boundary, Grid1D, ProblemSpec, ProblemSpec2D,
                    SchemeConfig, SolutionField, build_grid_1d, build_grid_2d,
-                   compute_bounds, initial_field_2d, shifted, unique_nodes)
+                   compute_bounds, initial_field, shifted, unique_nodes)
 from .operator import flux_split
 from .timestep import advance
 
@@ -151,16 +151,13 @@ class BenchmarkCase:
         return build_grid_1d(a, b, n)
 
     def initial_field(self, grid) -> SolutionField:
-        if self.is_2d:
-            return initial_field_2d(self.spec, grid, t0=self.t0)
-        return SolutionField(values=np.asarray(self.spec.initial(grid.nodes), dtype=float),
-                             time=self.t0)
+        return initial_field(self.spec, grid, self.t0)
 
     def default_beta(self, order: int) -> float:
         if order in self.beta_defaults:
             return self.beta_defaults[order]
         u0 = self.initial_field(self.build_grid(max(self.default_n // 4, 8)))
-        bounds = [compute_bounds(spec, u0) for spec in self.spec.axes]
+        bounds = [compute_bounds(spec, u0.values) for spec in self.spec.axes]
         has_c = max(b.c for b in bounds) > DEGENERATE_TOL
         has_b = max(b.b_diff for b in bounds) > DEGENERATE_TOL
         if has_c and has_b:

@@ -91,12 +91,12 @@ def _dhat(kappa_dx, nu: float, mode: str):
 
 def amplification(order: int, kind: EquationKind, beta: float, kappa_dx,
                   step_ratio: float, mode: str = SEMI_DISCRETE,
-                  cross_term: bool | None = None):
+                  cross_term: bool = True):
     """lambda = R_k(z) for one step ratio; vectorized over kappa_dx.
 
     step_ratio is c dt/dx for advection, b dt/dx^2 for diffusion; it and beta
-    must be positive and finite.  The k=3 advection correction is on unless
-    cross_term says otherwise.
+    must be positive and finite.  cross_term switches the k=3 advection
+    correction.
     """
     for name, value in (("beta", beta), ("step_ratio", step_ratio)):
         if not (np.isfinite(value) and value > 0):
@@ -106,13 +106,13 @@ def amplification(order: int, kind: EquationKind, beta: float, kappa_dx,
     else:
         d = _dhat(kappa_dx, np.sqrt(beta / step_ratio), mode).real + 0j
     z = -beta * sum(d ** p for p in range(1, order + 1))
-    if order == 3 and kind is EquationKind.ADVECTION and cross_term is not False:
+    if order == 3 and kind is EquationKind.ADVECTION and cross_term:
         z = z + beta * (d.real + 0j) * d ** 2
     return rk_multiplier(order, z)
 
 
 def scan_beta_max(order: int, kind: EquationKind, mode: str = SEMI_DISCRETE,
-                  cross_term: bool | None = None) -> float:
+                  cross_term: bool = True) -> float:
     """Largest beta in BETA_RANGE with max |lambda| <= 1 + STABLE_TOL."""
     lo, hi = BETA_RANGE
     stable = lambda b: (compute_report(order, kind, b, mode, cross_term=cross_term)
@@ -130,7 +130,7 @@ def scan_beta_max(order: int, kind: EquationKind, mode: str = SEMI_DISCRETE,
 
 def compute_report(order: int, kind: EquationKind, beta: float,
                    mode: str = FULLY_DISCRETE, n_kappa: int = 512,
-                   n_ratio: int = 64, cross_term: bool | None = None) -> StabilityReport:
+                   n_ratio: int = 64, cross_term: bool = True) -> StabilityReport:
     """|lambda| over the (kappa_dx, step-ratio) scan grid."""
     if n_kappa < 256:
         raise ValueError("need at least 256 kappa points for a trustworthy scan")

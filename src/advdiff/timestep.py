@@ -64,9 +64,9 @@ def advance(u0: SolutionField, T: float, problem: ProblemSpec | ProblemSpec2D,
 
     Returns the final field, or (final, snapshots) when snapshot_times is
     given; snapshots maps each distinct requested time to a SolutionField.
-    Snapshot times must lie in (u0.time, T], u0 must be finite, and on a
-    periodic axis the last node must repeat the first, as it does exactly in
-    every field returned.
+    Snapshot times must lie in (u0.time, T], u0 must be finite on the N+1
+    nodes of each axis, and on a periodic axis node N must repeat node 0, as
+    it does exactly in every field returned.
     """
     if not np.isfinite(T):
         raise ValueError(f"target time must be finite, got {T}")
@@ -78,6 +78,10 @@ def advance(u0: SolutionField, T: float, problem: ProblemSpec | ProblemSpec2D,
         raise ValueError(f"snapshot times {outside} lie outside ({u0.time:g}, {T:g}]")
     if not np.all(np.isfinite(u0.values)):
         raise ValueError("initial data u0 holds non-finite values")
+    expected = tuple(g.n_cells + 1 for g in reversed(grid.axes))
+    if u0.values.shape != expected:
+        raise ValueError(f"expected initial data of shape {expected} on this grid, "
+                         f"got shape {u0.values.shape}")
     if problem.bc is Boundary.PERIODIC:
         scale = PERIODIC_TOL * np.max(np.abs(u0.values))
         for name, v in zip("xy", (u0.values, u0.values.T)[:u0.values.ndim]):
@@ -90,13 +94,13 @@ def advance(u0: SolutionField, T: float, problem: ProblemSpec | ProblemSpec2D,
     snaps = {}
     tol = TIME_TOL * max(1.0, abs(T))
     while u.time < T - tol:
-        bounds = tuple(compute_bounds(spec, u) for spec in problem.axes)
+        bounds = tuple(compute_bounds(spec, u.values) for spec in problem.axes)
         dt = compute_dt(config, bounds, grid)
         limit = marks[0] if marks else T
         dt = min(dt, limit - u.time)
         families = kernel_families(config, bounds, dt, grid)
         u = rk_step(u, dt, config.order,
-                    lambda v: build_H(v, problem, config, bounds, dt, grid, families))
+                    lambda v: build_H(v, problem, config, bounds, grid, families))
         while marks and u.time >= marks[0] - tol:
             snaps[marks.pop(0)] = SolutionField(values=restore(u.values), time=u.time)
     u = SolutionField(values=restore(u.values), time=u.time)

@@ -17,7 +17,7 @@ from advdiff import (Boundary, EquationKind, KernelParams, SchemeConfig,
                      sweep_left)
 from advdiff.filtering import sigma_fields, xi
 from advdiff.kernelops import d_chain_pair, d_chain_zero
-from advdiff.operator import build_H
+from advdiff.operator import build_H, kernel_families
 from advdiff.quadrature import (LINEAR6, WENO5, coef_tables,
                                 small_stencil_coefficients)
 from advdiff.stability import FULLY_DISCRETE, SEMI_DISCRETE
@@ -248,22 +248,23 @@ def _solver_multiplier(kind, order, beta, cfl, m, case_c=1.0, n=64):
             flux_deriv=lambda u: case_c * np.ones_like(np.asarray(u, dtype=float)),
             diffusion=lambda u: 0.0 * u, diffusion_deriv=lambda u: 0.0 * u,
             initial=np.sin, bc=Boundary.PERIODIC)
-        bounds = advdiff.WaveBounds(c=abs(case_c), b_diff=0.0)
+        bounds = (advdiff.WaveBounds(c=abs(case_c), b_diff=0.0),)
     else:
         prob = advdiff.ProblemSpec(
             flux=lambda u: 0.0 * u, flux_deriv=lambda u: 0.0 * u,
             diffusion=lambda u: u,
             diffusion_deriv=lambda u: np.ones_like(np.asarray(u, dtype=float)),
             initial=np.sin, bc=Boundary.PERIODIC)
-        bounds = advdiff.WaveBounds(c=0.0, b_diff=1.0)
+        bounds = (advdiff.WaveBounds(c=0.0, b_diff=1.0),)
     grid = build_grid_1d(-np.pi, np.pi, n)
     config = SchemeConfig(order=order, beta=beta, cfl=cfl,
                           quadrature="linear6", filter_enabled=False)
     dt = advdiff.compute_dt(config, bounds, grid)
     x = grid.nodes[:n]
     u0 = SolutionField(values=np.cos(m * x), time=0.0)
+    families = kernel_families(config, bounds, dt, grid)
     out = rk_step(u0, dt, order,
-                  lambda v: build_H(v, prob, config, bounds, dt, grid))
+                  lambda v: build_H(v, prob, config, bounds, grid, families))
     w = out.values
     re = 2.0 / n * np.sum(w * np.cos(m * x))
     im = -2.0 / n * np.sum(w * np.sin(m * x))
@@ -333,7 +334,7 @@ def test_criterion_8_two_dimensional():
         initial=lambda x, y: np.sin(x) + 0.0 * y, bc=Boundary.PERIODIC)
     grid2 = build_grid_2d(-np.pi, np.pi, 64, -np.pi, np.pi, 16)
     config = SchemeConfig(order=3, beta=0.2, cfl=0.5)
-    u2 = advdiff.advance(advdiff.initial_field_2d(prob2, grid2), 0.5, prob2,
+    u2 = advdiff.advance(advdiff.initial_field(prob2, grid2, 0.0), 0.5, prob2,
                          config, grid2)
     case1 = make_problem("linear_advdiff", c=1.0, b=0.1)
     grid1 = case1.build_grid(64)

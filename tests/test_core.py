@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from advdiff import (Boundary, ProblemSpec, SchemeConfig, SolutionField,
+from advdiff import (Boundary, ProblemSpec, ProblemSpec2D, SchemeConfig,
                      WaveBounds, build_grid_1d, build_grid_2d, compute_bounds,
-                     compute_dt, make_problem)
+                     compute_dt, initial_field, make_problem)
 
 
 def test_grid_basic_examples():
@@ -44,6 +44,26 @@ def test_grid_2d():
     assert g.gy.dx == pytest.approx(0.1)
 
 
+def test_initial_field_samples_u0_on_the_nodes():
+    # 1D: u0 at the N+1 nodes, bit for bit
+    prob = ProblemSpec(flux=np.sin, flux_deriv=np.cos, diffusion=np.sin,
+                       diffusion_deriv=np.cos, initial=lambda x: np.exp(np.sin(3 * x)))
+    grid = build_grid_1d(-np.pi, np.pi, 40)
+    u = initial_field(prob, grid, 0.25)
+    assert u.time == 0.25
+    assert u.values.tobytes() == prob.initial(grid.nodes).tobytes()
+    # 2D with nx != ny: a (ny+1, nx+1) field with x along the last axis
+    zero = lambda u: 0.0 * u
+    prob2 = ProblemSpec2D(f1=zero, f1_deriv=zero, g1=zero, g1_deriv=zero,
+                          f2=zero, f2_deriv=zero, g2=zero, g2_deriv=zero,
+                          initial=lambda x, y: x + 10.0 * y)
+    grid2 = build_grid_2d(0.0, 1.0, 8, -1.0, 1.0, 12)
+    u2 = initial_field(prob2, grid2, 0.0).values
+    assert u2.shape == (13, 9)
+    for j, y in enumerate(grid2.gy.nodes):
+        assert np.array_equal(u2[j], grid2.gx.nodes + 10.0 * y)
+
+
 def quadratic_problem():
     return ProblemSpec(flux=lambda u: u ** 2, flux_deriv=lambda u: 2 * u,
                        diffusion=lambda u: u,
@@ -53,7 +73,7 @@ def quadratic_problem():
 
 def test_bounds_quadratic_flux():
     prob = quadratic_problem()
-    b = compute_bounds(prob, SolutionField(values=np.array([-1.0, 0.2, 1.0])))
+    b = compute_bounds(prob, np.array([-1.0, 0.2, 1.0]))
     assert b.c == pytest.approx(2.0, rel=1e-5)
     assert b.b_diff == pytest.approx(1.0)
 
@@ -61,7 +81,7 @@ def test_bounds_quadratic_flux():
 def test_bounds_brute_force_agreement():
     # nonmonotone rational flux: dense sampling vs an independent fine scan
     case = make_problem("buckley_leverett", gravity=True)
-    u = SolutionField(values=np.array([0.0, 1.0]))
+    u = np.array([0.0, 1.0])
     b = compute_bounds(case.spec, u)
     uu = np.linspace(-1e-5, 1 + 1e-5, 400001)
     brute = np.max(np.abs(case.spec.flux_deriv(uu)))
@@ -70,8 +90,8 @@ def test_bounds_brute_force_agreement():
 
 def test_bounds_monotone_in_range():
     prob = quadratic_problem()
-    small = compute_bounds(prob, SolutionField(values=np.array([-0.5, 0.5])))
-    large = compute_bounds(prob, SolutionField(values=np.array([-1.0, 1.0])))
+    small = compute_bounds(prob, np.array([-0.5, 0.5]))
+    large = compute_bounds(prob, np.array([-1.0, 1.0]))
     assert large.c >= small.c and large.b_diff >= small.b_diff
 
 
@@ -80,7 +100,7 @@ def test_bounds_rejects_backward_diffusion():
                        diffusion=lambda u: -(u ** 2), diffusion_deriv=lambda u: -2 * u,
                        initial=np.sin)
     with pytest.raises(ValueError):
-        compute_bounds(prob, SolutionField(values=np.array([0.1, 1.0])))
+        compute_bounds(prob, np.array([0.1, 1.0]))
 
 
 def test_bounds_rejects_nonfinite():
@@ -89,18 +109,18 @@ def test_bounds_rejects_nonfinite():
                        initial=np.sin)
     with np.errstate(divide="ignore", invalid="ignore"):
         with pytest.raises(ValueError):
-            compute_bounds(prob, SolutionField(values=np.array([0.0, 1.0])))
+            compute_bounds(prob, np.array([0.0, 1.0]))
 
 
 def test_dt_formula_1d():
     config = SchemeConfig(order=1, beta=1.0, cfl=0.5)
     grid = build_grid_1d(0, 1, 10)
-    dt = compute_dt(config, WaveBounds(c=1.0, b_diff=1.0), grid)
+    dt = compute_dt(config, (WaveBounds(c=1.0, b_diff=1.0),), grid)
     assert dt == pytest.approx(0.025)
 
     config = SchemeConfig(order=1, beta=1.0, cfl=2.0)
     grid = build_grid_1d(-np.pi, np.pi, 40)
-    dt = compute_dt(config, WaveBounds(c=1.0, b_diff=0.01), grid)
+    dt = compute_dt(config, (WaveBounds(c=1.0, b_diff=0.01),), grid)
     assert dt == pytest.approx(2 * (np.pi / 20) / 1.01)
 
 
@@ -114,7 +134,7 @@ def test_dt_formula_2d_symmetric():
 
 def test_dt_scales_linearly_in_dx():
     config = SchemeConfig(order=2, beta=0.5, cfl=0.7)
-    bounds = WaveBounds(c=0.3, b_diff=1.1)
+    bounds = (WaveBounds(c=0.3, b_diff=1.1),)
     dts = [compute_dt(config, bounds, build_grid_1d(0, 1, n)) for n in (10, 20, 40)]
     assert dts[0] / dts[1] == pytest.approx(2.0)
     assert dts[1] / dts[2] == pytest.approx(2.0)
@@ -123,13 +143,13 @@ def test_dt_scales_linearly_in_dx():
 def test_dt_rejects_fully_degenerate():
     config = SchemeConfig(order=1, beta=1.0)
     with pytest.raises(ValueError):
-        compute_dt(config, WaveBounds(c=0.0, b_diff=0.0), build_grid_1d(0, 1, 10))
+        compute_dt(config, (WaveBounds(c=0.0, b_diff=0.0),), build_grid_1d(0, 1, 10))
     # one WaveBounds per grid axis, no more and no fewer
     b = WaveBounds(c=1.0, b_diff=0.5)
     with pytest.raises(ValueError):
         compute_dt(config, (b, b), build_grid_1d(0, 1, 10))
     with pytest.raises(ValueError):
-        compute_dt(config, b, build_grid_2d(0, 1, 10, 0, 1, 10))
+        compute_dt(config, (b,), build_grid_2d(0, 1, 10, 0, 1, 10))
 
 
 def test_config_validation():

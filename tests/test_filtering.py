@@ -15,8 +15,8 @@ def test_xi_equal_indicators():
 
 
 def test_xi_example_sharp_contrast():
-    # SI0 tiny, SI2 large: heavy damping
-    val = xi(1e-8, 0.25, epsilon=1e-6)
+    # SI0 tiny, SI2 large: heavy damping (WENO_EPSILON is 1e-6)
+    val = xi(1e-8, 0.25)
     tau = 0.25 - 1e-8
     expect = (1 + (tau / (0.25 + 1e-6)) ** 2) / (1 + (tau / (1e-8 + 1e-6)) ** 2)
     assert val == pytest.approx(expect, rel=1e-12)

@@ -7,7 +7,7 @@ import advdiff.filtering
 from advdiff import quadrature as qd
 from advdiff import (Boundary, ProblemSpec, ProblemSpec2D, SchemeConfig,
                      WaveBounds, build_grid_1d, build_grid_2d, build_H,
-                     compute_bounds, flux_split, initial_field_2d)
+                     compute_bounds, compute_dt, flux_split, initial_field)
 from advdiff.core import unique_nodes
 from advdiff.operator import kernel_families
 
@@ -20,6 +20,11 @@ def linear_problem(c=1.0, b=1.0, bc=PER):
         flux=lambda u: c * u, flux_deriv=lambda u: c * np.ones_like(np.asarray(u, dtype=float)),
         diffusion=lambda u: b * u, diffusion_deriv=lambda u: b * np.ones_like(np.asarray(u, dtype=float)),
         initial=np.sin, bc=bc)
+
+
+def stage_H(u, prob, config, bounds, dt, grid):
+    """H of one stage of a step of size dt, with the step's kernel families."""
+    return build_H(u, prob, config, bounds, grid, kernel_families(config, bounds, dt, grid))
 
 
 def burgers_like(bc=PER):
@@ -59,17 +64,30 @@ def test_H_annihilates_constants(bc, order):
     prob = burgers_like(bc)
     config = SchemeConfig(order=order, beta=0.4, cfl=0.5)
     u = np.full(64 + (bc is HOM), 0.7)
-    bounds = compute_bounds(prob, u)
-    h = build_H(u, prob, config, bounds, dt=0.01, grid=grid)
+    bounds = (compute_bounds(prob, u),)
+    h = stage_H(u, prob, config, bounds, 0.01, grid)
     assert np.max(np.abs(h)) < 1e-11
 
 
-def test_H_rejects_bad_dt():
+def test_kernel_families_reject_bad_dt():
     grid = build_grid_1d(-1.0, 1.0, 64)
-    prob = burgers_like()
     config = SchemeConfig(order=1, beta=1.0)
     with pytest.raises(ValueError):
-        build_H(np.ones(64), prob, config, WaveBounds(2.0, 0.1), dt=0.0, grid=grid)
+        kernel_families(config, (WaveBounds(2.0, 0.1),), 0.0, grid)
+
+
+def test_a_bare_wave_bound_is_rejected():
+    # bounds hold one WaveBounds per grid axis, a one-entry tuple in 1D
+    grid = build_grid_1d(-1.0, 1.0, 64)
+    config = SchemeConfig(order=1, beta=1.0)
+    bound = WaveBounds(2.0, 0.1)
+    families = kernel_families(config, (bound,), 0.01, grid)
+    with pytest.raises(TypeError):
+        compute_dt(config, bound, grid)
+    with pytest.raises(TypeError):
+        kernel_families(config, bound, 0.01, grid)
+    with pytest.raises(TypeError):
+        build_H(np.ones(64), burgers_like(), config, bound, grid, families)
 
 
 def layout_error(expected, got):
@@ -81,10 +99,10 @@ def test_H_rejects_a_field_in_the_wrong_layout():
     # periodic nodes are advance's layout, not the operator's
     grid = build_grid_1d(-1.0, 1.0, 64)
     config = SchemeConfig(order=1, beta=1.0)
-    bounds = WaveBounds(2.0, 0.1)
+    bounds = (WaveBounds(2.0, 0.1),)
     for bc, nodes, want in ((PER, 65, 64), (HOM, 64, 65)):
         with pytest.raises(ValueError, match=layout_error((want,), (nodes,))):
-            build_H(np.ones(nodes), burgers_like(bc), config, bounds, dt=0.01, grid=grid)
+            stage_H(np.ones(nodes), burgers_like(bc), config, bounds, 0.01, grid)
 
 
 @pytest.mark.parametrize("order", [1, 2, 3])
@@ -96,13 +114,13 @@ def test_H_consistency_order_in_dt(order):
     x = grid.nodes[:-1]
     u = np.sin(x)
     target = -c * np.cos(x) - b * np.sin(x)
-    bounds = WaveBounds(c=c, b_diff=b)
+    bounds = (WaveBounds(c=c, b_diff=b),)
     config = SchemeConfig(order=order, beta={1: 1.0, 2: 0.5, 3: 0.4}[order],
                           quadrature="linear6", cross_term_k3=False)
     dts = np.array([0.2, 0.1, 0.05])
     errs = []
     for dt in dts:
-        h = build_H(u, prob, config, bounds, dt=float(dt), grid=grid)
+        h = stage_H(u, prob, config, bounds, float(dt), grid)
         errs.append(np.max(np.abs(h - target)))
     slope = np.polyfit(np.log(dts), np.log(errs), 1)[0]
     assert slope == pytest.approx(order, abs=0.35)
@@ -119,7 +137,7 @@ def test_H_pure_diffusion_single_mode():
     beta, dt = 1.0, 0.05
     config = SchemeConfig(order=1, beta=beta, quadrature="linear6")
     u = np.sin(grid.nodes[:-1])
-    h = build_H(u, prob, config, WaveBounds(c=0.0, b_diff=1.0), dt=dt, grid=grid)
+    h = stage_H(u, prob, config, (WaveBounds(c=0.0, b_diff=1.0),), dt, grid)
     alpha0_sq = beta / dt
     factor = -(beta / dt) * (1.0 / alpha0_sq) / (1.0 + 1.0 / alpha0_sq)
     assert np.max(np.abs(h - factor * u)) < 1e-7
@@ -130,14 +148,14 @@ def test_filter_neutrality_bitwise(monkeypatch):
     prob = burgers_like()
     x = grid.nodes[:-1]
     u = np.sin(x) + 0.2 * np.sin(3 * x)
-    bounds = compute_bounds(prob, u)
+    bounds = (compute_bounds(prob, u),)
     config_off = SchemeConfig(order=3, beta=0.4, filter_enabled=False)
-    h_off = build_H(u, prob, config_off, bounds, dt=0.02, grid=grid)
+    h_off = stage_H(u, prob, config_off, bounds, 0.02, grid)
     # force sigma == 1: the filtered assembly must agree bit for bit
     monkeypatch.setattr(advdiff.operator, "sigma_fields",
                         lambda xl, xr, bc: (np.ones_like(xl), np.ones_like(xr)))
     config_on = SchemeConfig(order=3, beta=0.4, filter_enabled=True)
-    h_on = build_H(u, prob, config_on, bounds, dt=0.02, grid=grid)
+    h_on = stage_H(u, prob, config_on, bounds, 0.02, grid)
     assert np.array_equal(h_on, h_off)
 
 
@@ -145,11 +163,11 @@ def test_k1_filter_flag_is_noop():
     grid = build_grid_1d(-np.pi, np.pi, 64)
     prob = burgers_like()
     u = np.sin(grid.nodes[:-1])
-    bounds = compute_bounds(prob, u)
-    a = build_H(u, prob, SchemeConfig(order=1, beta=1.0, filter_enabled=True),
-                bounds, dt=0.02, grid=grid)
-    b = build_H(u, prob, SchemeConfig(order=1, beta=1.0, filter_enabled=False),
-                bounds, dt=0.02, grid=grid)
+    bounds = (compute_bounds(prob, u),)
+    a = stage_H(u, prob, SchemeConfig(order=1, beta=1.0, filter_enabled=True),
+                bounds, 0.02, grid)
+    b = stage_H(u, prob, SchemeConfig(order=1, beta=1.0, filter_enabled=False),
+                bounds, 0.02, grid)
     assert np.array_equal(a, b)
 
 
@@ -158,11 +176,11 @@ def test_k2_cross_term_flag_is_noop():
     grid = build_grid_1d(-np.pi, np.pi, 64)
     prob = burgers_like()
     u = np.sin(grid.nodes[:-1])
-    bounds = compute_bounds(prob, u)
-    a = build_H(u, prob, SchemeConfig(order=2, beta=1.0, cross_term_k3=True),
-                bounds, dt=0.02, grid=grid)
-    b = build_H(u, prob, SchemeConfig(order=2, beta=1.0, cross_term_k3=False),
-                bounds, dt=0.02, grid=grid)
+    bounds = (compute_bounds(prob, u),)
+    a = stage_H(u, prob, SchemeConfig(order=2, beta=1.0, cross_term_k3=True),
+                bounds, 0.02, grid)
+    b = stage_H(u, prob, SchemeConfig(order=2, beta=1.0, cross_term_k3=False),
+                bounds, 0.02, grid)
     assert np.array_equal(a, b)
 
 
@@ -180,26 +198,26 @@ def test_H_2d_rejects_a_field_in_the_wrong_layout():
     # operator on (ny, nx) nodes
     grid2 = build_grid_2d(-np.pi, np.pi, 24, -np.pi, np.pi, 16)
     prob2 = two_d_problem()
-    u2 = initial_field_2d(prob2, grid2).values
+    u2 = initial_field(prob2, grid2, 0.0).values
     config = SchemeConfig(order=1, beta=1.0)
     bounds = (WaveBounds(1.0, 0.5), WaveBounds(0.0, 0.0))
     for field in (u2, u2[:-1], u2[:, :-1]):
         with pytest.raises(ValueError, match=layout_error((16, 24), field.shape)):
-            build_H(field, prob2, config, bounds, dt=0.01, grid=grid2)
+            stage_H(field, prob2, config, bounds, 0.01, grid2)
     with pytest.raises(ValueError, match=layout_error((17, 25), (16, 24))):
-        build_H(u2[:-1, :-1], two_d_problem(HOM), config, bounds, dt=0.01, grid=grid2)
+        stage_H(u2[:-1, :-1], two_d_problem(HOM), config, bounds, 0.01, grid2)
 
 
 def test_H_2d_reduces_to_1d_on_y_independent_data():
     grid2 = build_grid_2d(-np.pi, np.pi, 64, -np.pi, np.pi, 32)
     prob2 = two_d_problem()
-    u2 = initial_field_2d(prob2, grid2).values[:-1, :-1]
+    u2 = initial_field(prob2, grid2, 0.0).values[:-1, :-1]
     config = SchemeConfig(order=3, beta=0.2)
     bx = WaveBounds(c=1.0, b_diff=0.5)
     by = WaveBounds(c=0.0, b_diff=0.0)
-    h2 = build_H(u2, prob2, config, (bx, by), dt=0.01, grid=grid2)
+    h2 = stage_H(u2, prob2, config, (bx, by), 0.01, grid2)
     prob1 = linear_problem(1.0, 0.5)
-    h1 = build_H(u2[0], prob1, config, bx, dt=0.01, grid=grid2.gx)
+    h1 = stage_H(u2[0], prob1, config, (bx,), 0.01, grid2.gx)
     for j in range(u2.shape[0]):
         assert np.max(np.abs(h2[j] - h1)) < 1e-12
 
@@ -212,10 +230,10 @@ def test_H_2d_constant_field():
                           f2=lambda u: u ** 2, f2_deriv=lambda u: 2 * u,
                           g2=lambda u: u, g2_deriv=one,
                           initial=lambda x, y: np.full_like(x, 0.3), bc=HOM)
-    u2 = initial_field_2d(prob2, grid2).values
+    u2 = initial_field(prob2, grid2, 0.0).values
     config = SchemeConfig(order=3, beta=0.2)
     b = WaveBounds(c=0.6, b_diff=1.0)
-    h2 = build_H(u2, prob2, config, (b, b), dt=0.01, grid=grid2)
+    h2 = stage_H(u2, prob2, config, (b, b), 0.01, grid2)
     assert np.max(np.abs(h2)) < 1e-11
 
 
@@ -230,7 +248,7 @@ def test_H_2d_separable_linear_mode():
                           g2=lambda u: b * u, g2_deriv=lambda u: b * one(u),
                           initial=lambda x, y: np.sin(x) * np.sin(y), bc=PER)
     grid2 = build_grid_2d(-np.pi, np.pi, 256, -np.pi, np.pi, 256)
-    u2 = initial_field_2d(prob2, grid2).values[:-1, :-1]
+    u2 = initial_field(prob2, grid2, 0.0).values[:-1, :-1]
     X, Y = np.meshgrid(grid2.gx.nodes[:-1], grid2.gy.nodes[:-1])
     target = (-c * (np.cos(X) * np.sin(Y) + np.sin(X) * np.cos(Y))
               - 2 * b * np.sin(X) * np.sin(Y))
@@ -239,7 +257,7 @@ def test_H_2d_separable_linear_mode():
     errs = []
     dts = (0.025, 0.0125, 0.00625)
     for dt in dts:
-        h = build_H(u2, prob2, config, (bounds, bounds), dt=dt, grid=grid2)
+        h = stage_H(u2, prob2, config, (bounds, bounds), dt, grid2)
         errs.append(np.max(np.abs(h - target)))
     slope = np.polyfit(np.log(dts), np.log(errs), 1)[0]
     assert slope == pytest.approx(3.0, abs=0.4)
@@ -258,7 +276,7 @@ def test_coefficient_tables_built_once_per_family(bc, monkeypatch):
     grid = build_grid_1d(-np.pi, np.pi, 64)
     prob = burgers_like(bc)
     u = unique_nodes(np.sin(grid.nodes), bc)[0]
-    build_H(u, prob, config, compute_bounds(prob, u), dt=0.01, grid=grid)
+    stage_H(u, prob, config, (compute_bounds(prob, u),), 0.01, grid)
     assert 1 <= len(calls) <= 2
     calls.clear()
     b = WaveBounds(c=0.6, b_diff=1.0)
@@ -268,8 +286,8 @@ def test_coefficient_tables_built_once_per_family(bc, monkeypatch):
                           f2_deriv=lambda u: 2 * u, g2=lambda u: u,
                           g2_deriv=lambda u: np.ones_like(u),
                           initial=lambda x, y: np.sin(x) * np.cos(y), bc=bc)
-    u2 = unique_nodes(initial_field_2d(prob2, grid2).values, bc)[0]
-    build_H(u2, prob2, config, (b, b), dt=0.01, grid=grid2)
+    u2 = unique_nodes(initial_field(prob2, grid2, 0.0).values, bc)[0]
+    stage_H(u2, prob2, config, (b, b), 0.01, grid2)
     assert 1 <= len(calls) <= 4
 
 
@@ -289,16 +307,16 @@ def test_build_H_is_pure(bc, order, quadrature, rng):
     config = SchemeConfig(order=order, beta=0.3, quadrature=quadrature)
     b = WaveBounds(c=1.0, b_diff=1.0)
     u1, u2 = (unique_nodes(rng.standard_normal(shape), bc)[0] for shape in (41, (19, 25)))
-    cases = ((prob1, build_grid_1d(-1.0, 1.0, 40), u1, b),
+    cases = ((prob1, build_grid_1d(-1.0, 1.0, 40), u1, (b,)),
              (prob2, build_grid_2d(-1.0, 1.0, 24, -1.0, 1.0, 18), u2, (b, b)))
     for prob, grid, u, bounds in cases:
         keep = u.copy()
-        h = build_H(u, prob, config, bounds, dt=0.02, grid=grid)
+        h = stage_H(u, prob, config, bounds, 0.02, grid)
         assert u.tobytes() == keep.tobytes()
-        again = build_H(u, prob, config, bounds, dt=0.02, grid=grid)
+        again = stage_H(u, prob, config, bounds, 0.02, grid)
         assert again.tobytes() == h.tobytes()
         families = kernel_families(config, bounds, 0.02, grid)
         for _ in range(2):  # one step's stages share the families
-            shared = build_H(u, prob, config, bounds, 0.02, grid, families)
+            shared = build_H(u, prob, config, bounds, grid, families)
             assert shared.tobytes() == h.tobytes()
         assert u.tobytes() == keep.tobytes()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from advdiff import (Boundary, ProblemSpec2D, SolutionField, advance,
-                     build_grid_2d, compute_bounds, initial_field_2d,
+                     build_grid_2d, compute_bounds, initial_field,
                      make_problem)
 
 
@@ -28,7 +28,7 @@ def x_only_problem():
 def test_reduction_to_1d_rowwise():
     prob2 = x_only_problem()
     grid2 = build_grid_2d(-np.pi, np.pi, 48, -np.pi, np.pi, 12)
-    u2 = advance(initial_field_2d(prob2, grid2), 0.5, prob2,
+    u2 = advance(initial_field(prob2, grid2, 0.0), 0.5, prob2,
                  make_problem("linear_advdiff").make_config(order=3, beta=0.2, cfl=0.5),
                  grid2)
     case = make_problem("linear_advdiff", c=1.0, b=0.1)
@@ -48,7 +48,7 @@ def test_constant_field_unchanged():
         initial=lambda x, y: np.full_like(x, 0.4), bc=Boundary.HOMOGENEOUS)
     grid2 = build_grid_2d(-1, 1, 16, -1, 1, 16)
     config = make_problem("strong_degenerate_2d").make_config(order=2, beta=0.25, cfl=0.5)
-    out = advance(initial_field_2d(prob2, grid2), 0.3, prob2, config, grid2)
+    out = advance(initial_field(prob2, grid2, 0.0), 0.3, prob2, config, grid2)
     assert np.max(np.abs(out.values - 0.4)) < 1e-10
 
 
@@ -66,8 +66,8 @@ def test_axis_symmetry_under_transpose():
         initial=lambda x, y: np.sin(y) * np.cos(x), bc=Boundary.PERIODIC)
     grid2 = build_grid_2d(-np.pi, np.pi, 32, -np.pi, np.pi, 32)
     config = make_problem("strong_degenerate_2d").make_config(order=3, beta=0.2, cfl=0.5)
-    a = advance(initial_field_2d(fwd, grid2), 0.4, fwd, config, grid2)
-    b = advance(initial_field_2d(swp, grid2), 0.4, swp, config, grid2)
+    a = advance(initial_field(fwd, grid2, 0.0), 0.4, fwd, config, grid2)
+    b = advance(initial_field(swp, grid2, 0.0), 0.4, swp, config, grid2)
     assert np.max(np.abs(a.values - b.values.T)) < 1e-11
 
 
@@ -83,7 +83,7 @@ def test_bounds_2d_per_axis():
 def test_periodic_data_whose_ends_differ_is_rejected(axis):
     prob2 = x_only_problem()
     grid2 = build_grid_2d(-np.pi, np.pi, 24, -np.pi, np.pi, 12)
-    u0 = initial_field_2d(prob2, grid2)  # sin(x): ends agree to round-off
+    u0 = initial_field(prob2, grid2, 0.0)  # sin(x): ends agree to round-off
     config = make_problem("linear_advdiff").make_config(order=1)
     advance(u0, 0.01, prob2, config, grid2)
     # a (ny+1, nx+1) field: x runs along the rows, y down the columns
@@ -97,7 +97,7 @@ def test_periodic_data_whose_ends_differ_is_rejected(axis):
 def test_nonfinite_initial_data_is_rejected(bad):
     prob2 = x_only_problem()
     grid2 = build_grid_2d(-np.pi, np.pi, 24, -np.pi, np.pi, 12)
-    u0 = initial_field_2d(prob2, grid2)
+    u0 = initial_field(prob2, grid2, 0.0)
     u0.values[5, 9] = bad
     config = make_problem("linear_advdiff").make_config(order=3, beta=0.2)
     with warnings.catch_warnings():

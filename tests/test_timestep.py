@@ -7,7 +7,7 @@ import pytest
 from advdiff import (Boundary, ProblemSpec, SchemeConfig, SolutionField,
                      UnstableSolution, advance, build_grid_1d, compute_bounds,
                      compute_dt, make_problem, rk_step)
-from advdiff.operator import build_H
+from advdiff.operator import build_H, kernel_families
 from advdiff.stability import rk_multiplier
 
 
@@ -82,6 +82,27 @@ def test_advance_rejects_periodic_data_whose_ends_differ():
     u0.values[-1] += 1e-9
     with pytest.raises(ValueError, match="periodic data along x"):
         advance(u0, 0.01, case.spec, case.make_config(order=1), grid)
+
+
+def test_advance_rejects_a_field_of_the_wrong_shape():
+    # N+1 nodes per axis, periodic or not; a 40-node cos field on a 40-cell
+    # periodic grid closes, so only the shape check can name it
+    config = SchemeConfig(order=1, beta=1.0)
+    case = make_problem("linear_advdiff")
+    grid = case.build_grid(40)
+    u0 = SolutionField(np.cos(np.linspace(-np.pi, np.pi, 40)))
+    assert u0.values[-1] == u0.values[0]
+    with pytest.raises(ValueError, match=re.escape("shape (41,)") + ".*"
+                       + re.escape("shape (40,)")):
+        advance(u0, 0.1, case.spec, config, grid)
+    case2 = make_problem("strong_degenerate_2d")
+    grid2 = case2.build_grid(12, ny=8)
+    good = case2.initial_field(grid2)
+    assert good.values.shape == (9, 13)
+    for bad in (good.values.T, good.values[:, :-1]):
+        with pytest.raises(ValueError, match=re.escape("shape (9, 13)") + ".*"
+                           + re.escape(f"shape {bad.shape}")):
+            advance(SolutionField(bad), 0.1, case2.spec, config, grid2)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -176,11 +197,12 @@ def test_large_cfl_stays_bounded(order, beta):
     grid = case.build_grid(80)
     u = SolutionField(case.initial_field(grid).values[:-1])  # the N unique nodes
     cap = np.max(np.abs(u.values)) + 1e-8
-    bounds = compute_bounds(case.spec, u)
+    bounds = (compute_bounds(case.spec, u.values),)
     dt = compute_dt(config, bounds, grid)
+    families = kernel_families(config, bounds, dt, grid)
     for _ in range(40):
         u = rk_step(u, dt, order,
-                    lambda v: build_H(v, case.spec, config, bounds, dt, grid))
+                    lambda v: build_H(v, case.spec, config, bounds, grid, families))
         assert np.max(np.abs(u.values)) <= cap
 
 
