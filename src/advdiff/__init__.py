@@ -10,14 +10,11 @@ parameter beta.
 from .core import (Boundary, Grid1D, Grid2D, ProblemSpec, ProblemSpec2D,
                    SchemeConfig, SolutionField, WaveBounds, build_grid_1d,
                    build_grid_2d, compute_bounds, compute_dt, initial_field)
-from .kernelops import KernelParams, local_integrals, sweep_left
-from .operator import build_H, flux_split
 from .problems import (BenchmarkCase, ErrorReport, barenblatt, error_norms,
                        exact_advdiff, make_problem, reference_solution,
                        solve_case)
-from .stability import (EquationKind, StabilityReport, amplification,
-                        compute_report, export_contours, scan_beta_max)
-from .timestep import UnstableSolution, advance, rk_step
+from .stability import EquationKind, StabilityReport, compute_report, scan_beta_max
+from .timestep import UnstableSolution, advance
 
 __version__ = "0.1.0"
 
@@ -25,12 +22,9 @@ __all__ = [
     "Boundary", "Grid1D", "Grid2D", "ProblemSpec", "SchemeConfig",
     "SolutionField", "WaveBounds", "build_grid_1d", "build_grid_2d",
     "compute_bounds", "compute_dt",
-    "KernelParams", "local_integrals", "sweep_left",
-    "build_H", "flux_split",
     "BenchmarkCase", "ErrorReport", "barenblatt", "error_norms",
     "exact_advdiff", "make_problem", "reference_solution", "solve_case",
     "ProblemSpec2D", "initial_field",
-    "EquationKind", "StabilityReport", "amplification",
-    "compute_report", "export_contours", "scan_beta_max",
-    "UnstableSolution", "advance", "rk_step",
+    "EquationKind", "StabilityReport", "compute_report", "scan_beta_max",
+    "UnstableSolution", "advance",
 ]

@@ -59,11 +59,20 @@ def _cmd_run(args) -> int:
     case = _case_from_args(args)
     config = _config_from_args(case, args)
     T = args.T if args.T is not None else case.t_final
-    times = [float(s) for s in args.snapshots.split(",")] if args.snapshots else []
+    if not np.isfinite(T):
+        raise ValueError(f"target time must be finite, got {T}")
+    times = sorted({float(s) for s in args.snapshots.split(",")}) if args.snapshots else []
+    outside = [t for t in times if not case.t0 < t <= T]
+    if outside:
+        raise ValueError(f"snapshot times {outside} lie outside ({case.t0:g}, {T:g}]")
     grid = case.build_grid(args.N, args.Ny)
-    u, snaps = advance(case.initial_field(grid), T, case.spec, config, grid,
-                       snapshot_times=times)
-    for t_snap, field in snaps.items():
+    # each snapshot restarts advance from the field before it; every file is
+    # written after the last solve, so a failed run writes none
+    fields = [case.initial_field(grid)]
+    for t in times + [T]:
+        fields.append(advance(fields[-1], t, case.spec, config, grid))
+    *snaps, u = fields[1:]
+    for t_snap, field in zip(times, snaps):
         path = _with_suffix(args.out, t_snap)
         _write_solution_csv(path, grid, field, case)
         print(f"wrote {path}")
@@ -115,7 +124,9 @@ def _cmd_stability(args) -> int:
         beta = stability.scan_beta_max(args.k, kind, mode=SEMI_DISCRETE)
         print(f"scanned beta_max({args.k}, {kind.value}) = {beta:.4f}")
     report = stability.compute_report(args.k, kind, beta, mode=mode)
-    stability.export_contours(report, args.out)
+    _write_csv(args.out, ["step_ratio", "kappa_dx", "abs_lambda"],
+               ((s, kd, lam) for s, row in zip(report.step_ratio, report.abs_lambda)
+                for kd, lam in zip(report.kappa_dx, row)))
     print(f"wrote {args.out}: max|lambda| = {report.max_abs_lambda:.12f} "
           f"(k={args.k}, {kind.value}, beta={beta:g})")
     return 0

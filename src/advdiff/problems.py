@@ -298,10 +298,12 @@ def reference_solution(case: BenchmarkCase, T: Optional[float] = None,
     """Explicit first-order scheme (upwind differences of the solver's
     Lax-Friedrichs split + central diffusion) on a fine grid,
     dt = 0.1 dx^2/(c dx + 2b); used to benchmark cases without an exact
-    solution."""
+    solution.  T must lie in [t0, inf)."""
     if case.is_2d:
         raise ValueError("reference scheme is one-dimensional")
     T = case.t_final if T is None else T
+    if not case.t0 <= T < np.inf:
+        raise ValueError(f"reference target time must lie in [{case.t0:g}, inf), got {T}")
     grid = case.build_grid(n_ref)
     prob = case.spec
     u, restore = unique_nodes(np.asarray(prob.initial(grid.nodes), dtype=float), prob.bc)
@@ -337,22 +339,19 @@ class ErrorReport:
     order_vs_previous: Optional[float] = None
 
 
-def error_norms(u: SolutionField, truth, grid: Grid1D) -> ErrorReport:
-    """Node-wise errors against a callable truth(x, t) or a value array."""
-    if callable(truth):
-        ref = np.asarray(truth(grid.nodes, u.time), dtype=float)
-    else:
-        ref = np.asarray(truth, dtype=float)
-    err = np.abs(u.values - ref)
+def error_norms(u: SolutionField, truth: Callable, grid: Grid1D) -> ErrorReport:
+    """Node-wise errors against the exact solution truth(x, t) at u's time."""
+    err = np.abs(u.values - truth(grid.nodes, u.time))
     return ErrorReport(linf=float(np.max(err)), l1=float(grid.dx * np.sum(err)),
                        n_cells=grid.n_cells)
 
 
-def observed_orders(reports: list[ErrorReport], norm: str = "linf") -> list[ErrorReport]:
-    """Fill order_vs_previous as log2(e_coarse/e_fine) for doubled resolution."""
+def observed_orders(reports: list[ErrorReport]) -> list[ErrorReport]:
+    """Fill order_vs_previous as log2(e_coarse/e_fine) of the linf errors
+    for doubled resolution."""
     prev = None
     for rep in reports:
-        err = getattr(rep, norm)
+        err = rep.linf
         if prev is not None and err > 0:
             rep.order_vs_previous = float(np.log2(prev / err))
         prev = err

@@ -37,8 +37,10 @@ FULLY_DISCRETE = "fully_discrete_linear6"
 #: tolerance accepted as "stable" in scans (roundoff slack above 1)
 STABLE_TOL = 1e-10
 
-#: step-ratio scan range (log-uniform)
+#: step-ratio scan range (log-uniform), and the scan grid: kappa_dx points
+#: over [0, 2pi] and step ratios over RATIO_RANGE
 RATIO_RANGE = (1e-3, 1e3)
+N_KAPPA, N_RATIO = 512, 64
 
 #: bisection bracket for beta_max, and the width it is bisected to
 BETA_RANGE = (1e-3, 4.0)
@@ -129,24 +131,13 @@ def scan_beta_max(order: int, kind: EquationKind, mode: str = SEMI_DISCRETE,
 
 
 def compute_report(order: int, kind: EquationKind, beta: float,
-                   mode: str = FULLY_DISCRETE, n_kappa: int = 512,
-                   n_ratio: int = 64, cross_term: bool = True) -> StabilityReport:
-    """|lambda| over the (kappa_dx, step-ratio) scan grid."""
-    if n_kappa < 256:
-        raise ValueError("need at least 256 kappa points for a trustworthy scan")
-    kdx = np.linspace(0.0, 2 * np.pi, n_kappa)
-    ratios = np.geomspace(*RATIO_RANGE, n_ratio)
-    grid = np.empty((n_ratio, n_kappa))
+                   mode: str = FULLY_DISCRETE, cross_term: bool = True) -> StabilityReport:
+    """|lambda| on the scan grid: N_KAPPA points of kappa_dx in [0, 2pi]
+    against N_RATIO log-spaced step ratios over RATIO_RANGE."""
+    kdx = np.linspace(0.0, 2 * np.pi, N_KAPPA)
+    ratios = np.geomspace(*RATIO_RANGE, N_RATIO)
+    grid = np.empty((N_RATIO, N_KAPPA))
     for i, s in enumerate(ratios):
         grid[i] = np.abs(amplification(order, kind, beta, kdx, s, mode, cross_term))
     return StabilityReport(kind=kind, order=order, beta=beta,
                            kappa_dx=kdx, step_ratio=ratios, abs_lambda=grid)
-
-
-def export_contours(report: StabilityReport, path) -> None:
-    """CSV grid of |lambda| suitable for external contour plotting."""
-    with open(path, "w") as fh:
-        fh.write("step_ratio,kappa_dx,abs_lambda\n")
-        for i, s in enumerate(report.step_ratio):
-            for j, kd in enumerate(report.kappa_dx):
-                fh.write(f"{s:.17g},{kd:.17g},{report.abs_lambda[i, j]:.17g}\n")

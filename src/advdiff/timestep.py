@@ -12,7 +12,7 @@ classic convex forms:
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -56,26 +56,20 @@ def rk_step(u: SolutionField, dt: float, order: int,
 
 
 def advance(u0: SolutionField, T: float, problem: ProblemSpec | ProblemSpec2D,
-            config: SchemeConfig, grid: Grid1D | Grid2D,
-            snapshot_times: Optional[Sequence[float]] = None):
-    """March u0 to time T: each step recomputes the bounds of every axis,
-    picks dt, truncates to land exactly on T (and on any requested snapshot
-    times).  A 2D field has shape (ny+1, nx+1).
+            config: SchemeConfig, grid: Grid1D | Grid2D) -> SolutionField:
+    """March u0 to time T and return the field there: each step recomputes
+    the bounds of every axis, picks dt, and the last step is truncated to
+    land exactly on T.  A 2D field has shape (ny+1, nx+1).
 
-    Returns the final field, or (final, snapshots) when snapshot_times is
-    given; snapshots maps each distinct requested time to a SolutionField.
-    Snapshot times must lie in (u0.time, T], u0 must be finite on the N+1
-    nodes of each axis, and on a periodic axis node N must repeat node 0, as
-    it does exactly in every field returned.
+    u0 must be finite on the N+1 nodes of each axis, and on a periodic axis
+    node N must repeat node 0, as it does exactly in every field returned;
+    so a field at an intermediate time comes from calling advance again
+    from a returned one.
     """
     if not np.isfinite(T):
         raise ValueError(f"target time must be finite, got {T}")
     if T < u0.time:
         raise ValueError("target time lies before the field's time")
-    marks = sorted(set(snapshot_times or ()))
-    outside = [t for t in marks if not u0.time < t <= T]
-    if outside:
-        raise ValueError(f"snapshot times {outside} lie outside ({u0.time:g}, {T:g}]")
     if not np.all(np.isfinite(u0.values)):
         raise ValueError("initial data u0 holds non-finite values")
     expected = tuple(g.n_cells + 1 for g in reversed(grid.axes))
@@ -91,19 +85,11 @@ def advance(u0: SolutionField, T: float, problem: ProblemSpec | ProblemSpec2D,
                                  f"(max gap {gap:.3g}); node N must repeat node 0")
     values, restore = unique_nodes(u0.values, problem.bc)
     u = SolutionField(values=values, time=u0.time)
-    snaps = {}
     tol = TIME_TOL * max(1.0, abs(T))
     while u.time < T - tol:
         bounds = tuple(compute_bounds(spec, u.values) for spec in problem.axes)
-        dt = compute_dt(config, bounds, grid)
-        limit = marks[0] if marks else T
-        dt = min(dt, limit - u.time)
+        dt = min(compute_dt(config, bounds, grid), T - u.time)
         families = kernel_families(config, bounds, dt, grid)
         u = rk_step(u, dt, config.order,
                     lambda v: build_H(v, problem, config, bounds, grid, families))
-        while marks and u.time >= marks[0] - tol:
-            snaps[marks.pop(0)] = SolutionField(values=restore(u.values), time=u.time)
-    u = SolutionField(values=restore(u.values), time=u.time)
-    if snapshot_times is not None:
-        return u, snaps
-    return u
+    return SolutionField(values=restore(u.values), time=u.time)

@@ -10,17 +10,17 @@ import numpy as np
 import pytest
 
 import advdiff
-from advdiff import (Boundary, EquationKind, KernelParams, SchemeConfig,
-                     SolutionField, amplification, build_grid_1d,
-                     build_grid_2d, compute_report, local_integrals,
-                     make_problem, rk_step, scan_beta_max, solve_case,
-                     sweep_left)
+from advdiff import (Boundary, EquationKind, SchemeConfig, SolutionField,
+                     build_grid_1d, build_grid_2d, compute_report,
+                     make_problem, scan_beta_max, solve_case)
 from advdiff.filtering import sigma_fields, xi
-from advdiff.kernelops import d_chain_pair, d_chain_zero
+from advdiff.kernelops import (KernelParams, d_chain_pair, d_chain_zero,
+                               local_integrals, sweep_left)
 from advdiff.operator import build_H, kernel_families
 from advdiff.quadrature import (LINEAR6, WENO5, coef_tables,
                                 small_stencil_coefficients)
-from advdiff.stability import FULLY_DISCRETE, SEMI_DISCRETE
+from advdiff.stability import FULLY_DISCRETE, SEMI_DISCRETE, amplification
+from advdiff.timestep import rk_step
 from conftest import exp_cell_integral, window_values
 
 ADV = EquationKind.ADVECTION

@@ -62,6 +62,45 @@ def test_run_2d_snapshots(tmp_path):
     assert rows[1][0] > rows[0][0] and rows[1][1] == rows[0][1]  # x varies fastest
 
 
+def test_duplicate_snapshot_times_write_one_file(tmp_path):
+    out = tmp_path / "sol.csv"
+    rc = main(["run", "--case", "linear_advdiff", "--N", "40", "--k", "2",
+               "--T", "0.5", "--snapshots", "0.25,0.25", "--out", str(out)])
+    assert rc == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sol.csv", "sol_t0.25.csv"]
+
+
+@pytest.mark.parametrize("times", ["0.25,0.9", "0.0,0.25", "-1.0"])
+def test_out_of_range_snapshot_times_are_rejected(times, tmp_path, capsys):
+    rc = main(["run", "--case", "linear_advdiff", "--N", "40", "--k", "2",
+               "--T", "0.5", "--snapshots", times, "--out", str(tmp_path / "sol.csv")])
+    assert rc == 1
+    bad = [float(t) for t in times.split(",") if float(t) != 0.25]
+    assert f"snapshot times {bad} lie outside (0, 0.5]" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("T, message", [("inf", "target time must be finite, got inf"),
+                                        ("nan", "target time must be finite, got nan"),
+                                        ("-0.5", "snapshot times [0.25] lie outside (0, -0.5]")])
+def test_bad_final_time_with_snapshots_writes_no_file(T, message, tmp_path, capsys):
+    rc = main(["run", "--case", "linear_advdiff", "--N", "40", "--k", "1",
+               "--T", T, "--snapshots", "0.25", "--out", str(tmp_path / "sol.csv")])
+    assert rc == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("case", [["--case", "linear_advdiff", "--N", "40", "--k", "1"],
+                                  ["--case", "strong_degenerate_2d", "--N", "24"]])
+def test_snapshot_file_matches_a_run_to_its_time(case, tmp_path):
+    # a snapshot is the field of a run that stops at its time, bit for bit
+    assert main(["run", *case, "--T", "0.5", "--snapshots", "0.25",
+                 "--out", str(tmp_path / "sol.csv")]) == 0
+    assert main(["run", *case, "--T", "0.25", "--out", str(tmp_path / "short.csv")]) == 0
+    assert (tmp_path / "sol_t0.25.csv").read_bytes() == (tmp_path / "short.csv").read_bytes()
+
+
 def test_run_rejects_parameter_the_case_lacks(tmp_path, capsys):
     rc = main(["run", "--case", "pme_barenblatt", "--c", "3", "--N", "40",
                "--T", "1.1", "--out", str(tmp_path / "sol.csv")])
@@ -112,6 +151,12 @@ def test_stability_command(tmp_path):
     assert header == ["step_ratio", "kappa_dx", "abs_lambda"]
     assert len(rows) == 512 * 64
     assert max(r[2] for r in rows) <= 1 + 1e-10
+    # one block of 512 kappa_dx rows per step ratio, each opening on the
+    # neutrally stable zero mode
+    for i in range(64):
+        first = rows[i * 512]
+        assert first[0] == rows[i * 512 + 511][0]
+        assert first[1] == 0.0 and first[2] == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("mode", ["semi", "fully"])
@@ -141,6 +186,16 @@ def test_compare_reference_without_wave_speeds_fails_cleanly(tmp_path, capsys):
                "--N", "40", "--out", str(tmp_path / "cmp.csv")])
     assert rc == 1
     assert "error: both wave-speed bounds vanish" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("T", ["inf", "nan"])
+def test_compare_reference_rejects_a_bad_final_time(T, tmp_path, capsys):
+    out = tmp_path / "cmp.csv"
+    rc = main(["compare-reference", "--case", "buckley_leverett", "--N", "40",
+               "--n-ref", "200", "--T", T, "--out", str(out)])
+    assert rc == 1
+    assert f"error: reference target time must lie in [0, inf), got {T}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unknown_case_fails():

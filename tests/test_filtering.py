@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from advdiff import (Boundary, KernelParams, SolutionField, advance, build_grid_1d,
-                     local_integrals, make_problem)
+from advdiff import Boundary, SolutionField, advance, build_grid_1d, make_problem
 from advdiff.filtering import sigma_fields, xi
+from advdiff.kernelops import KernelParams, local_integrals
 from advdiff.quadrature import WENO5
 
 PER = Boundary.PERIODIC

@@ -12,8 +12,8 @@ symmetry or the homogeneous end condition.
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from advdiff import Boundary, KernelParams
-from advdiff.kernelops import d_chain_pair, d_chain_zero
+from advdiff import Boundary
+from advdiff.kernelops import KernelParams, d_chain_pair, d_chain_zero
 from advdiff.quadrature import LINEAR6, WENO5
 
 PER = Boundary.PERIODIC

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from advdiff import (Boundary, KernelParams, build_grid_1d, kernelops,
-                     local_integrals, sweep_left)
+from advdiff import Boundary, build_grid_1d, kernelops
 from advdiff.core import padded, shifted
-from advdiff.kernelops import (_d_pair, _d_zero, boundary_coefficients,
-                               d_chain_pair, d_chain_zero)
+from advdiff.kernelops import (KernelParams, _d_pair, _d_zero, boundary_coefficients,
+                               d_chain_pair, d_chain_zero, local_integrals, sweep_left)
 from advdiff.quadrature import LINEAR6, WENO5
 from conftest import direct_sweep_left, direct_sweep_right, exp_cell_integral
 

@@ -6,10 +6,10 @@ import pytest
 import advdiff.filtering
 from advdiff import quadrature as qd
 from advdiff import (Boundary, ProblemSpec, ProblemSpec2D, SchemeConfig,
-                     WaveBounds, build_grid_1d, build_grid_2d, build_H,
-                     compute_bounds, compute_dt, flux_split, initial_field)
+                     WaveBounds, build_grid_1d, build_grid_2d, compute_bounds,
+                     compute_dt, initial_field)
 from advdiff.core import unique_nodes
-from advdiff.operator import kernel_families
+from advdiff.operator import build_H, flux_split, kernel_families
 
 PER = Boundary.PERIODIC
 HOM = Boundary.HOMOGENEOUS

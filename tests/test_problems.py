@@ -127,6 +127,13 @@ def test_reference_scheme_first_order_convergence():
     assert np.all(orders > 0.8)
 
 
+@pytest.mark.parametrize("T", [0.5, np.nan, np.inf])
+def test_reference_rejects_a_target_time_outside_t0_to_inf(T):
+    # pme_barenblatt starts at t0 = 1
+    with pytest.raises(ValueError, match=r"must lie in \[1, inf\)"):
+        reference_solution(make_problem("pme_barenblatt"), T=T, n_ref=120)
+
+
 def test_error_norms_examples():
     case = make_problem("linear_advdiff")
     grid = case.build_grid(40)

@@ -212,7 +212,8 @@ def test_right_orientation_mirrors_left(rng):
     # the right-side integral at node i, the left rule on the reversed data
     # reversed back, is the left rule fed with the window reflected about
     # x_i: offsets (+3..-2) instead of (-3..+2)
-    from advdiff import Boundary, KernelParams, build_grid_1d, local_integrals
+    from advdiff import Boundary, build_grid_1d
+    from advdiff.kernelops import KernelParams, local_integrals
     nu = 1.3
     grid = build_grid_1d(0.0, 1.0, 24)
     p = KernelParams.from_alpha(nu / grid.dx, grid)

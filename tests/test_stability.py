@@ -1,12 +1,10 @@
-import csv
-
 import numpy as np
 import pytest
 
-from advdiff import (EquationKind, amplification, compute_report,
-                     export_contours, scan_beta_max)
+from advdiff import EquationKind, compute_report, scan_beta_max
 from advdiff.quadrature import coef_tables
-from advdiff.stability import FULLY_DISCRETE, SEMI_DISCRETE, _dhat, rk_multiplier
+from advdiff.stability import (FULLY_DISCRETE, N_KAPPA, N_RATIO, SEMI_DISCRETE,
+                               _dhat, amplification, rk_multiplier)
 
 ADV = EquationKind.ADVECTION
 DIF = EquationKind.DIFFUSION
@@ -110,11 +108,6 @@ def test_report_max_amplification_examples():
     assert worst(1, DIF, 2.5, SEMI_DISCRETE) > 1.1
 
 
-def test_report_rejects_coarse_scan():
-    with pytest.raises(ValueError):
-        compute_report(1, ADV, 1.0, SEMI_DISCRETE, n_kappa=100)
-
-
 def test_scan_beta_max_first_order():
     assert scan_beta_max(1, ADV) == pytest.approx(2.0, abs=0.01)
     assert scan_beta_max(1, DIF) == pytest.approx(2.0, abs=0.01)
@@ -145,17 +138,11 @@ def test_conjugate_symmetry_fully_discrete():
     assert np.allclose(lam[::-1], np.conj(lam), rtol=1e-12, atol=1e-14)
 
 
-def test_report_and_contour_export(tmp_path):
-    rep = compute_report(1, DIF, 2.0, mode=FULLY_DISCRETE, n_kappa=256, n_ratio=8)
+def test_report_scans_its_default_grid():
+    rep = compute_report(1, DIF, 2.0, mode=FULLY_DISCRETE)
     assert rep.max_abs_lambda <= 1 + 1e-10
-    path = tmp_path / "contour.csv"
-    export_contours(rep, path)
-    with open(path) as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["step_ratio", "kappa_dx", "abs_lambda"]
-    assert len(rows) - 1 == 256 * 8
-    # zero mode is neutrally stable in every step-ratio block
-    for i in range(8):
-        first = rows[1 + i * 256]
-        assert float(first[1]) == 0.0
-        assert float(first[2]) == pytest.approx(1.0, abs=1e-12)
+    assert rep.abs_lambda.shape == (N_RATIO, N_KAPPA)
+    assert rep.step_ratio.shape == (N_RATIO,) and rep.kappa_dx.shape == (N_KAPPA,)
+    # zero mode is neutrally stable in every step-ratio row
+    assert rep.kappa_dx[0] == 0.0
+    assert rep.abs_lambda[:, 0] == pytest.approx(np.ones(N_RATIO), abs=1e-12)

@@ -6,9 +6,10 @@ import pytest
 
 from advdiff import (Boundary, ProblemSpec, SchemeConfig, SolutionField,
                      UnstableSolution, advance, build_grid_1d, compute_bounds,
-                     compute_dt, make_problem, rk_step)
+                     compute_dt, make_problem)
 from advdiff.operator import build_H, kernel_families
 from advdiff.stability import rk_multiplier
+from advdiff.timestep import rk_step
 
 
 @pytest.mark.parametrize("order", [1, 2, 3])
@@ -121,8 +122,8 @@ def test_advance_rejects_nonfinite_initial_data(bad):
 @pytest.mark.parametrize("centre", [0.0, 1.0])
 def test_filtered_periodic_run_keeps_its_seam(centre):
     # linear advection of a unit pulse centred at 0 or straddling the seam
-    # x = +-1: node N repeats node 0 exactly in the output and in every
-    # snapshot, which advance accepts again
+    # x = +-1: node N repeats node 0 exactly in every field advance returns,
+    # so each is accepted again as the start of the next call
     spec = ProblemSpec(flux=lambda u: u, flux_deriv=np.ones_like,
                        diffusion=np.zeros_like, diffusion_deriv=np.zeros_like,
                        initial=None, bc=Boundary.PERIODIC)
@@ -130,45 +131,21 @@ def test_filtered_periodic_run_keeps_its_seam(centre):
     dist = np.abs(grid.nodes - centre)
     u0 = SolutionField((np.minimum(dist, 2.0 - dist) < 0.5).astype(float))
     config = SchemeConfig(order=3, beta=1.0, cfl=1.0)
-    u, snaps = advance(u0, 0.2, spec, config, grid, snapshot_times=[0.05, 0.1])
-    for field in (u, *snaps.values()):
-        assert field.values[-1] == field.values[0]
+    u = u0
+    for t in (0.05, 0.1, 0.2):
+        u = advance(u, t, spec, config, grid)
+        assert u.values[-1] == u.values[0]
     advance(u, 0.3, spec, config, grid)
 
 
-def test_snapshots_land_on_requested_times():
+def test_chained_advance_lands_on_each_target():
     case = make_problem("linear_advdiff", c=1.0, b=0.01)
     grid = case.build_grid(40)
-    u0 = case.initial_field(grid)
+    u = case.initial_field(grid)
     config = case.make_config(order=2, beta=0.5, cfl=0.5)
-    final, snaps = advance(u0, 1.0, case.spec, config, grid,
-                           snapshot_times=[0.25, 0.5])
-    assert set(snaps) == {0.25, 0.5}
-    for t, field in snaps.items():
-        assert field.time == pytest.approx(t, abs=1e-12)
-    assert final.time == pytest.approx(1.0, abs=1e-12)
-
-
-def test_duplicate_snapshot_times_give_one_snapshot():
-    case = make_problem("linear_advdiff", c=1.0, b=0.01)
-    grid = case.build_grid(40)
-    config = case.make_config(order=2, beta=0.5, cfl=0.5)
-    final, snaps = advance(case.initial_field(grid), 0.5, case.spec, config, grid,
-                           snapshot_times=[0.25, 0.25])
-    assert list(snaps) == [0.25]
-    assert snaps[0.25].time == pytest.approx(0.25, abs=1e-12)
-    assert final.time == pytest.approx(0.5, abs=1e-12)
-
-
-@pytest.mark.parametrize("times", [[0.25, 0.9], [0.0, 0.25], [-1.0]])
-def test_out_of_range_snapshot_times_are_rejected(times):
-    case = make_problem("linear_advdiff", c=1.0, b=0.01)
-    grid = case.build_grid(40)
-    config = case.make_config(order=2, beta=0.5, cfl=0.5)
-    bad = [t for t in times if t != 0.25]
-    with pytest.raises(ValueError, match=re.escape(str(bad))):
-        advance(case.initial_field(grid), 0.5, case.spec, config, grid,
-                snapshot_times=times)
+    for t in (0.25, 0.5, 1.0):
+        u = advance(u, t, case.spec, config, grid)
+        assert u.time == pytest.approx(t, abs=1e-12)
 
 
 def test_example1_table_entry_k1():
