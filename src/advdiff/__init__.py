@@ -13,7 +13,7 @@ from .core import (Boundary, Grid1D, Grid2D, ProblemSpec, ProblemSpec2D,
 from .problems import (BenchmarkCase, ErrorReport, barenblatt, error_norms,
                        exact_advdiff, make_problem, reference_solution,
                        solve_case)
-from .stability import EquationKind, StabilityReport, compute_report, scan_beta_max
+from .stability import EquationKind, compute_report, scan_beta_max
 from .timestep import UnstableSolution, advance
 
 __version__ = "0.1.0"
@@ -25,6 +25,6 @@ __all__ = [
     "BenchmarkCase", "ErrorReport", "barenblatt", "error_norms",
     "exact_advdiff", "make_problem", "reference_solution", "solve_case",
     "ProblemSpec2D", "initial_field",
-    "EquationKind", "StabilityReport", "compute_report", "scan_beta_max",
+    "EquationKind", "compute_report", "scan_beta_max",
     "UnstableSolution", "advance",
 ]

@@ -65,6 +65,10 @@ def _cmd_run(args) -> int:
     outside = [t for t in times if not case.t0 < t <= T]
     if outside:
         raise ValueError(f"snapshot times {outside} lie outside ({case.t0:g}, {T:g}]")
+    paths = [_with_suffix(args.out, t) for t in times]
+    clash = [t for t, path in zip(times, paths) if paths.count(path) > 1]
+    if clash:
+        raise ValueError(f"snapshot times {clash} give the same file name")
     grid = case.build_grid(args.N, args.Ny)
     # each snapshot restarts advance from the field before it; every file is
     # written after the last solve, so a failed run writes none
@@ -72,8 +76,7 @@ def _cmd_run(args) -> int:
     for t in times + [T]:
         fields.append(advance(fields[-1], t, case.spec, config, grid))
     *snaps, u = fields[1:]
-    for t_snap, field in zip(times, snaps):
-        path = _with_suffix(args.out, t_snap)
+    for path, field in zip(paths, snaps):
         _write_solution_csv(path, grid, field, case)
         print(f"wrote {path}")
     _write_solution_csv(args.out, grid, u, case)
@@ -121,13 +124,13 @@ def _cmd_stability(args) -> int:
     mode = SEMI_DISCRETE if args.mode == "semi" else FULLY_DISCRETE
     beta = args.beta
     if beta is None:
-        beta = stability.scan_beta_max(args.k, kind, mode=SEMI_DISCRETE)
+        beta = stability.scan_beta_max(args.k, kind)
         print(f"scanned beta_max({args.k}, {kind.value}) = {beta:.4f}")
-    report = stability.compute_report(args.k, kind, beta, mode=mode)
+    abs_lambda = stability.compute_report(args.k, kind, beta, mode)
     _write_csv(args.out, ["step_ratio", "kappa_dx", "abs_lambda"],
-               ((s, kd, lam) for s, row in zip(report.step_ratio, report.abs_lambda)
-                for kd, lam in zip(report.kappa_dx, row)))
-    print(f"wrote {args.out}: max|lambda| = {report.max_abs_lambda:.12f} "
+               ((s, kd, lam) for s, row in zip(stability.STEP_RATIOS, abs_lambda)
+                for kd, lam in zip(stability.KAPPA_DX, row)))
+    print(f"wrote {args.out}: max|lambda| = {np.max(abs_lambda):.12f} "
           f"(k={args.k}, {kind.value}, beta={beta:g})")
     return 0
 

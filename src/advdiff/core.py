@@ -72,8 +72,8 @@ class Grid2D:
 
 def build_grid_1d(a: float, b: float, n_cells: int) -> Grid1D:
     """Uniform grid of n_cells cells (n_cells+1 nodes) on [a, b]."""
-    if not b > a:
-        raise ValueError(f"need b > a, got [{a}, {b}]")
+    if not (b > a and np.isfinite(b - a)):
+        raise ValueError(f"need finite ends with b > a, got [{a}, {b}]")
     if not _is_int(n_cells):
         raise ValueError(f"n_cells must be an integer, got {n_cells!r}")
     if n_cells < 6:

@@ -9,7 +9,7 @@ Cases (constructible by name through make_problem):
     pme_two_box           porous medium (m = 6), two boxes of different
                           heights merging.
     buckley_leverett      two-phase flow flux (optional gravity term),
-                          degenerate diffusion eps * 4u(1-u).
+                          degenerate diffusion 0.01 * 4u(1-u).
     strong_degenerate     convection u^2 with diffusion switched off inside
                           |u| <= 0.25 (hyperbolic/parabolic interfaces).
     strong_degenerate_2d  the two-disc 2D variant.
@@ -92,31 +92,28 @@ def _bl_flux(gravity: bool):
     return f, fp
 
 
-def _bl_g(eps):
-    # primitive of eps * 4u(1-u) on [0, 1], constant outside
-    def g(u):
-        uu = np.clip(u, 0.0, 1.0)
-        return eps * (2 * uu ** 2 - 4.0 * uu ** 3 / 3.0)
-
-    def gp(u):
-        uu = np.asarray(u, dtype=float)
-        inside = (uu >= 0.0) & (uu <= 1.0)
-        return np.where(inside, eps * 4.0 * uu * (1.0 - uu), 0.0)
-
-    return g, gp
+# Buckley-Leverett diffusion: the primitive of 0.01 * 4u(1-u) on [0, 1],
+# constant outside
+def _bl_g(u):
+    uu = np.clip(u, 0.0, 1.0)
+    return 0.01 * (2 * uu ** 2 - 4.0 * uu ** 3 / 3.0)
 
 
-def _sd_g(eps):
-    # primitive of eps * indicator(|u| > 1/4)
-    def g(u):
-        uu = np.asarray(u, dtype=float)
-        return eps * (np.maximum(uu - 0.25, 0.0) + np.minimum(uu + 0.25, 0.0))
+def _bl_gp(u):
+    uu = np.asarray(u, dtype=float)
+    inside = (uu >= 0.0) & (uu <= 1.0)
+    return np.where(inside, 0.01 * 4.0 * uu * (1.0 - uu), 0.0)
 
-    def gp(u):
-        uu = np.asarray(u, dtype=float)
-        return np.where(np.abs(uu) > 0.25, eps, 0.0)
 
-    return g, gp
+# strongly degenerate diffusion: the primitive of 0.1 * indicator(|u| > 1/4)
+def _sd_g(u):
+    uu = np.asarray(u, dtype=float)
+    return 0.1 * (np.maximum(uu - 0.25, 0.0) + np.minimum(uu + 0.25, 0.0))
+
+
+def _sd_gp(u):
+    uu = np.asarray(u, dtype=float)
+    return np.where(np.abs(uu) > 0.25, 0.1, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -179,9 +176,9 @@ class BenchmarkCase:
 
 def make_problem(name: str, **params) -> BenchmarkCase:
     """Build a catalog case by name; keyword params override case knobs
-    (c/b for the linear case, m for the porous-medium cases, gravity/eps for
-    Buckley-Leverett, eps for the degenerate cases).  A knob the case does
-    not have raises ValueError."""
+    (c/b for the linear case, m for the porous-medium cases, gravity for
+    Buckley-Leverett; the degenerate and 2D cases take none).  A knob the
+    case does not have raises ValueError."""
     case = _build_case(name, params)
     if params:
         raise ValueError(f"case {name!r} does not take parameter(s) {', '.join(sorted(params))}")
@@ -223,20 +220,15 @@ def _build_case(name: str, params: dict) -> BenchmarkCase:
                              default_n=400, t0=0.0, t_final=0.12, default_cfl=0.5,
                              beta_defaults={3: 0.8})
     if name == "buckley_leverett":
-        gravity = params.pop("gravity", False)
-        eps = params.pop("eps", 0.01)
-        f, fp = _bl_flux(gravity)
-        g, gp = _bl_g(eps)
+        f, fp = _bl_flux(params.pop("gravity", False))
         x0 = 1.0 - 1.0 / np.sqrt(2.0)
-        spec = ProblemSpec(flux=f, flux_deriv=fp, diffusion=g, diffusion_deriv=gp,
+        spec = ProblemSpec(flux=f, flux_deriv=fp, diffusion=_bl_g, diffusion_deriv=_bl_gp,
                            initial=lambda x: np.where(np.asarray(x) < x0, 0.0, 1.0),
                            bc=Boundary.HOMOGENEOUS)
         return BenchmarkCase(name=name, spec=spec, domain=(0.0, 1.0),
                              default_n=200, t0=0.0, t_final=0.2, default_cfl=0.5,
                              beta_defaults={1: 1.0, 2: 0.5, 3: 0.4})
     if name == "strong_degenerate":
-        eps = params.pop("eps", 0.1)
-        g, gp = _sd_g(eps)
         c0 = 1.0 / np.sqrt(2.0)
 
         def u0(x):
@@ -245,14 +237,12 @@ def _build_case(name: str, params: dict) -> BenchmarkCase:
                     - np.where(np.abs(x - c0) < 0.4, 1.0, 0.0))
 
         spec = ProblemSpec(flux=lambda u: u ** 2, flux_deriv=lambda u: 2.0 * u,
-                           diffusion=g, diffusion_deriv=gp, initial=u0,
+                           diffusion=_sd_g, diffusion_deriv=_sd_gp, initial=u0,
                            bc=Boundary.HOMOGENEOUS)
         return BenchmarkCase(name=name, spec=spec, domain=(-2.0, 2.0),
                              default_n=200, t0=0.0, t_final=0.7, default_cfl=0.5,
                              beta_defaults={1: 1.0, 2: 0.5, 3: 0.4})
     if name == "strong_degenerate_2d":
-        eps = params.pop("eps", 0.1)
-        g, gp = _sd_g(eps)
         fsq = lambda u: u ** 2
         fsqp = lambda u: 2.0 * u
 
@@ -261,18 +251,17 @@ def _build_case(name: str, params: dict) -> BenchmarkCase:
             dn = ((x - 0.5) ** 2 + (y - 0.5) ** 2) < 0.16
             return np.where(up, 1.0, 0.0) - np.where(dn, 1.0, 0.0)
 
-        spec = ProblemSpec2D(f1=fsq, f1_deriv=fsqp, g1=g, g1_deriv=gp,
-                             f2=fsq, f2_deriv=fsqp, g2=g, g2_deriv=gp,
+        spec = ProblemSpec2D(f1=fsq, f1_deriv=fsqp, g1=_sd_g, g1_deriv=_sd_gp,
+                             f2=fsq, f2_deriv=fsqp, g2=_sd_g, g2_deriv=_sd_gp,
                              initial=discs, bc=Boundary.HOMOGENEOUS)
         return BenchmarkCase(name=name, spec=spec, domain=(-1.5, 1.5, -1.5, 1.5),
                              default_n=200, t0=0.0, t_final=0.5, default_cfl=0.5,
                              beta_defaults={3: 0.2})
     if name == "buckley_leverett_2d":
-        eps = params.pop("eps", 0.01)
         f1, f1p = _bl_flux(False)
         f2, f2p = _bl_flux(True)
-        glin = lambda u: eps * u
-        glinp = lambda u: eps * np.ones_like(np.asarray(u, dtype=float))
+        glin = lambda u: 0.01 * u
+        glinp = lambda u: 0.01 * np.ones_like(np.asarray(u, dtype=float))
 
         def disc(x, y):
             return np.where(x ** 2 + y ** 2 < 0.5, 1.0, 0.0)

@@ -15,17 +15,17 @@ multiplies the mode by lambda = R_k(z) where z = -beta * sum_{p<=k} Dhat^p
 (c < 0) meets the mirrored operators, so its multiplier is the complex
 conjugate and the same bounds hold for either direction.
 
-`compute_report` is the one scan: |lambda| over kappa_dx in [0, 2pi] against
-a log-spaced range of step ratios (c dt/dx for advection, b dt/dx^2 for
-diffusion).  `scan_beta_max` bisects for the largest beta keeping its
-maximum <= 1 + STABLE_TOL.  `amplification`, which every scan goes through,
-rejects a beta or step ratio that is not positive and finite.
+`compute_report` is the one scan: |lambda| on the grid of KAPPA_DX in
+[0, 2pi] against log-spaced STEP_RATIOS (c dt/dx for advection, b dt/dx^2 for
+diffusion).  `scan_beta_max` bisects for the largest beta keeping the
+semi-discrete scheme's maximum <= 1 + STABLE_TOL.  `amplification`, which
+every scan goes through, rejects a beta or step ratio that is not positive
+and finite.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,10 +37,12 @@ FULLY_DISCRETE = "fully_discrete_linear6"
 #: tolerance accepted as "stable" in scans (roundoff slack above 1)
 STABLE_TOL = 1e-10
 
-#: step-ratio scan range (log-uniform), and the scan grid: kappa_dx points
-#: over [0, 2pi] and step ratios over RATIO_RANGE
+#: step-ratio scan range (log-uniform), and the scan grid: N_KAPPA kappa_dx
+#: points over [0, 2pi] and N_RATIO step ratios over RATIO_RANGE
 RATIO_RANGE = (1e-3, 1e3)
 N_KAPPA, N_RATIO = 512, 64
+KAPPA_DX = np.linspace(0.0, 2 * np.pi, N_KAPPA)
+STEP_RATIOS = np.geomspace(*RATIO_RANGE, N_RATIO)
 
 #: bisection bracket for beta_max, and the width it is bisected to
 BETA_RANGE = (1e-3, 4.0)
@@ -50,20 +52,6 @@ BETA_TOL = 1e-3
 class EquationKind(enum.Enum):
     ADVECTION = "advection"
     DIFFUSION = "diffusion"
-
-
-@dataclass
-class StabilityReport:
-    kind: EquationKind
-    order: int
-    beta: float
-    kappa_dx: np.ndarray
-    step_ratio: np.ndarray
-    abs_lambda: np.ndarray  # shape (len(step_ratio), len(kappa_dx))
-    max_abs_lambda: float = field(init=False)
-
-    def __post_init__(self):
-        self.max_abs_lambda = float(np.max(self.abs_lambda))
 
 
 def rk_multiplier(order: int, z):
@@ -113,12 +101,11 @@ def amplification(order: int, kind: EquationKind, beta: float, kappa_dx,
     return rk_multiplier(order, z)
 
 
-def scan_beta_max(order: int, kind: EquationKind, mode: str = SEMI_DISCRETE,
-                  cross_term: bool = True) -> float:
-    """Largest beta in BETA_RANGE with max |lambda| <= 1 + STABLE_TOL."""
+def scan_beta_max(order: int, kind: EquationKind) -> float:
+    """Largest beta in BETA_RANGE with the semi-discrete scheme's
+    max |lambda| <= 1 + STABLE_TOL."""
     lo, hi = BETA_RANGE
-    stable = lambda b: (compute_report(order, kind, b, mode, cross_term=cross_term)
-                        .max_abs_lambda <= 1.0 + STABLE_TOL)
+    stable = lambda b: np.max(compute_report(order, kind, b, SEMI_DISCRETE)) <= 1.0 + STABLE_TOL
     if not stable(lo):
         raise RuntimeError("scan bracket broken: smallest beta already unstable")
     while hi - lo > BETA_TOL:
@@ -131,13 +118,8 @@ def scan_beta_max(order: int, kind: EquationKind, mode: str = SEMI_DISCRETE,
 
 
 def compute_report(order: int, kind: EquationKind, beta: float,
-                   mode: str = FULLY_DISCRETE, cross_term: bool = True) -> StabilityReport:
-    """|lambda| on the scan grid: N_KAPPA points of kappa_dx in [0, 2pi]
-    against N_RATIO log-spaced step ratios over RATIO_RANGE."""
-    kdx = np.linspace(0.0, 2 * np.pi, N_KAPPA)
-    ratios = np.geomspace(*RATIO_RANGE, N_RATIO)
-    grid = np.empty((N_RATIO, N_KAPPA))
-    for i, s in enumerate(ratios):
-        grid[i] = np.abs(amplification(order, kind, beta, kdx, s, mode, cross_term))
-    return StabilityReport(kind=kind, order=order, beta=beta,
-                           kappa_dx=kdx, step_ratio=ratios, abs_lambda=grid)
+                   mode: str = FULLY_DISCRETE) -> np.ndarray:
+    """|lambda| on the scan grid, shape (N_RATIO, N_KAPPA): row i holds the
+    step ratio STEP_RATIOS[i] over KAPPA_DX."""
+    return np.array([np.abs(amplification(order, kind, beta, KAPPA_DX, s, mode))
+                     for s in STEP_RATIOS])

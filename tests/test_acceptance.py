@@ -19,7 +19,7 @@ from advdiff.kernelops import (KernelParams, d_chain_pair, d_chain_zero,
 from advdiff.operator import build_H, kernel_families
 from advdiff.quadrature import (LINEAR6, WENO5, coef_tables,
                                 small_stencil_coefficients)
-from advdiff.stability import FULLY_DISCRETE, SEMI_DISCRETE, amplification
+from advdiff.stability import FULLY_DISCRETE, amplification
 from advdiff.timestep import rk_step
 from conftest import exp_cell_integral, window_values
 
@@ -109,10 +109,10 @@ BETA_TABLE = [(1, ADV, 2.0), (2, ADV, 1.0), (3, ADV, 1.243),
 def test_criterion_2_beta_max_recovery():
     t0 = time.time()
     for order, kind, expected in BETA_TABLE:
-        got = scan_beta_max(order, kind, mode=SEMI_DISCRETE)
+        got = scan_beta_max(order, kind)
         assert got == pytest.approx(expected, abs=0.01), (order, kind, got)
     for order, kind, beta in BETA_TABLE:
-        worst = compute_report(order, kind, beta, mode=FULLY_DISCRETE).max_abs_lambda
+        worst = np.max(compute_report(order, kind, beta, mode=FULLY_DISCRETE))
         assert worst <= 1.0 + 1e-10, (order, kind, worst)
     _report(2, f"beta_max table and |lambda|<=1 scans, {time.time()-t0:.0f}s")
 

@@ -3,6 +3,7 @@ import csv
 import numpy as np
 import pytest
 
+from advdiff import make_problem, solve_case
 from advdiff.cli import main
 
 
@@ -70,6 +71,16 @@ def test_duplicate_snapshot_times_write_one_file(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["sol.csv", "sol_t0.25.csv"]
 
 
+def test_snapshot_times_with_one_file_name_are_rejected(tmp_path, capsys):
+    # both times format to sol_t0.1.csv; the second file used to replace the first
+    rc = main(["run", "--case", "linear_advdiff", "--N", "40", "--k", "1", "--T", "0.2",
+               "--snapshots", "0.1000001,0.1000002", "--out", str(tmp_path / "sol.csv")])
+    assert rc == 1
+    assert ("error: snapshot times [0.1000001, 0.1000002] give the same file name"
+            in capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("times", ["0.25,0.9", "0.0,0.25", "-1.0"])
 def test_out_of_range_snapshot_times_are_rejected(times, tmp_path, capsys):
     rc = main(["run", "--case", "linear_advdiff", "--N", "40", "--k", "2",
@@ -127,6 +138,23 @@ def test_run_rejects_nonfinite_input(flag, value, field, tmp_path, capsys):
                  "--out", str(out)]) == 1
     assert field in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, setting",
+                         [(["--quadrature", "linear6"], dict(quadrature="linear6")),
+                          (["--no-filter"], dict(filter_enabled=False)),
+                          (["--no-cross-term"], dict(cross_term_k3=False))])
+def test_scheme_flags_reach_the_solver(flag, setting, tmp_path):
+    # discontinuous data with convection at k=3, where each flag changes the solution
+    args = ["run", "--case", "strong_degenerate", "--N", "48", "--k", "3", "--T", "0.05"]
+    assert main(args + flag + ["--out", str(tmp_path / "flag.csv")]) == 0
+    assert main(args + ["--out", str(tmp_path / "default.csv")]) == 0
+    got, default = (np.array([r[1] for r in read_csv(tmp_path / name)[1]])
+                    for name in ("flag.csv", "default.csv"))
+    case = make_problem("strong_degenerate")
+    _, want = solve_case(case, case.make_config(order=3, **setting), n=48, T=0.05)
+    assert got.tobytes() == want.values.tobytes()
+    assert not np.array_equal(got, default)
 
 
 def test_convergence_command(tmp_path):

@@ -26,6 +26,18 @@ def test_grid_validation():
         build_grid_1d(0.0, 1.0, 4)
 
 
+@pytest.mark.parametrize("a, b", [(0.0, np.inf), (-np.inf, 0.0), (np.nan, 1.0),
+                                  (0.0, np.nan), (-1e308, 1e308)])
+def test_grid_rejects_nonfinite_ends(a, b):
+    # an infinite end, or a span that overflows, made dx = inf and nan nodes
+    with pytest.raises(ValueError, match="need finite ends with b > a"):
+        build_grid_1d(a, b, 10)
+    with pytest.raises(ValueError, match="need finite ends with b > a"):
+        build_grid_2d(a, b, 10, 0.0, 1.0, 10)
+    with pytest.raises(ValueError, match="need finite ends with b > a"):
+        build_grid_2d(0.0, 1.0, 10, a, b, 10)
+
+
 @pytest.mark.parametrize("n_cells", [6.5, 8.0, True])
 def test_grid_rejects_non_integer_cell_counts(n_cells):
     # 6.5 cells would silently become 6 with the last node past b

@@ -78,6 +78,11 @@ def test_make_problem_rejects_unused_params():
     with pytest.raises(ValueError, match="c, q"):
         make_problem("pme_barenblatt", c=2.0, q=1)
     assert make_problem("pme_barenblatt", m=3).spec.diffusion(np.array(2.0)) == 8.0  # u^m
+    # the degenerate cases' diffusion scales are fixed, not knobs
+    for name in ("buckley_leverett", "strong_degenerate", "strong_degenerate_2d",
+                 "buckley_leverett_2d"):
+        with pytest.raises(ValueError, match=r"does not take parameter\(s\) eps"):
+            make_problem(name, eps=0.02)
 
 
 def test_default_beta_by_kind():

@@ -3,8 +3,9 @@ import pytest
 
 from advdiff import EquationKind, compute_report, scan_beta_max
 from advdiff.quadrature import coef_tables
-from advdiff.stability import (FULLY_DISCRETE, N_KAPPA, N_RATIO, SEMI_DISCRETE,
-                               _dhat, amplification, rk_multiplier)
+from advdiff.stability import (FULLY_DISCRETE, KAPPA_DX, N_KAPPA, N_RATIO,
+                               SEMI_DISCRETE, STEP_RATIOS, _dhat, amplification,
+                               rk_multiplier)
 
 ADV = EquationKind.ADVECTION
 DIF = EquationKind.DIFFUSION
@@ -98,8 +99,8 @@ def test_rk_multiplier_values():
     assert rk_multiplier(3, z) == 1 + z + z * z / 2 + z ** 3 / 6
 
 
-def worst(order, kind, beta, mode, **kw):
-    return compute_report(order, kind, beta, mode, **kw).max_abs_lambda
+def worst(order, kind, beta, mode):
+    return np.max(compute_report(order, kind, beta, mode))
 
 
 def test_report_max_amplification_examples():
@@ -116,8 +117,11 @@ def test_scan_beta_max_first_order():
 def test_k3_advection_needs_cross_term():
     # without the correction the third-order convection operator is not
     # A-stable for any beta in the scanned range
-    assert worst(3, ADV, 0.5, SEMI_DISCRETE, cross_term=False) > 1 + 1e-6
-    assert worst(3, ADV, 1.243, SEMI_DISCRETE, cross_term=True) <= 1 + 1e-10
+    uncorrected = max(np.max(np.abs(amplification(3, ADV, 0.5, KAPPA_DX, s, SEMI_DISCRETE,
+                                                  cross_term=False)))
+                      for s in STEP_RATIOS)
+    assert uncorrected > 1 + 1e-6
+    assert worst(3, ADV, 1.243, SEMI_DISCRETE) <= 1 + 1e-10
 
 
 @pytest.mark.parametrize("mode", [SEMI_DISCRETE, FULLY_DISCRETE])
@@ -139,10 +143,14 @@ def test_conjugate_symmetry_fully_discrete():
 
 
 def test_report_scans_its_default_grid():
-    rep = compute_report(1, DIF, 2.0, mode=FULLY_DISCRETE)
-    assert rep.max_abs_lambda <= 1 + 1e-10
-    assert rep.abs_lambda.shape == (N_RATIO, N_KAPPA)
-    assert rep.step_ratio.shape == (N_RATIO,) and rep.kappa_dx.shape == (N_KAPPA,)
+    abs_lambda = compute_report(1, DIF, 2.0, mode=FULLY_DISCRETE)
+    assert np.max(abs_lambda) <= 1 + 1e-10
+    assert abs_lambda.shape == (N_RATIO, N_KAPPA)
+    assert STEP_RATIOS.shape == (N_RATIO,) and KAPPA_DX.shape == (N_KAPPA,)
+    # row i is the step ratio STEP_RATIOS[i] over KAPPA_DX
+    for i in (0, N_RATIO // 2, N_RATIO - 1):
+        assert np.array_equal(abs_lambda[i], np.abs(amplification(
+            1, DIF, 2.0, KAPPA_DX, STEP_RATIOS[i], FULLY_DISCRETE)))
     # zero mode is neutrally stable in every step-ratio row
-    assert rep.kappa_dx[0] == 0.0
-    assert rep.abs_lambda[:, 0] == pytest.approx(np.ones(N_RATIO), abs=1e-12)
+    assert KAPPA_DX[0] == 0.0
+    assert abs_lambda[:, 0] == pytest.approx(np.ones(N_RATIO), abs=1e-12)
