@@ -23,9 +23,12 @@ The one primitive, `_d_pair`, applies D_L and D_R; D_0 = (D_L + D_R)/2 is
 half a pair difference, (D_L[v] - D_R[-v])/2, so one closure rule serves all
 three families: periodic closures add each sweep's periodic images (a
 circulant convolution), and homogeneous ones close the pair jointly so
-D_L[v1] - D_R[v2] (for D_0, D_0 itself) vanishes at both ends.  Each stage
-writes its sums into arrays it made (the sweeps' outputs and spent
-integrals), never into its inputs.
+D_L[v1] - D_R[v2] (for D_0, D_0 itself) vanishes at both ends.  A side
+whose input is exactly zero, as one half of the flux split of a linear flux
+is, skips its quadrature and sweep: on zero data both return +0.0 exactly,
+so the shortcut's zeros change no bit, and the closure still runs as above.
+Each stage writes its sums into arrays it made (the sweeps' outputs and
+spent integrals), never into its inputs.
 
 All array operations act along the last axis, so a leading batch dimension
 (used for 2D line sweeps) comes for free.
@@ -108,22 +111,36 @@ def boundary_coefficients(bc: Boundary, mu: float, e_a, e_b):
     return (mu * e_b - e_a) / one, (mu * e_a - e_b) / one
 
 
+def _zero_integrals(v, mode: str):
+    """What `local_integrals` returns on an exactly zero v (entries +-0.0):
+    +0.0 throughout, since every weight is finite, every rule sum starts
+    from 0.0 and the indicators are sums of squares."""
+    zero = np.zeros(v.shape)
+    return np.zeros(v.shape), *((zero, zero) if mode == WENO5 else (None, None))
+
+
 def _d_pair(vl, vr, params: KernelParams, bc: Boundary, mode: str):
     """One application of D_L to vl and D_R to vr.
 
     Periodic closures are independent; in the homogeneous regime the pair is
     closed jointly so D_L[vl] - D_R[vr] vanishes at both ends.  Returns
     (D_L[vl], D_R[vr], si_left, si_right), the smoothness pairs None in
-    linear mode.
+    linear mode.  A side whose input is exactly zero (the f- of f = cu, the
+    f+ of f = -|c|u) skips its quadrature and sweep, which return +0.0 there
+    (`_zero_integrals`); the closure still runs on both ends, so every output
+    bit is the one the full path gives.
     """
-    JL, *si_l = local_integrals(vl, params, mode, bc)
-    JR, *si_r = local_integrals(vr[..., ::-1], params, mode, bc)
+    zero_l, zero_r = not vl.any(), not vr.any()
+    JL, *si_l = _zero_integrals(vl, mode) if zero_l else local_integrals(vl, params, mode, bc)
+    JR, *si_r = (_zero_integrals(vr, mode) if zero_r
+                 else local_integrals(vr[..., ::-1], params, mode, bc))
     periodic = bc is Boundary.PERIODIC
     if not periodic:
         # the ghost cells left of each sweep's start lie outside the domain
         JL[..., 0] = JR[..., 0] = 0.0
-    IL = sweep_left(JL, params)
-    IR_rev = sweep_left(JR, params)
+    # the sweep of zeros is +0.0 too
+    IL = np.zeros(vl.shape) if zero_l else sweep_left(JL, params)
+    IR_rev = np.zeros(vr.shape) if zero_r else sweep_left(JR, params)
     IR = IR_rev[..., ::-1]
     if periodic:
         # circulant: each sweep from J_0 covers one period, and the images of

@@ -101,11 +101,12 @@ def build_H(u: np.ndarray, problem: ProblemSpec | ProblemSpec2D, config: SchemeC
 
     bounds holds one WaveBounds per axis of problem and grid, a one-entry
     tuple in 1D, and families is the step's `kernel_families(config, bounds,
-    dt, grid)`, which all its stages share, so each family builds its tables
-    once per step.  u holds N nodes per periodic axis (core.unique_nodes),
-    N+1 otherwise; the x-sweeps treat the rows of a 2D field as a batch and
-    the y-sweeps run on the transposed field; both are evaluated from the
-    same input field and summed.
+    dt, grid)`, which all its stages share (and `advance` keeps while
+    (bounds, dt) repeats), so each family builds its tables once.  u holds
+    N nodes per periodic axis (core.unique_nodes), N+1 otherwise; the
+    x-sweeps treat the rows of a 2D field as a batch and the y-sweeps run on
+    the transposed field; both are evaluated from the same input field and
+    summed.
     """
     end_node = int(problem.bc is not Boundary.PERIODIC)
     expected = tuple(g.n_cells + end_node for g in reversed(grid.axes))

@@ -1,8 +1,9 @@
 """Explicit SSP Runge-Kutta time integration of u_t = H[u], in 1D and 2D.
 
-The kernel parameters inside H depend on the step size, so they are built
-once per step (including the truncated final step) and shared by its stages.  Stage combinations are the
-classic convex forms:
+The kernel parameters inside H depend on the wave-speed bounds and the step
+size, so they are built for a step (including the truncated final step),
+shared by its stages, and kept by `advance` for the following steps while
+(bounds, dt) repeats.  Stage combinations are the classic convex forms:
 
     k=1:  u + dt H[u]
     k=2:  u1 = u + dt H[u];  u <- u/2 + (u1 + dt H[u1])/2
@@ -61,6 +62,13 @@ def advance(u0: SolutionField, T: float, problem: ProblemSpec | ProblemSpec2D,
     the bounds of every axis, picks dt, and the last step is truncated to
     land exactly on T.  A 2D field has shape (ny+1, nx+1).
 
+    The kernel families (and the quadrature tables they build on first use)
+    are a pure function of (bounds, dt), so a step whose (bounds, dt) equals
+    the previous step's reuses them; they live for this call only.  Their
+    chains skip the quadrature and sweep of an exactly zero input, such as
+    the f- of a linear flux f = cu, c > 0, whose zeros those stages would
+    return bit for bit (kernelops._d_pair).
+
     u0 must be finite on the N+1 nodes of each axis, and on a periodic axis
     node N must repeat node 0, as it does exactly in every field returned;
     so a field at an intermediate time comes from calling advance again
@@ -86,10 +94,13 @@ def advance(u0: SolutionField, T: float, problem: ProblemSpec | ProblemSpec2D,
     values, restore = unique_nodes(u0.values, problem.bc)
     u = SolutionField(values=values, time=u0.time)
     tol = TIME_TOL * max(1.0, abs(T))
+    step_key = families = None
     while u.time < T - tol:
         bounds = tuple(compute_bounds(spec, u.values) for spec in problem.axes)
         dt = min(compute_dt(config, bounds, grid), T - u.time)
-        families = kernel_families(config, bounds, dt, grid)
+        if (bounds, dt) != step_key:
+            step_key = (bounds, dt)
+            families = kernel_families(config, bounds, dt, grid)
         u = rk_step(u, dt, config.order,
                     lambda v: build_H(v, problem, config, bounds, grid, families))
     return SolutionField(values=restore(u.values), time=u.time)

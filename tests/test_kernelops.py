@@ -422,3 +422,55 @@ def test_primitives_leave_their_inputs_unchanged(mode, bc, shape, rng):
     local_integrals(vl, p, mode, bc)
     local_integrals(vr[..., ::-1], p, mode, bc)
     assert unchanged()
+
+
+def reference_pair(vl, vr, p, bc, mode):
+    """`_d_pair` with no zero-side shortcut: both sides run through the
+    quadrature, the ghost-cell rule and the sweep, then the closure, rounding
+    each sum as `_d_pair` does."""
+    JL, *si_l = local_integrals(vl, p, mode, bc)
+    JR, *si_r = local_integrals(vr[..., ::-1], p, mode, bc)
+    if bc is HOM:
+        JL[..., 0] = JR[..., 0] = 0.0
+    IL = sweep_left(JL, p)
+    IR = sweep_left(JR, p)[..., ::-1]
+    if bc is PER:
+        a_l, b_r = boundary_coefficients(bc, p.mu, IR[..., 0], IL[..., -1])
+        profile = p.e_left[1:]
+    else:
+        a_l, b_r = boundary_coefficients(bc, p.mu, (vr[..., 0] - vl[..., 0]) - IR[..., 0],
+                                         (vr[..., -1] - vl[..., -1]) + IL[..., -1])
+        b_r = -b_r
+        profile = p.e_left
+    dl = vl - (IL + np.asarray(a_l)[..., None] * profile)
+    dr = vr - (IR + np.asarray(b_r)[..., None] * profile[::-1])
+    if si_l[0] is None:
+        return dl, dr, None, None
+    return dl, dr, tuple(si_l), tuple(s[..., ::-1] for s in si_r)
+
+
+@pytest.mark.parametrize("shape", [(41,), (3, 41)])
+@pytest.mark.parametrize("bc", [PER, HOM])
+@pytest.mark.parametrize("mode", [WENO5, LINEAR6])
+@pytest.mark.parametrize("zero_side", ["left", "right", "both"])
+def test_zero_side_shortcut_changes_no_bit(zero_side, mode, bc, shape, rng, monkeypatch):
+    # an exactly zero side, -0.0 entries included, skips its quadrature and
+    # sweep; outputs and smoothness pairs keep the full path's bytes
+    p = params_for(5.0, build_grid_1d(0.0, 1.0, shape[-1] - (bc is HOM)))
+    zero = np.zeros(shape)
+    zero[..., ::3] = -0.0
+    vl = zero if zero_side != "right" else rng.standard_normal(shape)
+    vr = zero.copy() if zero_side != "left" else rng.standard_normal(shape)
+    want = reference_pair(vl, vr, p, bc, mode)
+    quadratures = []
+    monkeypatch.setattr(kernelops, "local_integrals",
+                        lambda *a: quadratures.append(a) or local_integrals(*a))
+    got = _d_pair(vl, vr, p, bc, mode)
+    assert len(quadratures) == (zero_side != "both")
+    for g, w in zip(got[:2], want[:2]):
+        assert g.tobytes() == w.tobytes()
+    for g, w in zip(got[2:], want[2:]):
+        if mode == LINEAR6:
+            assert g is None and w is None
+        else:
+            assert [s.tobytes() for s in g] == [s.tobytes() for s in w]

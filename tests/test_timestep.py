@@ -7,6 +7,7 @@ import pytest
 from advdiff import (Boundary, ProblemSpec, SchemeConfig, SolutionField,
                      UnstableSolution, advance, build_grid_1d, compute_bounds,
                      compute_dt, make_problem)
+from advdiff import timestep
 from advdiff.operator import build_H, kernel_families
 from advdiff.stability import rk_multiplier
 from advdiff.timestep import rk_step
@@ -230,3 +231,75 @@ def test_scaling_and_shifting_the_data_commute_with_the_solve(data, scale, shift
     want = scale * _linear_solve(u0, order, linear) + shift
     got = _linear_solve(scale * u0 + shift, order, linear)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def _record_steps(monkeypatch):
+    """Route advance's kernel_families, compute_dt and rk_step through
+    recorders; returns (builds, steps): the (bounds, dt) of every family
+    build, and the bounds and taken dt of every step."""
+    builds, bounds, dts = [], [], []
+
+    def families(config, b, dt, grid):
+        builds.append((b, dt))
+        return kernel_families(config, b, dt, grid)
+
+    def nominal_dt(config, b, grid):
+        bounds.append(b)
+        return compute_dt(config, b, grid)
+
+    def step(u, dt, order, H):
+        dts.append(dt)
+        return rk_step(u, dt, order, H)
+
+    monkeypatch.setattr(timestep, "kernel_families", families)
+    monkeypatch.setattr(timestep, "compute_dt", nominal_dt)
+    monkeypatch.setattr(timestep, "rk_step", step)
+    return builds, lambda: list(zip(bounds, dts))
+
+
+def _run(name):
+    """advance's arguments (u0, T, problem, config, grid) for a periodic
+    run: "linear" has constant bounds, and its last step is truncated;
+    "burgers" (f = u^2/2 from 0.5 + 0.5 sin x) has bounds that move every
+    step."""
+    if name == "linear":
+        case = make_problem("linear_advdiff")
+        grid = case.build_grid(40)
+        return case.initial_field(grid), 0.5, case.spec, case.make_config(order=2), grid
+    prob = ProblemSpec(flux=lambda u: 0.5 * u ** 2, flux_deriv=lambda u: u,
+                       diffusion=lambda u: 0.0 * u, diffusion_deriv=lambda u: 0.0 * u,
+                       initial=lambda x: 0.5 + 0.5 * np.sin(x), bc=Boundary.PERIODIC)
+    grid = build_grid_1d(-np.pi, np.pi, 40)
+    return (SolutionField(values=prob.initial(grid.nodes), time=0.0), 1.0, prob,
+            SchemeConfig(order=3, beta=0.4, cfl=0.5), grid)
+
+
+def test_constant_bounds_build_families_once_per_distinct_dt(monkeypatch):
+    builds, steps = _record_steps(monkeypatch)
+    advance(*_run("linear"))
+    taken = steps()
+    assert len(taken) == 7 and taken[-1][1] < taken[0][1]  # the last step is truncated
+    assert builds == [taken[0], taken[-1]]
+
+
+def test_moving_bounds_rebuild_families_exactly_when_the_step_key_changes(monkeypatch):
+    builds, steps = _record_steps(monkeypatch)
+    advance(*_run("burgers"))
+    taken = steps()
+    assert builds == [key for i, key in enumerate(taken) if i == 0 or key != taken[i - 1]]
+    assert len({key[0] for key in taken}) > 1
+
+
+@pytest.mark.parametrize("name", ["linear", "burgers"])
+def test_kept_families_give_the_bytes_of_fresh_ones(name):
+    # a loop that builds every step's families afresh
+    u0, T, prob, config, grid = _run(name)
+    u = SolutionField(values=u0.values[:-1], time=u0.time)
+    while u.time < T - 1e-12:
+        bounds = (compute_bounds(prob, u.values),)
+        dt = min(compute_dt(config, bounds, grid), T - u.time)
+        families = kernel_families(config, bounds, dt, grid)
+        u = rk_step(u, dt, config.order,
+                    lambda v: build_H(v, prob, config, bounds, grid, families))
+    want = np.append(u.values, u.values[0])
+    assert advance(u0, T, prob, config, grid).values.tobytes() == want.tobytes()
