@@ -12,8 +12,9 @@ and problems expose their per-axis parts as `axes`, so the stepping driver
 and the operator treat 1D as one axis and 2D as two, with one WaveBounds per
 axis (a one-entry tuple in 1D) and one sampler of u0, `initial_field`.
 
-A periodic field enters and leaves the solver on the grid's N+1 nodes, node N
-repeating node 0; the solver evolves its N unique nodes (`unique_nodes`).
+A field enters and leaves the solver on the grid's N+1 nodes per axis, node
+N of a periodic axis repeating node 0; `unique_nodes` checks that layout and
+keeps the nodes the solver evolves, dropping node N of periodic data.
 Data past the ends is read by one rule: `padded` extends the last axis by
 wrapping periodic data and repeating other data's end values, and `shifted`
 returns the neighbour views v_{i+m} as slices of that one padded array.  The
@@ -35,6 +36,10 @@ BOUND_SAMPLES = 2048
 
 #: below this, an advection/diffusion block is considered absent
 DEGENERATE_TOL = 1e-14
+
+#: largest accepted gap |u[..., N] - u[..., 0]| on a periodic axis, relative
+#: to max|u|: node N repeats node 0 (`unique_nodes`)
+PERIODIC_TOL = 1e-12
 
 
 def _is_int(value) -> bool:
@@ -87,13 +92,24 @@ def build_grid_2d(ax: float, bx: float, nx: int, ay: float, by: float, ny: int) 
     return Grid2D(gx=build_grid_1d(ax, bx, nx), gy=build_grid_1d(ay, by, ny))
 
 
-def unique_nodes(values: np.ndarray, bc: Boundary):
+def unique_nodes(values: np.ndarray, bc: Boundary, grid: Grid1D | Grid2D):
     """The nodes of a grid field that the solver evolves, and the rule that
-    restores the grid's layout: periodic data drops node N of every axis,
-    which repeats node 0, and the rule appends node 0 again; other data keeps
-    its nodes, and the rule copies them."""
+    restores the grid's layout, N+1 nodes per axis (checked): periodic data,
+    whose node N must repeat node 0 on each axis to PERIODIC_TOL, drops node
+    N, and the rule appends node 0 again; other data keeps its nodes, and
+    the rule copies them."""
+    expected = tuple(g.n_cells + 1 for g in reversed(grid.axes))
+    if values.shape != expected:
+        raise ValueError(f"expected initial data of shape {expected} on this grid, "
+                         f"got shape {values.shape}")
     if bc is not Boundary.PERIODIC:
         return values, np.copy
+    scale = PERIODIC_TOL * np.max(np.abs(values))
+    for name, v in zip("xy", (values, values.T)[:values.ndim]):
+        gap = np.max(np.abs(v[..., -1] - v[..., 0]))
+        if gap > scale:
+            raise ValueError(f"periodic data along {name} differs at its two ends "
+                             f"(max gap {gap:.3g}); node N must repeat node 0")
     return values[(slice(-1),) * values.ndim], lambda v: np.pad(v, (0, 1), mode="wrap")
 
 

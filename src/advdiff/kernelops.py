@@ -13,17 +13,18 @@ recursion (a linear recurrence filter)
 
     I^L_i = I^L_{i-1} e^{-nu} + J^L_i,   I^L_{-1} = 0,
 
-from the cell J_0 left of node 0 on: the wrap cell of periodic data, which
-holds its N unique nodes, or the ghost cell of other data, counted as 0.  The
-right kernel is the left one reflected in space, so I^R and its smoothness
-pair are the left path run on the reversed data and reversed back.  The six
-quadrature windows are slices of one line padded past the ends by
-`core.padded`, the extension rule the filter shares through `core.shifted`.
-The one primitive, `_d_pair`, applies D_L and D_R; D_0 = (D_L + D_R)/2 is
+from the cell J_0 left of node 0 on.  The right kernel is the left one
+reflected in space, so I^R and its smoothness pair are the left path run on
+the reversed data and reversed back.  The six quadrature windows are slices
+of one line padded past the ends by `core.padded`, the extension rule the
+filter shares through `core.shifted`.  The one primitive, `_d_pair`,
+applies D_L and D_R: quadrature, sweep, closure, D.  D_0 = (D_L + D_R)/2 is
 half a pair difference, (D_L[v] - D_R[-v])/2, so one closure rule serves all
-three families: periodic closures add each sweep's periodic images (a
-circulant convolution), and homogeneous ones close the pair jointly so
-D_L[v1] - D_R[v2] (for D_0, D_0 itself) vanishes at both ends.  A side
+three families.  Each boundary rule has one owner: `local_integrals` makes
+J_0 the wrap cell of periodic data or a ghost cell of other data, 0.0, and
+`boundary_coefficients` closes the pair by each sweep's periodic images (a
+circulant convolution) or jointly, so D_L[v1] - D_R[v2] (for D_0, D_0
+itself) vanishes at both ends of homogeneous data.  A side
 whose input is exactly zero, as one half of the flux split of a linear flux
 is, skips its quadrature and sweep: on zero data both return +0.0 exactly,
 so the shortcut's zeros change no bit, and the closure still runs as above.
@@ -80,15 +81,20 @@ class KernelParams:
 
 
 def local_integrals(v: np.ndarray, params: KernelParams, mode: str, bc: Boundary):
-    """Per-cell local integrals J_i over [x_{i-1}, x_i] (J_0: the wrap or ghost
-    cell), anchored at x_i, from the six windows v_{i-3..i+2} of the padded
-    line; returns (J, si0, si2), the smoothness pair None in linear mode."""
+    """Per-cell local integrals J_i over [x_{i-1}, x_i], anchored at x_i, from
+    the six windows v_{i-3..i+2} of the padded line; returns (J, si0, si2),
+    the smoothness pair None in linear mode.  J_0, left of node 0, is the
+    wrap cell of periodic data and a ghost cell of other data, 0.0."""
     line = padded(v, bc, -3, 2)
     if mode == WENO5:
-        return quadrature.weno_integrals(line, params.tables)
-    if mode == LINEAR6:
-        return quadrature.linear_integrals(line, params.tables), None, None
-    raise ValueError(f"unknown quadrature mode {mode!r}")
+        J, si0, si2 = quadrature.weno_integrals(line, params.tables)
+    elif mode == LINEAR6:
+        J, si0, si2 = quadrature.linear_integrals(line, params.tables), None, None
+    else:
+        raise ValueError(f"unknown quadrature mode {mode!r}")
+    if bc is not Boundary.PERIODIC:
+        J[..., 0] = 0.0
+    return J, si0, si2
 
 
 def sweep_left(J: np.ndarray, params: KernelParams) -> np.ndarray:
@@ -96,19 +102,26 @@ def sweep_left(J: np.ndarray, params: KernelParams) -> np.ndarray:
     return lfilter([1.0], [1.0, -np.exp(-params.nu)], J, axis=-1)
 
 
-def boundary_coefficients(bc: Boundary, mu: float, e_a, e_b):
-    """Coefficients (A, B) of the edge profile e_left and its mirror from the
-    end values e_a, e_b that the caller's closure condition supplies.
+def boundary_coefficients(bc: Boundary, params: KernelParams, vl, vr, IL, IR):
+    """The pair's closure: (A_L, B_R, profile) with D_L[vl] = vl - (I^L +
+    A_L profile) and D_R[vr] = vr - (I^R + B_R profile reversed), A_L and
+    B_R batch arrays over the leading axes (scalars for one line).
 
-    Periodic: A = e_b/(1-mu), B = e_a/(1-mu).  Homogeneous: the solution of
-    A + mu B = -e_a, mu A + B = -e_b.  Entries may be batch arrays.
+    Periodic (circulant): each sweep from J_0 covers one period, and
+    A_L = I^L_{N-1}/(1-mu), B_R = I^R_0/(1-mu) on e_left[1:] add the images
+    of the earlier periods.  Homogeneous: D_L[vl] - D_R[vr] = 0 at both
+    ends, on e_left: A + mu B = -e_a, mu A + B = -e_b in (A, B) = (A_L,
+    -B_R), with e_a = (vr_0 - vl_0) - I^R_0 and e_b = (vr_N - vl_N) + I^L_N.
     """
+    mu = params.mu
     if not 0.0 <= mu < 1.0:
         raise ValueError(f"need 0 <= mu < 1, got {mu}")
     if bc is Boundary.PERIODIC:
-        return e_b / (1.0 - mu), e_a / (1.0 - mu)
+        return IL[..., -1] / (1.0 - mu), IR[..., 0] / (1.0 - mu), params.e_left[1:]
+    e_a = (vr[..., 0] - vl[..., 0]) - IR[..., 0]
+    e_b = (vr[..., -1] - vl[..., -1]) + IL[..., -1]
     one = 1.0 - mu ** 2
-    return (mu * e_b - e_a) / one, (mu * e_a - e_b) / one
+    return (mu * e_b - e_a) / one, -(mu * e_a - e_b) / one, params.e_left
 
 
 def _zero_integrals(v, mode: str):
@@ -120,41 +133,24 @@ def _zero_integrals(v, mode: str):
 
 
 def _d_pair(vl, vr, params: KernelParams, bc: Boundary, mode: str):
-    """One application of D_L to vl and D_R to vr.
+    """One application of D_L to vl and D_R to vr: quadrature, sweep,
+    closure (`boundary_coefficients`), D.
 
-    Periodic closures are independent; in the homogeneous regime the pair is
-    closed jointly so D_L[vl] - D_R[vr] vanishes at both ends.  Returns
-    (D_L[vl], D_R[vr], si_left, si_right), the smoothness pairs None in
-    linear mode.  A side whose input is exactly zero (the f- of f = cu, the
-    f+ of f = -|c|u) skips its quadrature and sweep, which return +0.0 there
-    (`_zero_integrals`); the closure still runs on both ends, so every output
-    bit is the one the full path gives.
+    Returns (D_L[vl], D_R[vr], si_left, si_right), the smoothness pairs None
+    in linear mode.  A side whose input is exactly zero (the f- of f = cu,
+    the f+ of f = -|c|u) skips its quadrature and sweep, which return +0.0
+    there (`_zero_integrals`); the closure still runs on both ends, so every
+    output bit is the one the full path gives.
     """
     zero_l, zero_r = not vl.any(), not vr.any()
     JL, *si_l = _zero_integrals(vl, mode) if zero_l else local_integrals(vl, params, mode, bc)
     JR, *si_r = (_zero_integrals(vr, mode) if zero_r
                  else local_integrals(vr[..., ::-1], params, mode, bc))
-    periodic = bc is Boundary.PERIODIC
-    if not periodic:
-        # the ghost cells left of each sweep's start lie outside the domain
-        JL[..., 0] = JR[..., 0] = 0.0
     # the sweep of zeros is +0.0 too
     IL = np.zeros(vl.shape) if zero_l else sweep_left(JL, params)
     IR_rev = np.zeros(vr.shape) if zero_r else sweep_left(JR, params)
     IR = IR_rev[..., ::-1]
-    if periodic:
-        # circulant: each sweep from J_0 covers one period, and the images of
-        # the earlier periods add A q^(i+1), A read at the sweep's far end
-        a_l, b_r = boundary_coefficients(bc, params.mu, IR[..., 0], IL[..., -1])
-        profile = params.e_left[1:]
-    else:
-        # D_L[vl] - D_R[vr] = 0 at both ends is the homogeneous system in
-        # (A_L, -B_R) with these end values
-        a_l, b_r = boundary_coefficients(bc, params.mu,
-                                         (vr[..., 0] - vl[..., 0]) - IR[..., 0],
-                                         (vr[..., -1] - vl[..., -1]) + IL[..., -1])
-        b_r = -b_r
-        profile = params.e_left
+    a_l, b_r, profile = boundary_coefficients(bc, params, vl, vr, IL, IR)
     # D = v - (I + edge term), formed in the sweeps' arrays with the spent
     # J^L holding the edge terms; D_R in the reversed frame of its sweep,
     # where its edge profile is the left one

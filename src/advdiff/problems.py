@@ -287,7 +287,8 @@ def reference_solution(case: BenchmarkCase, T: Optional[float] = None,
     """Explicit first-order scheme (upwind differences of the solver's
     Lax-Friedrichs split + central diffusion) on a fine grid,
     dt = 0.1 dx^2/(c dx + 2b); used to benchmark cases without an exact
-    solution.  T must lie in [t0, inf)."""
+    solution.  T must lie in [t0, inf), and a periodic u0 must repeat node 0
+    at node N (`core.unique_nodes`)."""
     if case.is_2d:
         raise ValueError("reference scheme is one-dimensional")
     T = case.t_final if T is None else T
@@ -295,7 +296,7 @@ def reference_solution(case: BenchmarkCase, T: Optional[float] = None,
         raise ValueError(f"reference target time must lie in [{case.t0:g}, inf), got {T}")
     grid = case.build_grid(n_ref)
     prob = case.spec
-    u, restore = unique_nodes(np.asarray(prob.initial(grid.nodes), dtype=float), prob.bc)
+    u, restore = unique_nodes(case.initial_field(grid).values, prob.bc, grid)
     bounds = compute_bounds(prob, u)
     c, b = bounds.c, bounds.b_diff
     dx = grid.dx
@@ -337,11 +338,11 @@ def error_norms(u: SolutionField, truth: Callable, grid: Grid1D) -> ErrorReport:
 
 def observed_orders(reports: list[ErrorReport]) -> list[ErrorReport]:
     """Fill order_vs_previous as log2(e_coarse/e_fine) of the linf errors
-    for doubled resolution."""
-    prev = None
+    for doubled resolution, where both errors are positive."""
+    prev = 0.0
     for rep in reports:
         err = rep.linf
-        if prev is not None and err > 0:
+        if prev > 0 and err > 0:
             rep.order_vs_previous = float(np.log2(prev / err))
         prev = err
     return reports

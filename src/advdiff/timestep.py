@@ -17,16 +17,12 @@ from typing import Callable
 
 import numpy as np
 
-from .core import (Boundary, Grid1D, Grid2D, ProblemSpec, ProblemSpec2D, SchemeConfig,
-                   SolutionField, compute_bounds, compute_dt, unique_nodes)
+from .core import (Grid1D, Grid2D, ProblemSpec, ProblemSpec2D, SchemeConfig, SolutionField,
+                   compute_bounds, compute_dt, unique_nodes)
 from .operator import build_H, kernel_families
 
 #: relative slack when deciding whether the target time is reached
 TIME_TOL = 1e-12
-
-#: largest accepted gap max|u[..., N] - u[..., 0]| on a periodic axis of the
-#: input, relative to max|u|: node N repeats node 0 (core.unique_nodes)
-PERIODIC_TOL = 1e-12
 
 
 class UnstableSolution(RuntimeError):
@@ -69,10 +65,10 @@ def advance(u0: SolutionField, T: float, problem: ProblemSpec | ProblemSpec2D,
     the f- of a linear flux f = cu, c > 0, whose zeros those stages would
     return bit for bit (kernelops._d_pair).
 
-    u0 must be finite on the N+1 nodes of each axis, and on a periodic axis
-    node N must repeat node 0, as it does exactly in every field returned;
-    so a field at an intermediate time comes from calling advance again
-    from a returned one.
+    u0 must be finite and in the grid's layout (`core.unique_nodes`): N+1
+    nodes per axis, node N of a periodic axis repeating node 0, as it does
+    exactly in every field returned; so a field at an intermediate time
+    comes from calling advance again from a returned one.
     """
     if not np.isfinite(T):
         raise ValueError(f"target time must be finite, got {T}")
@@ -80,18 +76,7 @@ def advance(u0: SolutionField, T: float, problem: ProblemSpec | ProblemSpec2D,
         raise ValueError("target time lies before the field's time")
     if not np.all(np.isfinite(u0.values)):
         raise ValueError("initial data u0 holds non-finite values")
-    expected = tuple(g.n_cells + 1 for g in reversed(grid.axes))
-    if u0.values.shape != expected:
-        raise ValueError(f"expected initial data of shape {expected} on this grid, "
-                         f"got shape {u0.values.shape}")
-    if problem.bc is Boundary.PERIODIC:
-        scale = PERIODIC_TOL * np.max(np.abs(u0.values))
-        for name, v in zip("xy", (u0.values, u0.values.T)[:u0.values.ndim]):
-            gap = np.max(np.abs(v[..., -1] - v[..., 0]))
-            if gap > scale:
-                raise ValueError(f"periodic data along {name} differs at its two ends "
-                                 f"(max gap {gap:.3g}); node N must repeat node 0")
-    values, restore = unique_nodes(u0.values, problem.bc)
+    values, restore = unique_nodes(u0.values, problem.bc, grid)
     u = SolutionField(values=values, time=u0.time)
     tol = TIME_TOL * max(1.0, abs(T))
     step_key = families = None

@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 from advdiff import (Boundary, ProblemSpec, ProblemSpec2D, SchemeConfig,
                      WaveBounds, build_grid_1d, build_grid_2d, compute_bounds,
                      compute_dt, initial_field, make_problem)
+from advdiff.core import unique_nodes
 
 
 def test_grid_basic_examples():
@@ -191,3 +194,35 @@ def test_config_rejects_nonfinite_beta_and_cfl(name, value):
 def test_boundary_enum_values():
     assert Boundary.PERIODIC.value == "periodic"
     assert Boundary.HOMOGENEOUS.value == "homogeneous"
+
+
+@pytest.mark.parametrize("bc", list(Boundary))
+def test_unique_nodes_rejects_a_field_of_the_wrong_shape(bc):
+    # N+1 nodes per axis, x along the last, whatever the boundary
+    grid = build_grid_1d(0.0, 1.0, 10)
+    with pytest.raises(ValueError, match=re.escape("shape (11,)") + ".*"
+                       + re.escape("shape (10,)")):
+        unique_nodes(np.zeros(10), bc, grid)
+    grid2 = build_grid_2d(0.0, 1.0, 12, 0.0, 1.0, 8)
+    with pytest.raises(ValueError, match=re.escape("shape (9, 13)") + ".*"
+                       + re.escape("shape (13, 9)")):
+        unique_nodes(np.zeros((13, 9)), bc, grid2)
+
+
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_unique_nodes_rejects_a_periodic_seam_gap(axis):
+    grid = build_grid_2d(-np.pi, np.pi, 12, -np.pi, np.pi, 8)
+    # sin(x) cos(y): node N repeats node 0 to round-off on both axes
+    values = np.sin(grid.gx.nodes) * np.cos(grid.gy.nodes)[:, None]
+    kept, restore = unique_nodes(values, Boundary.PERIODIC, grid)
+    assert kept.tobytes() == values[:-1, :-1].tobytes()
+    full = restore(kept)
+    assert np.array_equal(full[:, -1], full[:, 0]) and np.array_equal(full[-1], full[0])
+    edge = values[:, -1] if axis == "x" else values[-1, :]
+    edge += 1e-9
+    with pytest.raises(ValueError, match=f"periodic data along {axis} differs at its two ends"):
+        unique_nodes(values, Boundary.PERIODIC, grid)
+    # homogeneous data keeps every node, and its rule copies them
+    kept, restore = unique_nodes(values, Boundary.HOMOGENEOUS, grid)
+    assert kept is values and restore(kept) is not kept
+    assert restore(kept).tobytes() == values.tobytes()

@@ -24,12 +24,9 @@ def n_nodes(n_cells, bc):
 
 def convolve(v, p, bc):
     """Unclosed convolutions (I^L, I^R) from the linear-rule sweeps, the right
-    one being the left sweep of the reversed data, reversed back; the ghost
-    cell of homogeneous data counts as 0."""
+    one being the left sweep of the reversed data, reversed back."""
     JL, _, _ = local_integrals(v, p, LINEAR6, bc)
     JR, _, _ = local_integrals(v[::-1], p, LINEAR6, bc)
-    if bc is HOM:
-        JL[0] = JR[0] = 0.0
     return sweep_left(JL, p), sweep_left(JR, p)[::-1]
 
 
@@ -112,6 +109,9 @@ def test_local_integrals_constant():
         # right-oriented: the left rule on the reversed data, reversed back
         Jr = local_integrals(v[::-1], p, mode, PER)[0][::-1]
         assert np.allclose(Jr, -np.expm1(-p.nu), rtol=1e-13)
+        # homogeneous data: J_0 is a ghost cell outside the domain
+        J, _, _ = local_integrals(np.ones(33), p, mode, HOM)
+        assert J[0] == 0.0 and np.allclose(J[1:], -np.expm1(-p.nu), rtol=1e-13)
 
 
 def test_local_integrals_linear_data_vs_quadrature_oracle():
@@ -156,26 +156,35 @@ def test_boundary_coefficients_periodic_constant():
     # convolution; its images add the rest
     grid = build_grid_1d(0.0, 1.0, 40)
     p = params_for(2.0, grid)
-    IL, IR = convolve(np.ones(40), p, PER)
-    a0, b0 = boundary_coefficients(PER, p.mu, IR[0], IL[-1])
+    ones = np.ones(40)
+    IL, IR = convolve(ones, p, PER)
+    a0, b0, profile = boundary_coefficients(PER, p, ones, ones, IL, IR)
     assert a0 == pytest.approx(1.0, rel=1e-12)
     assert b0 == pytest.approx(1.0, rel=1e-12)
+    assert np.array_equal(profile, p.e_left[1:])
 
 
 def test_boundary_coefficients_homogeneous_constant():
+    # D_0 = (D_L[v] - D_R[-v])/2 closes L_0^{-1}[1] with 0.5 at each end,
+    # so the pair (1, -1) takes A_L = 1 and B_R = -1
     grid = build_grid_1d(0.0, 1.0, 40)
     p = params_for(2.0, grid)
-    I0 = 0.5 * sum(convolve(np.ones(41), p, HOM))
-    a0, b0 = boundary_coefficients(HOM, p.mu, I0[0] - 1.0, I0[-1] - 1.0)
-    assert a0 == pytest.approx(0.5, rel=1e-12)
-    assert b0 == pytest.approx(0.5, rel=1e-12)
+    ones = np.ones(41)
+    IL, IR = convolve(ones, p, HOM)
+    a0, b0, profile = boundary_coefficients(HOM, p, ones, -ones, IL, -IR)
+    assert a0 == pytest.approx(1.0, rel=1e-12)
+    assert b0 == pytest.approx(-1.0, rel=1e-12)
+    assert np.array_equal(profile, p.e_left)
 
 
 def test_boundary_coefficients_zero_data():
-    vals = boundary_coefficients(PER, 0.3, 0.0, 0.0)
-    assert vals == (0.0, 0.0)
-    with pytest.raises(ValueError):
-        boundary_coefficients(PER, 1.0, 0.0, 0.0)
+    p = KernelParams(alpha=1.0, nu=-np.log(0.3) / 40, n_cells=40)  # mu = 0.3
+    flat = KernelParams(alpha=1.0, nu=0.0, n_cells=40)  # mu = 1
+    for bc in (PER, HOM):
+        zero = np.zeros(n_nodes(40, bc))
+        assert boundary_coefficients(bc, p, zero, zero, zero, zero)[:2] == (0.0, 0.0)
+        with pytest.raises(ValueError, match="0 <= mu < 1"):
+            boundary_coefficients(bc, flat, zero, zero, zero, zero)
 
 
 @pytest.mark.parametrize("side", ["zero", "left", "right"])
@@ -426,21 +435,22 @@ def test_primitives_leave_their_inputs_unchanged(mode, bc, shape, rng):
 
 def reference_pair(vl, vr, p, bc, mode):
     """`_d_pair` with no zero-side shortcut: both sides run through the
-    quadrature, the ghost-cell rule and the sweep, then the closure, rounding
-    each sum as `_d_pair` does."""
+    quadrature and the sweep, then the closure, written out here and
+    rounding each sum as `_d_pair` does."""
     JL, *si_l = local_integrals(vl, p, mode, bc)
     JR, *si_r = local_integrals(vr[..., ::-1], p, mode, bc)
-    if bc is HOM:
-        JL[..., 0] = JR[..., 0] = 0.0
     IL = sweep_left(JL, p)
     IR = sweep_left(JR, p)[..., ::-1]
     if bc is PER:
-        a_l, b_r = boundary_coefficients(bc, p.mu, IR[..., 0], IL[..., -1])
+        # circulant: the images of the earlier periods
+        a_l, b_r = IL[..., -1] / (1.0 - p.mu), IR[..., 0] / (1.0 - p.mu)
         profile = p.e_left[1:]
     else:
-        a_l, b_r = boundary_coefficients(bc, p.mu, (vr[..., 0] - vl[..., 0]) - IR[..., 0],
-                                         (vr[..., -1] - vl[..., -1]) + IL[..., -1])
-        b_r = -b_r
+        # D_L[vl] - D_R[vr] = 0 at both ends, solved for (A_L, -B_R)
+        e_a = (vr[..., 0] - vl[..., 0]) - IR[..., 0]
+        e_b = (vr[..., -1] - vl[..., -1]) + IL[..., -1]
+        one = 1.0 - p.mu ** 2
+        a_l, b_r = (p.mu * e_b - e_a) / one, -((p.mu * e_a - e_b) / one)
         profile = p.e_left
     dl = vl - (IL + np.asarray(a_l)[..., None] * profile)
     dr = vr - (IR + np.asarray(b_r)[..., None] * profile[::-1])

@@ -275,7 +275,7 @@ def test_coefficient_tables_built_once_per_family(bc, monkeypatch):
     assert config.quadrature == qd.WENO5 and config.filter_enabled and config.cross_term_k3
     grid = build_grid_1d(-np.pi, np.pi, 64)
     prob = burgers_like(bc)
-    u = unique_nodes(np.sin(grid.nodes), bc)[0]
+    u = unique_nodes(np.sin(grid.nodes), bc, grid)[0]
     stage_H(u, prob, config, (compute_bounds(prob, u),), 0.01, grid)
     assert 1 <= len(calls) <= 2
     calls.clear()
@@ -286,7 +286,7 @@ def test_coefficient_tables_built_once_per_family(bc, monkeypatch):
                           f2_deriv=lambda u: 2 * u, g2=lambda u: u,
                           g2_deriv=lambda u: np.ones_like(u),
                           initial=lambda x, y: np.sin(x) * np.cos(y), bc=bc)
-    u2 = unique_nodes(initial_field(prob2, grid2, 0.0).values, bc)[0]
+    u2 = unique_nodes(initial_field(prob2, grid2, 0.0).values, bc, grid2)[0]
     stage_H(u2, prob2, config, (b, b), 0.01, grid2)
     assert 1 <= len(calls) <= 4
 
@@ -306,7 +306,9 @@ def test_build_H_is_pure(bc, order, quadrature, rng):
                           initial=None, bc=bc)
     config = SchemeConfig(order=order, beta=0.3, quadrature=quadrature)
     b = WaveBounds(c=1.0, b_diff=1.0)
-    u1, u2 = (unique_nodes(rng.standard_normal(shape), bc)[0] for shape in (41, (19, 25)))
+    # the solver's layout: N unique nodes per periodic axis, N+1 otherwise
+    end = int(bc is HOM)
+    u1, u2 = (rng.standard_normal(shape) for shape in (40 + end, (18 + end, 24 + end)))
     cases = ((prob1, build_grid_1d(-1.0, 1.0, 40), u1, (b,)),
              (prob2, build_grid_2d(-1.0, 1.0, 24, -1.0, 1.0, 18), u2, (b, b)))
     for prob, grid, u, bounds in cases:

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from advdiff import (Boundary, ProblemSpec2D, SolutionField, advance,
+from advdiff import (Boundary, ProblemSpec2D, SchemeConfig, SolutionField, advance,
                      build_grid_2d, compute_bounds, initial_field,
                      make_problem)
 
@@ -69,6 +69,27 @@ def test_axis_symmetry_under_transpose():
     a = advance(initial_field(fwd, grid2, 0.0), 0.4, fwd, config, grid2)
     b = advance(initial_field(swp, grid2, 0.0), 0.4, swp, config, grid2)
     assert np.max(np.abs(a.values - b.values.T)) < 1e-11
+
+
+@pytest.mark.parametrize("order, beta, orders", [(3, 0.2, (2.82, 3.67)),
+                                                 (2, 0.25, (1.37, 1.84)),
+                                                 (1, 0.5, (0.83, 0.94))])
+def test_diagonal_advection_diffusion_orders(order, beta, orders):
+    # genuinely 2D data: f = u and g = 0.01u on both axes carry sin(x + y)
+    # to e^{-0.02t} sin(x + y - 2t); measured orders at T = 1, CFL 0.5,
+    # N = 20..80, each within 10%
+    diff = lambda u: 0.01 * u
+    prob = ProblemSpec2D(f1=lambda u: u, f1_deriv=_one, g1=diff, g1_deriv=lambda u: 0.01 * _one(u),
+                         f2=lambda u: u, f2_deriv=_one, g2=diff, g2_deriv=lambda u: 0.01 * _one(u),
+                         initial=lambda x, y: np.sin(x + y), bc=Boundary.PERIODIC)
+    errors = []
+    for n in (20, 40, 80):
+        grid = build_grid_2d(-np.pi, np.pi, n, -np.pi, np.pi, n)
+        u = advance(initial_field(prob, grid, 0.0), 1.0, prob,
+                    SchemeConfig(order=order, beta=beta, cfl=0.5), grid)
+        x, y = np.meshgrid(grid.gx.nodes, grid.gy.nodes)
+        errors.append(np.max(np.abs(u.values - np.exp(-0.02) * np.sin(x + y - 2.0))))
+    assert np.log2(np.array(errors[:-1]) / errors[1:]) == pytest.approx(orders, rel=0.1)
 
 
 def test_bounds_2d_per_axis():
