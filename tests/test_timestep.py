@@ -1,5 +1,11 @@
+import os
+import platform
 import re
+import subprocess
+import sys
+import textwrap
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -118,6 +124,75 @@ def test_advance_rejects_nonfinite_initial_data(bad):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="initial data u0 holds non-finite"):
             advance(u0, 0.01, case.spec, case.make_config(order=3), grid)
+
+
+def _pulse_run():
+    """advance's arguments but u0, and the 0/1 pulse (node N repeating node
+    0) that u0 holds, on the linear case (c = b = 1, k = 3) to T = 0.5."""
+    case = make_problem("linear_advdiff", c=1.0, b=1.0)
+    grid = case.build_grid(40)
+    pulse = np.abs(grid.nodes) < 1.0
+    return pulse, (0.5, case.spec, case.make_config(order=3, beta=0.4), grid)
+
+
+@pytest.mark.parametrize("dtype", [np.bool_, np.int64, np.uint8, np.float16, np.float32])
+def test_advance_reads_real_input_as_float64(dtype):
+    # the values convert exactly, so the solve is the float64 solve bit for bit
+    pulse, args = _pulse_run()
+    want = advance(SolutionField(pulse.astype(np.float64)), *args).values
+    got = advance(SolutionField(pulse.astype(dtype)), *args).values
+    assert got.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, object, np.str_])
+def test_advance_rejects_input_that_is_not_real(dtype):
+    pulse, args = _pulse_run()
+    bad = pulse.astype(dtype)
+    with pytest.raises(ValueError, match=re.escape(f"got dtype {bad.dtype}")):
+        advance(SolutionField(bad), *args)
+
+
+def test_advance_trims_the_heap_once_per_call_whether_it_returns_or_raises(monkeypatch):
+    trims = []
+    monkeypatch.setattr(timestep, "_heap_policy", lambda: trims.append)
+    advance(*_run("linear"))
+    assert trims == [0]
+
+    def unstable(u, dt, order, H):
+        raise UnstableSolution("stage blew up")
+
+    monkeypatch.setattr(timestep, "rk_step", unstable)
+    with pytest.raises(UnstableSolution):
+        advance(*_run("linear"))
+    assert trims == [0, 0]
+
+
+_FAULTS = textwrap.dedent("""
+    import resource
+    from advdiff import advance, make_problem
+    case = make_problem("strong_degenerate_2d")
+    grid = case.build_grid(128)
+    config = case.make_config(order=3, beta=0.2, cfl=0.5)
+    u0 = case.initial_field(grid)
+    advance(u0, 0.04, case.spec, config, grid)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    advance(u0, 0.04, case.spec, config, grid)
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+""")
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's allocator policy")
+def test_a_warm_2d_solve_does_not_fault_its_heap_back_in():
+    # with glibc's default trimming the second solve takes 36k-53k minor
+    # faults; with the heap kept mapped it takes about 900, the one refault
+    # of what the first solve's malloc_trim returned
+    src = str(Path(timestep.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    out = subprocess.run([sys.executable, "-c", _FAULTS], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert int(out.stdout) < 5000
 
 
 @pytest.mark.parametrize("centre", [0.0, 1.0])
