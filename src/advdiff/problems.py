@@ -330,10 +330,12 @@ class ErrorReport:
 
 
 def error_norms(u: SolutionField, truth: Callable, grid: Grid1D) -> ErrorReport:
-    """Node-wise errors against the exact solution truth(x, t) at u's time."""
+    """Node-wise errors against the exact solution truth(x, t) at u's time;
+    L1 is the trapezoid rule over the N+1 nodes, so a periodic field's
+    repeated node N counts once."""
     err = np.abs(u.values - truth(grid.nodes, u.time))
-    return ErrorReport(linf=float(np.max(err)), l1=float(grid.dx * np.sum(err)),
-                       n_cells=grid.n_cells)
+    l1 = grid.dx * (np.sum(err[1:-1]) + 0.5 * (err[0] + err[-1]))
+    return ErrorReport(linf=float(np.max(err)), l1=float(l1), n_cells=grid.n_cells)
 
 
 def observed_orders(reports: list[ErrorReport]) -> list[ErrorReport]:

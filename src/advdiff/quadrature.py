@@ -9,15 +9,16 @@ interpolants on the substencils {x_{i-3+r}, ..., x_{i+r}} (r = 0, 1, 2) give
 candidate values J_{i,r} = sum_j c^{(r)}_j v_j; the quintic interpolant on the
 whole window is recovered by linear weights d_r, and the WENO variant replaces
 d_r with smoothness-adapted nonlinear weights.  All coefficients depend only
-on nu = alpha*dx; `coef_tables` builds them once per nu (evaluating the
-moments below once) and the integral rules take that table.
+on nu = alpha*dx; `coef_tables` builds them once per nu and the integral
+rules take that table.
 
 The rules read the padded line of `core.padded` (offsets -3..2 past each end):
-the window w_m of node i is its slice starting at i + m.  They evaluate the
-textbook expressions in place, in a fixed handful of work arrays, and round
-every term as those expressions do, so the result is the same to the last
-bit; the terms the indicators share (the cubic term one and two nodes on, the
-multiples 3v, 5v, 7v and the cell jump) are computed once.
+the window w_m of node i is its slice starting at i + m.  Every stencil sum
+(a candidate, the linear rule, each smoothness-indicator term) is one
+`np.correlate` of the line with that stencil's coefficient row, which sums
+left to right from 0.0 as the textbook `sum()` does, so the result is the
+same to the last bit; the WENO weights are then formed in place in the
+output rows.
 
 Every coefficient is a combination of the exponential moments
 
@@ -78,25 +79,16 @@ def _moments(nu: float) -> np.ndarray:
     return _FACTORIALS * gammainc(_POWERS + 1, nu) / float(nu) ** _POWERS
 
 
-def small_stencil_coefficients(nu: float, moments=None) -> np.ndarray:
-    """3x4 table of substencil coefficients; row r covers offsets -3+r .. r.
-
-    `moments` are `_moments(nu)`, evaluated here when the caller has not.
-    """
-    m = _moments(nu) if moments is None else moments
-    return _SMALL_MONOMIALS @ m[:4]
+def small_stencil_coefficients(nu: float) -> np.ndarray:
+    """3x4 table of substencil coefficients; row r covers offsets -3+r .. r."""
+    return _SMALL_MONOMIALS @ _moments(nu)[:4]
 
 
-def linear_weights(nu: float, moments=None, small=None) -> tuple[float, float, float]:
-    """Weights (d0, d1, d2) combining the substencil rules into the quintic-exact
-    6-point rule; d1 = 1 - d0 - d2.
-
-    `moments` and the substencil table `small` at nu are evaluated here when
-    the caller has not.
-    """
-    m = _moments(nu) if moments is None else moments
-    small = small_stencil_coefficients(nu, m) if small is None else small
-    ends = _END_MONOMIALS @ m
+def linear_weights(nu: float, small: np.ndarray) -> tuple[float, float, float]:
+    """Weights (d0, d1, d2) combining the substencil rules of `small`, the
+    table of `small_stencil_coefficients(nu)`, into the quintic-exact 6-point
+    rule; d1 = 1 - d0 - d2."""
+    ends = _END_MONOMIALS @ _moments(nu)
     d0, d2 = float(ends[0] / small[0, 0]), float(ends[1] / small[2, 3])
     return d0, 1.0 - d0 - d2, d2
 
@@ -110,28 +102,28 @@ class CoefTables(NamedTuple):
 
 
 def coef_tables(nu: float) -> CoefTables:
-    """Evaluate the moments once, build the substencil table and the linear
-    weights from them, and the 6-point linear coefficients from those."""
-    m = _moments(nu)
-    cs = small_stencil_coefficients(nu, m)
-    d = linear_weights(nu, m, cs)
+    """Build the substencil table and the linear weights, and the 6-point
+    linear coefficients from those."""
+    cs = small_stencil_coefficients(nu)
+    d = linear_weights(nu, cs)
     out = np.zeros(6)
     for r in range(3):
         out[r:r + 4] += d[r] * cs[r]
     return CoefTables(cs, d, out)
 
 
-def _stencil_sum(flat, coefs, first: int, out, tmp):
-    """sum(c_j * flat[first + j:] for c_j in coefs), cut to out's length,
-    into out; tmp is a work array of out's length.  Like Python's sum() it
-    starts from 0, so a leading -0.0 product becomes 0.0."""
-    n = len(out)
-    np.multiply(flat[first:first + n], coefs[0], out=out)
-    out += 0.0
-    for j in range(1, len(coefs)):
-        np.multiply(flat[first + j:first + j + n], coefs[j], out=tmp)
-        out += tmp
-    return out
+# the smoothness indicators' stencils: the third difference, the second-
+# difference combination of each substencil and the cell jump w2 - w3
+_THIRD = np.array([-1.0, 3.0, -3.0, 1.0])
+_SECOND = np.array([[1.0, -5.0, 7.0, -3.0], [1.0, -1.0, -1.0, 1.0], [-3.0, 7.0, -5.0, 1.0]])
+_JUMP = np.array([1.0, -1.0])
+
+
+def _stencil(flat, coefs, first: int, m: int):
+    """sum(c_j * flat[first + j:] for c_j in coefs), cut to m entries.  A
+    correlation this short sums left to right from 0.0 as sum() does, so a
+    leading -0.0 product becomes 0.0."""
+    return np.correlate(flat[first:first + m + len(coefs) - 1], coefs, "valid")
 
 
 def weno_integrals(line, tables: CoefTables):
@@ -151,9 +143,10 @@ def weno_integrals(line, tables: CoefTables):
 
     with J2 = (w2 - w3)^2; the nonlinear weights are omega_r = d_r/(eps +
     SI_r)^2 normalized to sum 1, and J = sum_r omega_r sum_j c^(r)_j w_{r+j}.
-    Every term is rounded as that textbook form rounds it, evaluated left to
-    right; SI1's and SI2's cubic terms are SI0's one and two nodes on, so they
-    are computed once, and the multiples 3v, 5v, 7v are formed once.
+    Each stencil sum is one correlation (`_stencil`), rounded as the textbook
+    form rounds it; SI1's and SI2's cubic terms are SI0's one and two nodes
+    on, so the third difference is taken once.  The weights are then formed
+    in place, in the output rows and the indicators' work arrays.
 
     The rule runs along the flattened batch, where contiguous slices are
     fastest: the last five nodes of each line then read into the next line,
@@ -162,30 +155,14 @@ def weno_integrals(line, tables: CoefTables):
     cs, d = tables.small, tables.weights
     flat = line.reshape(-1)
     m = flat.size - 5
-    w = [flat[j:j + m] for j in range(6)]
     rows = [np.empty(line.shape) for _ in range(3)]
     J, si0, si2 = (r.reshape(-1)[:m] for r in rows)
-    v3, v5, v7 = 3.0 * flat, 5.0 * flat, 7.0 * flat
-    np.subtract(w[0], v5[1:m + 1], out=si0)
-    si0 += v7[2:m + 2]
-    si0 -= v3[3:m + 3]
-    np.subtract(v7[3:m + 3], v3[2:m + 2], out=si2)
-    si2 -= v5[4:m + 4]
-    si2 += w[5]
-    del v5, v7
-    cubic = np.subtract(v3[1:m + 3], flat[:m + 2])
-    cubic -= v3[2:m + 4]
-    del v3
-    cubic += flat[3:m + 5]
-    np.square(cubic, out=cubic)
+    cubic = np.square(_stencil(flat, _THIRD, 0, m + 2))
     cubic *= 781.0 / 720.0
-    jump = np.subtract(w[2], w[3])
-    np.square(jump, out=jump)
-    si1 = np.subtract(w[1], w[2])
-    si1 -= w[3]
-    si1 += w[4]
+    jump = np.square(_stencil(flat, _JUMP, 2, m))
+    si1 = np.empty(m)
     for r, si in enumerate((si0, si1, si2)):
-        np.square(si, out=si)
+        np.square(_stencil(flat, _SECOND[r], r, m), out=si)
         si *= 13.0 / 48.0
         si += cubic[r:r + m]
         si += jump
@@ -197,11 +174,9 @@ def weno_integrals(line, tables: CoefTables):
         np.divide(d_r, w_r, out=w_r)
     total = np.add(om[0], om[1], out=jump)
     total += om[2]
-    for w_r in om:
-        w_r /= total
-    acc, tmp = jump, np.empty(m)
     for r, w_r in enumerate(om):
-        w_r *= _stencil_sum(flat, cs[r], r, acc, tmp)
+        w_r /= total
+        w_r *= _stencil(flat, cs[r], r, m)
     J += om[1]
     J += om[2]
     n = line.shape[-1] - 5
@@ -214,5 +189,5 @@ def linear_integrals(line, tables: CoefTables):
     flat = line.reshape(-1)
     m = flat.size - 5
     out = np.empty(line.shape)
-    _stencil_sum(flat, tables.linear, 0, out.reshape(-1)[:m], np.empty(m))
+    out.reshape(-1)[:m] = _stencil(flat, tables.linear, 0, m)
     return out[..., :line.shape[-1] - 5]

@@ -57,8 +57,9 @@ def window_values(func, orientation="left"):
 
 # Textbook forms of the cell rules and the filter ratio, one expression per
 # formula over six window arrays w0..w5 (v_{i-3} .. v_{i+2}).  The library
-# evaluates the same roundings in place on the padded line; the tests require
-# byte-identical results.
+# takes each stencil sum as one correlation of the padded line, which sums
+# left to right from 0.0 as sum() does, and runs the weight tail in place in
+# its output rows; the tests require byte-identical results.
 
 def smoothness_indicators(window):
     """(SI0, SI1, SI2): squared third difference, squared second-difference

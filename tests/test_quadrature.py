@@ -51,7 +51,7 @@ def test_linear_rule_exact_on_quintics(nu, rng):
 
 def test_linear_weights_sum_and_sign():
     for nu in np.geomspace(1e-3, 50, 40):
-        d = qd.linear_weights(nu)
+        d = qd.coef_tables(nu).weights
         assert abs(sum(d) - 1.0) < 1e-14
         assert all(w > 0 for w in d)
 
@@ -103,7 +103,7 @@ def test_weights_at_nu_one_vs_multiprecision():
         d2 = (60 - 60 * nu + 15 * nu**2 + 5 * nu**3 - 3 * nu**4 - (60 - 15 * nu**2 + 2 * nu**4) * e) / \
              (10 * nu**2 * (6 - nu**2 - (6 + 6 * nu + 2 * nu**2) * e))
         d0, d2 = float(d0), float(d2)
-    got = qd.linear_weights(1.0)
+    got = qd.coef_tables(1.0).weights
     assert got[0] == pytest.approx(d0, rel=1e-13)
     assert got[2] == pytest.approx(d2, rel=1e-13)
 
@@ -128,7 +128,7 @@ def test_small_stencil_rejects_bad_nu():
     with pytest.raises(ValueError):
         qd.small_stencil_coefficients(0.0)
     with pytest.raises(ValueError):
-        qd.linear_weights(-1.0)
+        qd.linear_weights(-1.0, qd.small_stencil_coefficients(1.0))
     with pytest.raises(ValueError):  # the fifth moment would be subnormal
         qd.small_stencil_coefficients(1e-60)
 
@@ -161,7 +161,7 @@ def test_smoothness_indicators_step_window():
 
 
 def test_nonlinear_weights_equal_si_gives_linear():
-    d = qd.linear_weights(0.8)
+    d = qd.coef_tables(0.8).weights
     om = nonlinear_weights((0.3, 0.3, 0.3), d)
     assert om == pytest.approx(d, rel=1e-14)
 
@@ -181,7 +181,7 @@ def test_nonlinear_weights_degenerate_d():
 def test_nonlinear_weights_convexity(rng):
     for _ in range(50):
         si = rng.uniform(0, 10, size=3)
-        d = qd.linear_weights(float(rng.uniform(0.01, 20)))
+        d = qd.coef_tables(float(rng.uniform(0.01, 20))).weights
         om = nonlinear_weights(tuple(si), d)
         assert abs(sum(om) - 1) < 1e-13
         assert all(0 <= w <= 1 for w in om)
@@ -242,9 +242,10 @@ def _oracle_data(kind, shape, rng):
 @pytest.mark.parametrize("bc", [Boundary.PERIODIC, Boundary.HOMOGENEOUS])
 @pytest.mark.parametrize("kind", ["random", "piecewise_constant"])
 def test_rules_equal_textbook_forms_bytewise(kind, bc, shape, rng):
-    # the in-place rules on the padded line against one expression per
-    # formula on the six windows (sum() starting from 0 included, which
-    # turns a leading -0.0 product into 0.0)
+    # the rules on the padded line, one correlation per stencil sum, against
+    # one expression per formula on the six windows (sum() starting from 0
+    # included, which turns a leading -0.0 product into 0.0; a short
+    # correlation does the same)
     v = _oracle_data(kind, shape, rng)
     if kind != "random":
         assert np.all(np.any(np.signbit(v) & (v == 0.0), axis=-1))
@@ -276,3 +277,20 @@ def test_weno_peak_allocation_is_pinned(rng):
     assert [a.shape for a in out] == [(201, 202)] * 3
     assert retained / field == pytest.approx(3 * 207 / 202, abs=0.01)
     assert peak / field <= 7.4
+
+
+def test_linear_peak_allocation_is_pinned(rng):
+    # one linear-rule call on the same batch: the output row plus the one
+    # correlation it is copied from, 2.05 field-sizes when pinned
+    line = rng.standard_normal((201, 207))
+    tables = qd.coef_tables(0.7)
+    field = 201 * 202 * 8
+    tracemalloc.start()
+    try:
+        out = qd.linear_integrals(line, tables)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (201, 202)
+    assert retained / field == pytest.approx(207 / 202, abs=0.01)
+    assert peak / field <= 2.1
