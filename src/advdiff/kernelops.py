@@ -18,16 +18,18 @@ reflected in space, so I^R and its smoothness pair are the left path run on
 the reversed data and reversed back.  The six quadrature windows are slices
 of one line padded past the ends by `core.padded`, the extension rule the
 filter shares through `core.shifted`.  The one primitive, `_d_pair`,
-applies D_L and D_R: quadrature, sweep, closure, D.  D_0 = (D_L + D_R)/2 is
-half a pair difference, (D_L[v] - D_R[-v])/2, so one closure rule serves all
-three families.  Each boundary rule has one owner: `local_integrals` makes
-J_0 the wrap cell of periodic data or a ghost cell of other data, 0.0, and
-`boundary_coefficients` closes the pair by each sweep's periodic images (a
-circulant convolution) or jointly, so D_L[v1] - D_R[v2] (for D_0, D_0
-itself) vanishes at both ends of homogeneous data.  A side
-whose input is exactly zero, as one half of the flux split of a linear flux
-is, skips its quadrature and sweep: on zero data both return +0.0 exactly,
-so the shortcut's zeros change no bit, and the closure still runs as above.
+applies D_L and D_R: quadrature, sweep, closure, D, with both orientations
+stacked into one batch for one quadrature and one sweep.  D_0 = (D_L +
+D_R)/2 is half a pair difference, (D_L[v] - D_R[-v])/2, so one closure rule
+serves all three families.  Each boundary rule has one owner:
+`local_integrals` makes J_0 the wrap cell of periodic data or a ghost cell
+of other data, 0.0, and `boundary_coefficients` closes the pair by each
+sweep's periodic images (a circulant convolution) or jointly, so D_L[v1] -
+D_R[v2] (for D_0, D_0 itself) vanishes at both ends of homogeneous data.
+A side whose input is exactly zero, as one half of the flux split of a
+linear flux is, stays out of the batch: on zero data the quadrature and
+sweep return +0.0 exactly, so the shortcut's zeros change no bit, and the
+closure still runs as above.
 Each stage writes its sums into arrays it made (the sweeps' outputs and
 spent integrals), never into its inputs.
 
@@ -52,9 +54,10 @@ from .quadrature import LINEAR6, WENO5
 class KernelParams:
     """One convolution family on a grid of n_cells cells: alpha, nu = alpha*dx.
 
-    mu = e^{-alpha(b-a)}, the quadrature tables at nu and the edge profiles
-    e^{-alpha(x_i-a)}, e^{-alpha(b-x_i)} are built on first use and kept, so
-    every chain that shares this object builds them once.
+    mu = e^{-alpha(b-a)}, the sweep's pole e^{-nu}, the quadrature tables at
+    nu and the edge profiles e^{-alpha(x_i-a)}, e^{-alpha(b-x_i)} are built
+    on first use and kept, so every chain that shares this object builds
+    them once.
     """
 
     alpha: float
@@ -64,6 +67,10 @@ class KernelParams:
     @cached_property
     def mu(self) -> float:
         return float(np.exp(-self.nu * self.n_cells))
+
+    @cached_property
+    def pole(self) -> float:
+        return float(np.exp(-self.nu))
 
     @cached_property
     def tables(self) -> quadrature.CoefTables:
@@ -98,8 +105,9 @@ def local_integrals(v: np.ndarray, params: KernelParams, mode: str, bc: Boundary
 
 
 def sweep_left(J: np.ndarray, params: KernelParams) -> np.ndarray:
-    """I_i = I_{i-1} e^{-nu} + J_i from J_0 on.  O(N) via a linear recurrence."""
-    return lfilter([1.0], [1.0, -np.exp(-params.nu)], J, axis=-1)
+    """I_i = I_{i-1} q + J_i from J_0 on, q = e^{-nu} the cached pole; each
+    line of a batch on its own.  O(N) via a linear recurrence."""
+    return lfilter((1.0,), (1.0, -params.pole), J, axis=-1)
 
 
 def boundary_coefficients(bc: Boundary, params: KernelParams, vl, vr, IL, IR):
@@ -137,18 +145,27 @@ def _d_pair(vl, vr, params: KernelParams, bc: Boundary, mode: str):
     closure (`boundary_coefficients`), D.
 
     Returns (D_L[vl], D_R[vr], si_left, si_right), the smoothness pairs None
-    in linear mode.  A side whose input is exactly zero (the f- of f = cu,
-    the f+ of f = -|c|u) skips its quadrature and sweep, which return +0.0
-    there (`_zero_integrals`); the closure still runs on both ends, so every
+    in linear mode.  The live sides, vl and vr reversed, run as one
+    (s, ..., n) batch through one quadrature and one sweep, left first; each
+    output element gets the arithmetic it gets alone, and the sweep treats
+    each line on its own, so no bit depends on the stacking.  A side whose
+    input is exactly zero (the f- of f = cu, the f+ of f = -|c|u) is left out
+    of the batch: its quadrature and sweep return +0.0 there
+    (`_zero_integrals`).  The closure still runs on both ends, so every
     output bit is the one the full path gives.
     """
     zero_l, zero_r = not vl.any(), not vr.any()
-    JL, *si_l = _zero_integrals(vl, mode) if zero_l else local_integrals(vl, params, mode, bc)
-    JR, *si_r = (_zero_integrals(vr, mode) if zero_r
-                 else local_integrals(vr[..., ::-1], params, mode, bc))
-    # the sweep of zeros is +0.0 too
-    IL = np.zeros(vl.shape) if zero_l else sweep_left(JL, params)
-    IR_rev = np.zeros(vr.shape) if zero_r else sweep_left(JR, params)
+    live = [] if zero_l else [vl]
+    if not zero_r:
+        live.append(vr[..., ::-1])
+    if live:
+        J, si0, si2 = local_integrals(np.array(live), params, mode, bc)
+        I = sweep_left(J, params)
+    # the left side is the batch's first row, the reversed right side its
+    # last; the sweep of zeros is +0.0 too
+    row = lambda k: (I[k], J[k], si0 if si0 is None else si0[k], si2 if si2 is None else si2[k])
+    IL, JL, *si_l = (np.zeros(vl.shape), *_zero_integrals(vl, mode)) if zero_l else row(0)
+    IR_rev, _, *si_r = (np.zeros(vr.shape), *_zero_integrals(vr, mode)) if zero_r else row(-1)
     IR = IR_rev[..., ::-1]
     a_l, b_r, profile = boundary_coefficients(bc, params, vl, vr, IL, IR)
     # D = v - (I + edge term), formed in the sweeps' arrays with the spent

@@ -45,6 +45,11 @@ from scipy.special import factorial, gammainc
 #: regularization in the nonlinear weights and the filter ratio
 WENO_EPSILON = 1e-6
 
+#: outputs per block of the WENO-5 rule: each of its work arrays is then
+#: 128 KiB, so a block's working set stays in a core's L2 cache however
+#: large the batch (a whole (2, 201, 201) batch at once spilled it)
+WENO_BLOCK = 16384
+
 #: quadrature mode names
 WENO5 = "weno5"
 LINEAR6 = "linear6"
@@ -150,13 +155,27 @@ def weno_integrals(line, tables: CoefTables):
 
     The rule runs along the flattened batch, where contiguous slices are
     fastest: the last five nodes of each line then read into the next line,
-    and the returned arrays are views that leave them out.
+    and the returned arrays are views that leave them out.  It walks that
+    batch in blocks of `WENO_BLOCK` outputs, whose work arrays stay in cache;
+    each output gets the same arithmetic in any block, so the blocking
+    changes no bit.
     """
-    cs, d = tables.small, tables.weights
     flat = line.reshape(-1)
     m = flat.size - 5
     rows = [np.empty(line.shape) for _ in range(3)]
-    J, si0, si2 = (r.reshape(-1)[:m] for r in rows)
+    J, si0, si2 = (r.reshape(-1) for r in rows)
+    for start in range(0, m, WENO_BLOCK):
+        stop = min(start + WENO_BLOCK, m)
+        _weno_block(flat[start:stop + 5], tables, J[start:stop], si0[start:stop], si2[start:stop])
+    n = line.shape[-1] - 5
+    return rows[0][..., :n], rows[1][..., :n], rows[2][..., :n]
+
+
+def _weno_block(flat, tables: CoefTables, J, si0, si2):
+    """The rule of `weno_integrals` on one block: the m = flat.size - 5
+    outputs J, SI0, SI2 from flat."""
+    cs, d = tables.small, tables.weights
+    m = J.size
     cubic = np.square(_stencil(flat, _THIRD, 0, m + 2))
     cubic *= 781.0 / 720.0
     jump = np.square(_stencil(flat, _JUMP, 2, m))
@@ -179,8 +198,6 @@ def weno_integrals(line, tables: CoefTables):
         w_r *= _stencil(flat, cs[r], r, m)
     J += om[1]
     J += om[2]
-    n = line.shape[-1] - 5
-    return rows[0][..., :n], rows[1][..., :n], rows[2][..., :n]
 
 
 def linear_integrals(line, tables: CoefTables):

@@ -51,8 +51,9 @@ def test_kernel_params_caches_family_data():
     grid = build_grid_1d(0.0, 2.0, 16)
     p = params_for(3.0, grid)
     assert p.mu == np.exp(-p.nu * 16)
+    assert p.pole == np.exp(-p.nu) and type(p.pole) is float
     assert np.allclose(p.e_left, np.exp(-3.0 * grid.nodes), rtol=1e-14)
-    assert p.e_left is p.e_left and p.tables is p.tables
+    assert p.e_left is p.e_left and p.tables is p.tables and p.pole is p.pole
 
 
 def test_sweep_left_small_example():
@@ -96,6 +97,37 @@ def test_sweeps_match_direct_summation(nu, rng):
     assert np.max(np.abs(sweep_left(J, p) - direct_sweep_left(J, q))) <= 1e-12 * n
     IR = sweep_left(J[::-1], p)[::-1]
     assert np.max(np.abs(IR - direct_sweep_right(J, q))) <= 1e-12 * n
+
+
+def plain_recurrence(J, q):
+    """I_i = q I_{i-1} + J_i from I_{-1} = 0.0, one float64 operation at a
+    time along the last axis."""
+    I = np.empty(J.shape)
+    for idx in np.ndindex(J.shape[:-1]):
+        acc = np.float64(0.0)
+        for i, j in enumerate(J[idx]):
+            acc = q * acc + j
+            I[idx + (i,)] = acc
+    return I
+
+
+@pytest.mark.parametrize("nu", [1e-3, 0.7, 50.0])
+def test_sweep_left_is_the_plain_recurrence_bitwise(nu, rng):
+    # the stacked pair runs both orientations through one sweep, which is
+    # bit for bit the recurrence on each line alone
+    p = KernelParams(alpha=nu, nu=nu, n_cells=64)
+    q = np.exp(-nu)
+    J = rng.standard_normal((3, 65))
+    J[:, ::7] = -0.0
+    J[1, :30] = 0.0
+    line = sweep_left(J[0], p)
+    assert line.tobytes() == plain_recurrence(J[0], q).tobytes()
+    batch = sweep_left(J, p)
+    assert batch.tobytes() == plain_recurrence(J, q).tobytes()
+    for row in range(3):
+        assert batch[row].tobytes() == sweep_left(J[row], p).tobytes()
+    # a reversed view, as the right side enters the batch
+    assert sweep_left(J[:, ::-1], p).tobytes() == plain_recurrence(J[:, ::-1], q).tobytes()
 
 
 def test_local_integrals_constant():
@@ -307,14 +339,26 @@ def test_truncation_scaling_first_order():
     assert sL == pytest.approx(-1.0, abs=0.1)
 
 
-def test_batched_inputs_match_rowwise(rng):
-    grid = build_grid_1d(0.0, 1.0, 48)
-    p = params_for(5.0, grid)
-    batch = rng.standard_normal((4, 48))
-    stacked = apply_D("zero", batch, p, PER, WENO5)
+@pytest.mark.parametrize("bc", [PER, HOM])
+@pytest.mark.parametrize("mode", [WENO5, LINEAR6])
+def test_batched_inputs_match_rowwise(mode, bc, rng):
+    # a batch row keeps the bytes of the same line alone, -0.0 included
+    p = params_for(5.0, build_grid_1d(0.0, 1.0, 48))
+    batch, other = rng.standard_normal((2, 4, n_nodes(48, bc)))
+    batch[1, ::5] = -0.0
+    stacked = apply_D("zero", batch, p, bc, mode)
+    pair = _d_pair(batch, other, p, bc, mode)
     for row in range(4):
-        single = apply_D("zero", batch[row], p, PER, WENO5)
-        assert np.array_equal(stacked[row], single)
+        single = apply_D("zero", batch[row], p, bc, mode)
+        assert stacked[row].tobytes() == single.tobytes()
+        alone = _d_pair(batch[row], other[row], p, bc, mode)
+        assert pair[0][row].tobytes() == alone[0].tobytes()
+        assert pair[1][row].tobytes() == alone[1].tobytes()
+        for got, want in zip(pair[2:], alone[2:]):
+            if mode == LINEAR6:
+                assert got is None and want is None
+            else:
+                assert [s[row].tobytes() for s in got] == [s.tobytes() for s in want]
 
 
 @pytest.mark.parametrize("bc", [PER, HOM])
@@ -434,9 +478,9 @@ def test_primitives_leave_their_inputs_unchanged(mode, bc, shape, rng):
 
 
 def reference_pair(vl, vr, p, bc, mode):
-    """`_d_pair` with no zero-side shortcut: both sides run through the
-    quadrature and the sweep, then the closure, written out here and
-    rounding each sum as `_d_pair` does."""
+    """`_d_pair` with no zero-side shortcut and no stacking: each side runs
+    through its own quadrature and sweep, then the closure, written out here
+    and rounding each sum as `_d_pair` does."""
     JL, *si_l = local_integrals(vl, p, mode, bc)
     JR, *si_r = local_integrals(vr[..., ::-1], p, mode, bc)
     IL = sweep_left(JL, p)
@@ -459,24 +503,29 @@ def reference_pair(vl, vr, p, bc, mode):
     return dl, dr, tuple(si_l), tuple(s[..., ::-1] for s in si_r)
 
 
-@pytest.mark.parametrize("shape", [(41,), (3, 41)])
+@pytest.mark.parametrize("shape", [(41,), (3, 41), (201, 201)])
 @pytest.mark.parametrize("bc", [PER, HOM])
 @pytest.mark.parametrize("mode", [WENO5, LINEAR6])
-@pytest.mark.parametrize("zero_side", ["left", "right", "both"])
+@pytest.mark.parametrize("zero_side", ["none", "left", "right", "both"])
 def test_zero_side_shortcut_changes_no_bit(zero_side, mode, bc, shape, rng, monkeypatch):
-    # an exactly zero side, -0.0 entries included, skips its quadrature and
-    # sweep; outputs and smoothness pairs keep the full path's bytes
+    # the live sides run as one stacked batch, and an exactly zero side,
+    # -0.0 entries included, skips its quadrature and sweep; outputs and
+    # smoothness pairs keep the bytes of each side run alone
     p = params_for(5.0, build_grid_1d(0.0, 1.0, shape[-1] - (bc is HOM)))
     zero = np.zeros(shape)
     zero[..., ::3] = -0.0
-    vl = zero if zero_side != "right" else rng.standard_normal(shape)
-    vr = zero.copy() if zero_side != "left" else rng.standard_normal(shape)
+    vl = zero if zero_side in ("left", "both") else rng.standard_normal(shape)
+    vr = zero.copy() if zero_side in ("right", "both") else rng.standard_normal(shape)
     want = reference_pair(vl, vr, p, bc, mode)
-    quadratures = []
+    quadratures, sweeps = [], []
     monkeypatch.setattr(kernelops, "local_integrals",
                         lambda *a: quadratures.append(a) or local_integrals(*a))
+    monkeypatch.setattr(kernelops, "sweep_left",
+                        lambda *a: sweeps.append(a) or sweep_left(*a))
     got = _d_pair(vl, vr, p, bc, mode)
-    assert len(quadratures) == (zero_side != "both")
+    live = {"none": 2, "left": 1, "right": 1, "both": 0}[zero_side]
+    assert len(quadratures) == len(sweeps) == (live > 0)
+    assert [a[0].shape for a in quadratures] == [(live, *shape)] * (live > 0)
     for g, w in zip(got[:2], want[:2]):
         assert g.tobytes() == w.tobytes()
     for g, w in zip(got[2:], want[2:]):
