@@ -9,11 +9,15 @@ acts like a scaled derivative: truncated sums of powers of D approximate
 d/dx (one-sided families) and d^2/dx^2 (symmetric family).
 
 Convolutions are evaluated from per-cell local integrals J by the O(N)
-recursion (a linear recurrence filter)
+recursion
 
     I^L_i = I^L_{i-1} e^{-nu} + J^L_i,   I^L_{-1} = 0,
 
-from the cell J_0 left of node 0 on.  The right kernel is the left one
+from the cell J_0 left of node 0 on.  `sweep_left` runs it as LAPACK's
+banded triangular solve (`dtbtrs`) with the unit bidiagonal band of
+`KernelParams.band`, in the transposed upper form, whose steps round as the
+recurrence's do; the lines go in as J + 0.0, so a -0.0 at node 0 comes out
+as the recurrence's +0.0.  The right kernel is the left one
 reflected in space, so I^R and its smoothness pair are the left path run on
 the reversed data and reversed back.  The six quadrature windows are slices
 of one line padded past the ends by `core.padded`, the extension rule the
@@ -43,7 +47,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.signal import lfilter
+from scipy.linalg import lapack
 
 from .core import Boundary, Grid1D, padded
 from . import quadrature
@@ -54,10 +58,10 @@ from .quadrature import LINEAR6, WENO5
 class KernelParams:
     """One convolution family on a grid of n_cells cells: alpha, nu = alpha*dx.
 
-    mu = e^{-alpha(b-a)}, the sweep's pole e^{-nu}, the quadrature tables at
-    nu and the edge profiles e^{-alpha(x_i-a)}, e^{-alpha(b-x_i)} are built
-    on first use and kept, so every chain that shares this object builds
-    them once.
+    mu = e^{-alpha(b-a)}, the sweep's pole e^{-nu} and band, the quadrature
+    tables at nu and the edge profiles e^{-alpha(x_i-a)}, e^{-alpha(b-x_i)}
+    are built on first use and kept, so every chain that shares this object
+    builds them once.
     """
 
     alpha: float
@@ -71,6 +75,15 @@ class KernelParams:
     @cached_property
     def pole(self) -> float:
         return float(np.exp(-self.nu))
+
+    @cached_property
+    def band(self) -> np.ndarray:
+        """The sweep's matrix in LAPACK's upper band storage, in Fortran
+        order: row 0 the superdiagonal -pole, row 1 the unit diagonal."""
+        band = np.empty((2, self.n_cells + 1), order="F")
+        band[0] = -self.pole
+        band[1] = 1.0
+        return band
 
     @cached_property
     def tables(self) -> quadrature.CoefTables:
@@ -106,8 +119,26 @@ def local_integrals(v: np.ndarray, params: KernelParams, mode: str, bc: Boundary
 
 def sweep_left(J: np.ndarray, params: KernelParams) -> np.ndarray:
     """I_i = I_{i-1} q + J_i from J_0 on, q = e^{-nu} the cached pole; each
-    line of a batch on its own.  O(N) via a linear recurrence."""
-    return lfilter((1.0,), (1.0, -params.pole), J, axis=-1)
+    line of a batch on its own.  O(N): the unit bidiagonal solve A^T I = J
+    of LAPACK's `dtbtrs` on `params.band`, one right-hand side per line.
+
+    The transposed upper form takes each step as J_i - dot(-q, I_{i-1}),
+    which rounds as J_i + q I_{i-1} does; the lower form would fuse the
+    multiply-add and round once.  The sum J + 0.0 copies the lines into the
+    array the solve overwrites, and turns a -0.0 into the +0.0 the
+    recurrence gives at node 0, where the solve leaves J_0 as it is.  So the
+    result is the plain recurrence on J + 0.0, bit for bit.  A line longer
+    than the band is an error: the solve would leave its tail unsolved.
+    """
+    n = J.shape[-1]
+    if n > params.n_cells + 1:
+        raise ValueError(f"a line of {n} nodes is longer than the band's {params.n_cells + 1}")
+    out = np.add(J, 0.0, order="C")
+    I, info = lapack.dtbtrs(params.band[:, :n], out.reshape(-1, n).T,
+                            uplo="U", trans="T", diag="U", overwrite_b=1)
+    if info != 0:
+        raise ValueError(f"dtbtrs failed with info = {info}")
+    return I.T.reshape(J.shape)
 
 
 def boundary_coefficients(bc: Boundary, params: KernelParams, vl, vr, IL, IR):

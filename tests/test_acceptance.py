@@ -4,7 +4,9 @@ Run with `pytest tests/test_acceptance.py -v -s` (a few minutes; the
 convergence-table criterion dominates).
 """
 
+import functools
 import time
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -302,21 +304,70 @@ def test_criterion_6_linear_mode_cross_validation():
 # --------------------------------------------------------------------------
 # criterion 7: porous-medium benchmark against the self-similar profile
 
+class BarenblattRun(NamedTuple):
+    l1: float
+    drift: float
+    lo: float
+    hi: float
+
+
+@functools.cache
+def _barenblatt(m, n, cfl=1.0, quadrature=WENO5):
+    """pme_barenblatt at k = 3, beta 0.8 from t = 1 to 2: the L1 error against
+    the self-similar profile, the relative mass drift, min u and max u.
+    Cached, so criterion 7 and the gates below share their solves."""
+    case = make_problem("pme_barenblatt", m=m)
+    config = case.make_config(order=3, beta=0.8, cfl=cfl, quadrature=quadrature)
+    grid, u = solve_case(case, config, n=n)
+    m0 = np.sum(case.initial_field(grid).values)
+    return BarenblattRun(l1=float(grid.dx * np.sum(np.abs(u.values - case.exact(grid.nodes, 2.0)))),
+                         drift=float((np.sum(u.values) - m0) / m0),
+                         lo=float(np.min(u.values)), hi=float(np.max(u.values)))
+
+
 def test_criterion_7_barenblatt_benchmark():
     t0 = time.time()
     for m in (2, 3, 5, 8):
-        case = make_problem("pme_barenblatt", m=m)
-        l1 = []
-        for n in (200, 400, 800):
-            config = case.make_config(order=3, beta=0.8)
-            grid, u = solve_case(case, config, n=n)
-            exact = case.exact(grid.nodes, 2.0)
-            l1.append(float(grid.dx * np.sum(np.abs(u.values - exact))))
-            if n == 200:
-                assert np.min(u.values) >= -1e-2, (m, np.min(u.values))
-                assert np.max(u.values) <= 1.0 + 1e-2, (m, np.max(u.values))
+        runs = [_barenblatt(m, n) for n in (200, 400, 800)]
+        assert runs[0].lo >= -1e-2, (m, runs[0].lo)
+        assert runs[0].hi <= 1.0 + 1e-2, (m, runs[0].hi)
+        l1 = [run.l1 for run in runs]
         assert l1[0] > l1[1] > l1[2], (m, l1)
     _report(7, f"porous-medium L1 refinement and bounds, {time.time()-t0:.0f}s")
+
+
+# measured L1 orders over N = 200 -> 400 -> 800 at CFL 1, each within 10%
+BARENBLATT_ORDERS = {2: (1.083, 0.965), 3: (0.838, 0.697), 5: (0.583, 0.663)}
+# WENO's nonlinear weights in the diffusion chain break the mass balance, and
+# more so as the step shrinks; the linear rule keeps it
+STEP_RULES = [pytest.param(WENO5, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 12")),
+              LINEAR6]
+
+
+@pytest.mark.parametrize("m", sorted(BARENBLATT_ORDERS))
+def test_barenblatt_l1_orders(m):
+    l1 = np.array([_barenblatt(m, n).l1 for n in (200, 400, 800)])
+    assert np.log2(l1[:-1] / l1[1:]) == pytest.approx(BARENBLATT_ORDERS[m], rel=0.1)
+
+
+@pytest.mark.parametrize("quadrature", STEP_RULES)
+def test_barenblatt_conserves_mass_at_small_steps(quadrature):
+    # WENO drifts by +2.0e-3 and +3.3e-3, the linear rule by -1.4e-11 and -1.2e-13
+    for cfl in (1 / 16, 1 / 32):
+        assert abs(_barenblatt(5, 200, cfl, quadrature).drift) <= 1e-10
+
+
+@pytest.mark.parametrize("quadrature", STEP_RULES)
+def test_barenblatt_l1_does_not_grow_as_the_step_shrinks(quadrature):
+    # CFL 1/16 -> 1/32: WENO 1.53e-2 -> 2.23e-2, the linear rule 1.35e-2 -> 6.25e-3
+    assert _barenblatt(5, 200, 1 / 32, quadrature).l1 <= _barenblatt(5, 200, 1 / 16, quadrature).l1
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+def test_barenblatt_stays_nonnegative():
+    # min u is -8.1e-3 at N = 200 and -9.1e-3 at N = 800: it does not shrink
+    for n in (200, 800):
+        assert _barenblatt(5, n).lo >= -1e-12
 
 
 # --------------------------------------------------------------------------

@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -54,6 +60,9 @@ def test_kernel_params_caches_family_data():
     assert p.pole == np.exp(-p.nu) and type(p.pole) is float
     assert np.allclose(p.e_left, np.exp(-3.0 * grid.nodes), rtol=1e-14)
     assert p.e_left is p.e_left and p.tables is p.tables and p.pole is p.pole
+    # the sweep's band: -pole over a unit diagonal, in LAPACK's Fortran layout
+    assert p.band is p.band and p.band.flags.f_contiguous and p.band.shape == (2, 17)
+    assert np.all(p.band[0] == -p.pole) and np.all(p.band[1] == 1.0)
 
 
 def test_sweep_left_small_example():
@@ -128,6 +137,54 @@ def test_sweep_left_is_the_plain_recurrence_bitwise(nu, rng):
         assert batch[row].tobytes() == sweep_left(J[row], p).tobytes()
     # a reversed view, as the right side enters the batch
     assert sweep_left(J[:, ::-1], p).tobytes() == plain_recurrence(J[:, ::-1], q).tobytes()
+
+
+def test_sweep_left_is_the_plain_recurrence_bitwise_through_underflow(rng):
+    # where q I_{i-1} underflows to a signed zero, the solve's J_i - dot(-q,
+    # I_{i-1}) still equals J_i + q I_{i-1} on J + 0.0, as the docstring says
+    p = KernelParams(alpha=300.0, nu=300.0, n_cells=400)
+    J = rng.standard_normal((2, 401)) * 1e-300
+    J[:, ::7] = -0.0
+    assert sweep_left(J, p).tobytes() == plain_recurrence(J + 0.0, p.pole).tobytes()
+
+
+def test_sweep_left_rejects_a_line_longer_than_the_band():
+    # the band has n_cells + 1 columns; the solve would leave a longer line's
+    # tail as it was (1.0 here, against 2.41..2.49 from the recurrence)
+    p = KernelParams(alpha=0.3, nu=0.3, n_cells=4)
+    assert sweep_left(np.ones(5), p)[-1] == plain_recurrence(np.ones(5), p.pole)[-1]
+    assert sweep_left(np.ones((3, 4)), p).shape == (3, 4)  # periodic lines are shorter
+    with pytest.raises(ValueError, match="longer"):
+        sweep_left(np.ones(8), p)
+    with pytest.raises(ValueError, match="longer"):
+        sweep_left(np.ones((2, 6)), p)
+
+
+def test_sweep_left_raises_when_the_solve_fails(monkeypatch):
+    p = KernelParams(alpha=0.3, nu=0.3, n_cells=4)
+    monkeypatch.setattr(kernelops.lapack, "dtbtrs", lambda ab, b, **kw: (b, -2))
+    with pytest.raises(ValueError, match="info = -2"):
+        sweep_left(np.ones(5), p)
+
+
+_IMPORTS = textwrap.dedent("""
+    import sys
+    from advdiff import make_problem, solve_case
+    for name, n in (("linear_advdiff", 40), ("strong_degenerate_2d", 16)):
+        case = make_problem(name)
+        solve_case(case, case.make_config(order=3), n=n, T=0.01)
+    print(" ".join(m for m in ("scipy.signal", "scipy.stats") if m in sys.modules))
+""")
+
+
+def test_a_solve_does_not_import_scipy_signal_or_stats():
+    # importing scipy.signal (which pulls in scipy.stats) would cost more than
+    # the rest of `import advdiff`; checked after a 1D and a 2D solve, so an
+    # import deferred to the first solve shows too
+    src = str(Path(kernelops.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", _IMPORTS], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.split() == []
 
 
 def test_local_integrals_constant():
