@@ -154,7 +154,8 @@ def _add_scheme_flags(p):
     p.add_argument("--beta", type=float, default=None,
                    help="stabilization parameter (default: case/table value)")
     p.add_argument("--cfl", type=float, default=None, help="CFL number")
-    p.add_argument("--quadrature", choices=(WENO5, LINEAR6), default=None)
+    p.add_argument("--quadrature", choices=(WENO5, LINEAR6), default=None,
+                   help="rule of the convection terms (diffusion is always linear6)")
     p.add_argument("--no-filter", action="store_true", help="disable the oscillation filter")
     p.add_argument("--no-cross-term", action="store_true",
                    help="disable the k=3 stabilization term")

@@ -182,8 +182,9 @@ class ProblemSpec2D:
 
 @dataclass
 class SchemeConfig:
-    """Scheme parameters: truncation order k, stabilization beta, CFL, quadrature.
+    """Scheme parameters: order k, beta, CFL, the convection quadrature rule.
 
+    The diffusion chain and the k=3 cross term always use the linear rule.
     cross_term_k3 activates the extra fourth-derivative correction that makes
     the k=3 convection operator A-stable; lower orders ignore it.
     """

@@ -25,7 +25,8 @@ filter shares through `core.shifted`.  The one primitive, `_d_pair`,
 applies D_L and D_R: quadrature, sweep, closure, D, with both orientations
 stacked into one batch for one quadrature and one sweep.  D_0 = (D_L +
 D_R)/2 is half a pair difference, (D_L[v] - D_R[-v])/2, so one closure rule
-serves all three families.  Each boundary rule has one owner:
+serves all three families; D_0, in the diffusion chain and the k=3 cross
+term, always runs on the linear rule.  Each boundary rule has one owner:
 `local_integrals` makes J_0 the wrap cell of periodic data or a ghost cell
 of other data, 0.0, and `boundary_coefficients` closes the pair by each
 sweep's periodic images (a circulant convolution) or jointly, so D_L[v1] -
@@ -214,28 +215,30 @@ def _d_pair(vl, vr, params: KernelParams, bc: Boundary, mode: str):
     return dl, dr, tuple(si_l), tuple(s[..., ::-1] for s in si_r)
 
 
-def _d_zero(v, params: KernelParams, bc: Boundary, mode: str):
+def _d_zero(v, params: KernelParams, bc: Boundary):
     """One application of the symmetric-family D_0 = (D_L + D_R)/2.
 
-    D_R is odd, so D_L[v] - D_R[-v] = 2 D_0[v]; the pair's closures are
-    D_0's: the periodic ones average, and the homogeneous joint one makes
-    D_0[v] vanish at both ends.
+    D_R is odd, so D_L[v] - D_R[-v] = 2 D_0[v], on the linear rule; the
+    pair's closures are D_0's: the periodic ones average, and the homogeneous
+    joint one makes D_0[v] vanish at both ends.  The result owns its memory,
+    so the pair's stacked sweep output is freed on return.
     """
-    dl, dr, _, _ = _d_pair(v, -v, params, bc, mode)
-    dl -= dr
-    dl *= 0.5
-    return dl
+    dl, dr, _, _ = _d_pair(v, -v, params, bc, LINEAR6)
+    d0 = np.subtract(dl, dr)
+    d0 *= 0.5
+    return d0
 
 
 def d_chain_pair(vl: np.ndarray, vr: np.ndarray, params: KernelParams,
-                 bc: Boundary, k: int, mode_first: str):
+                 bc: Boundary, k: int, mode: str):
     """Left chain on vl and right chain on vr advanced together through k
     powers (the form the convection operator consumes).
 
-    Returns (powers_left, powers_right, si_left, si_right) with the
-    smoothness pairs of the first pass, in `mode_first` (None if linear).
+    The first pass uses `mode`, higher powers the linear rule.  Returns
+    (powers_left, powers_right, si_left, si_right), si the first pass's
+    smoothness pairs (None in linear mode).
     """
-    cl, cr, si_l, si_r = _d_pair(vl, vr, params, bc, mode_first)
+    cl, cr, si_l, si_r = _d_pair(vl, vr, params, bc, mode)
     pl, pr = [cl], [cr]
     for _ in range(1, k):
         cl, cr, _, _ = _d_pair(cl, cr, params, bc, LINEAR6)
@@ -244,14 +247,10 @@ def d_chain_pair(vl: np.ndarray, vr: np.ndarray, params: KernelParams,
     return pl, pr, si_l, si_r
 
 
-def d_chain_zero(v: np.ndarray, params: KernelParams, bc: Boundary, k: int,
-                 mode_first: str):
-    """Symmetric-family chain [D_0^1[v], .., D_0^k[v]], re-closing the
-    boundary at every power.
-
-    The first application uses `mode_first`, higher powers the linear rule.
-    """
-    powers = [_d_zero(v, params, bc, mode_first)]
+def d_chain_zero(v: np.ndarray, params: KernelParams, bc: Boundary, k: int):
+    """Symmetric-family chain [D_0^1[v], .., D_0^k[v]] on the linear rule,
+    re-closing the boundary at every power."""
+    powers = [_d_zero(v, params, bc)]
     for _ in range(1, k):
-        powers.append(_d_zero(powers[-1], params, bc, LINEAR6))
+        powers.append(_d_zero(powers[-1], params, bc))
     return powers

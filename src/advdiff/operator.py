@@ -12,9 +12,10 @@ and H combines the filtered convection chains with the diffusion chain:
 
 f± = (f(u) ± c u)/2 being the Lax-Friedrichs split.  At k = 3 an extra
 correction term alpha_L * D_0[D_L^2[f+] - D_R^2[f-]] (same alpha_L family,
-linear quadrature, second powers taken from the chains above) restores
-A-stability of the convection part; its f- half mirrors the f+ half.  Blocks
-whose wave-speed bound vanishes are skipped.
+second powers taken from the chains above) restores A-stability of the
+convection part; its f- half mirrors the f+ half.  `config.quadrature` is
+the rule of the convection chains' first power; every D_0 is linear-rule.
+Blocks whose wave-speed bound vanishes are skipped.
 
 Everything operates on arrays along the last axis; in 2D the same assembly
 runs per axis on batched lines and the results are summed.
@@ -28,7 +29,6 @@ from .core import (DEGENERATE_TOL, Boundary, Grid1D, Grid2D, ProblemSpec,
                    ProblemSpec2D, SchemeConfig, WaveBounds)
 from .filtering import sigma_fields, xi
 from .kernelops import KernelParams, _d_zero, d_chain_pair, d_chain_zero
-from .quadrature import LINEAR6
 
 
 def flux_split(problem: ProblemSpec, u: np.ndarray, bounds: WaveBounds):
@@ -69,7 +69,7 @@ def _convection(u, problem, config, bounds, params):
     cross = None
     if k == 3 and config.cross_term_k3:
         # before the sums below overwrite the second powers
-        cross = _d_zero(chain_l[1] - chain_r[1], params, bc, LINEAR6)
+        cross = _d_zero(chain_l[1] - chain_r[1], params, bc)
     # one accumulation order per side keeps mirrored data mirrored bit for bit
     h, hl = chain_r[0], chain_l[0]
     for p in range(2, k + 1):
@@ -85,8 +85,7 @@ def _convection(u, problem, config, bounds, params):
 
 
 def _diffusion(u, problem, config, params):
-    chain = d_chain_zero(problem.diffusion(u), params, problem.bc, config.order,
-                         config.quadrature)
+    chain = d_chain_zero(problem.diffusion(u), params, problem.bc, config.order)
     h = chain[0]
     h += 0.0  # sum() starts from 0, and 0 + -0.0 is 0.0
     for power in chain[1:]:

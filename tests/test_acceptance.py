@@ -197,7 +197,7 @@ def test_criterion_4_truncation_order(bc):
         errs = []
         for alpha in alphas:
             p = KernelParams.from_alpha(float(alpha), grid)
-            powers = d_chain_zero(v, p, bc, order, LINEAR6)
+            powers = d_chain_zero(v, p, bc, order)
             errs.append(np.max(np.abs(vxx + alpha ** 2 * sum(powers))))
         s = _slope(alphas, errs)
         assert s == pytest.approx(-2 * order, abs=0.2), f"D0 {bc} k={order}: {s:.3f}"
@@ -312,12 +312,12 @@ class BarenblattRun(NamedTuple):
 
 
 @functools.cache
-def _barenblatt(m, n, cfl=1.0, quadrature=WENO5):
+def _barenblatt(m, n, cfl=1.0):
     """pme_barenblatt at k = 3, beta 0.8 from t = 1 to 2: the L1 error against
     the self-similar profile, the relative mass drift, min u and max u.
     Cached, so criterion 7 and the gates below share their solves."""
     case = make_problem("pme_barenblatt", m=m)
-    config = case.make_config(order=3, beta=0.8, cfl=cfl, quadrature=quadrature)
+    config = case.make_config(order=3, beta=0.8, cfl=cfl)
     grid, u = solve_case(case, config, n=n)
     m0 = np.sum(case.initial_field(grid).values)
     return BarenblattRun(l1=float(grid.dx * np.sum(np.abs(u.values - case.exact(grid.nodes, 2.0)))),
@@ -338,10 +338,6 @@ def test_criterion_7_barenblatt_benchmark():
 
 # measured L1 orders over N = 200 -> 400 -> 800 at CFL 1, each within 10%
 BARENBLATT_ORDERS = {2: (1.083, 0.965), 3: (0.838, 0.697), 5: (0.583, 0.663)}
-# WENO's nonlinear weights in the diffusion chain break the mass balance, and
-# more so as the step shrinks; the linear rule keeps it
-STEP_RULES = [pytest.param(WENO5, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 12")),
-              LINEAR6]
 
 
 @pytest.mark.parametrize("m", sorted(BARENBLATT_ORDERS))
@@ -350,17 +346,16 @@ def test_barenblatt_l1_orders(m):
     assert np.log2(l1[:-1] / l1[1:]) == pytest.approx(BARENBLATT_ORDERS[m], rel=0.1)
 
 
-@pytest.mark.parametrize("quadrature", STEP_RULES)
-def test_barenblatt_conserves_mass_at_small_steps(quadrature):
-    # WENO drifts by +2.0e-3 and +3.3e-3, the linear rule by -1.4e-11 and -1.2e-13
+def test_barenblatt_conserves_mass_at_small_steps():
+    # the diffusion chain runs on the linear rule, whose sums telescope: the
+    # drift is -1.4e-11 and -1.2e-13
     for cfl in (1 / 16, 1 / 32):
-        assert abs(_barenblatt(5, 200, cfl, quadrature).drift) <= 1e-10
+        assert abs(_barenblatt(5, 200, cfl).drift) <= 1e-10
 
 
-@pytest.mark.parametrize("quadrature", STEP_RULES)
-def test_barenblatt_l1_does_not_grow_as_the_step_shrinks(quadrature):
-    # CFL 1/16 -> 1/32: WENO 1.53e-2 -> 2.23e-2, the linear rule 1.35e-2 -> 6.25e-3
-    assert _barenblatt(5, 200, 1 / 32, quadrature).l1 <= _barenblatt(5, 200, 1 / 16, quadrature).l1
+def test_barenblatt_l1_does_not_grow_as_the_step_shrinks():
+    # CFL 1/16 -> 1/32: 1.35e-2 -> 6.25e-3
+    assert _barenblatt(5, 200, 1 / 32).l1 <= _barenblatt(5, 200, 1 / 16).l1
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 2")

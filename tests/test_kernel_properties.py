@@ -2,11 +2,11 @@
 
 Mirroring the data swaps the one-sided families and maps the symmetric chain
 onto its mirror, negating the data negates both chains, and the periodic D_0
-is the mean of D_L and D_R, all bit for bit; rolling periodic data, held on
-its N unique nodes, commutes with both chains.  They guard the boundary closures
-and the derivation of D_0 from the pair: a closure whose end values are
-swapped, or whose coupled coefficient has the wrong sign, breaks the mirror
-symmetry or the homogeneous end condition.
+is the mean of the linear-rule D_L and D_R, all bit for bit; rolling
+periodic data, held on its N unique nodes, commutes with both chains.  They
+guard the boundary closures and the derivation of D_0 from the pair: a
+closure whose end values are swapped, or whose coupled coefficient has the
+wrong sign, breaks the mirror symmetry or the homogeneous end condition.
 """
 
 import numpy as np
@@ -25,9 +25,9 @@ PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=N
 
 @st.composite
 def kernel_cases(draw, bcs=(PER, HOM)):
-    """A kernel family on [0, 1], a boundary type, a first-pass rule, an
-    order k and two data arrays, possibly batched: N nodes of periodic data,
-    N+1 of other data."""
+    """A kernel family on [0, 1], a boundary type, the pair chain's
+    first-pass rule, an order k and two data arrays, possibly batched: N
+    nodes of periodic data, N+1 of other data."""
     n = draw(st.integers(6, 48))
     nu = draw(st.floats(0.05, 5.0))
     bc = draw(st.sampled_from(bcs))
@@ -72,9 +72,9 @@ def test_pair_chain_mirrors_bitwise(case):
 @PROPERTY
 @given(kernel_cases())
 def test_zero_chain_mirrors(case):
-    p, bc, mode, k, v, _ = case
-    got = d_chain_zero(v[..., ::-1], p, bc, k, mode)
-    ref = d_chain_zero(v, p, bc, k, mode)
+    p, bc, _, k, v, _ = case
+    got = d_chain_zero(v[..., ::-1], p, bc, k)
+    ref = d_chain_zero(v, p, bc, k)
     for a, b in zip(got, ref):
         assert bitwise_equal(a, b[..., ::-1])
 
@@ -85,7 +85,7 @@ def test_chains_are_odd_bitwise(case):
     p, bc, mode, k, v, w = case
     pl, pr, si_l, si_r = d_chain_pair(v, w, p, bc, k, mode)
     nl, nr, nsi_l, nsi_r = d_chain_pair(-v, -w, p, bc, k, mode)
-    zero, nzero = d_chain_zero(v, p, bc, k, mode), d_chain_zero(-v, p, bc, k, mode)
+    zero, nzero = d_chain_zero(v, p, bc, k), d_chain_zero(-v, p, bc, k)
     # equal values; a closure's exact zero may come out as either signed zero
     for got, ref in zip(nl + nr + nzero, pl + pr + zero):
         assert np.array_equal(got, -ref)
@@ -98,9 +98,10 @@ def test_chains_are_odd_bitwise(case):
 @PROPERTY
 @given(kernel_cases(bcs=(PER,)))
 def test_periodic_zero_is_the_pair_mean_bitwise(case):
-    p, bc, mode, _, v, _ = case
-    (dl,), (dr,), _, _ = d_chain_pair(v, v, p, bc, 1, mode)
-    (d0,) = d_chain_zero(v, p, bc, 1, mode)
+    # D_0 runs on the linear rule, so it is the mean of the linear pair
+    p, bc, _, _, v, _ = case
+    (dl,), (dr,), _, _ = d_chain_pair(v, v, p, bc, 1, LINEAR6)
+    (d0,) = d_chain_zero(v, p, bc, 1)
     assert bitwise_equal(d0, 0.5 * (dl + dr))
 
 
@@ -111,7 +112,7 @@ def test_periodic_roll_commutes_with_chains(case, shift):
     roll = lambda a: np.roll(a, shift, axis=-1)
     pl, pr, _, _ = d_chain_pair(v, w, p, bc, k, mode)
     rl, rr, _, _ = d_chain_pair(roll(v), roll(w), p, bc, k, mode)
-    zero = d_chain_zero(v, p, bc, k, mode)
-    rzero = d_chain_zero(roll(v), p, bc, k, mode)
+    zero = d_chain_zero(v, p, bc, k)
+    rzero = d_chain_zero(roll(v), p, bc, k)
     for ref, got in zip(pl + pr + zero, rl + rr + rzero):
         assert np.max(np.abs(roll(ref) - got)) <= bound(v, w)
