@@ -37,9 +37,12 @@ def xi(si0, si2):
     return np.divide(hi, lo, out=hi)
 
 
-def sigma_fields(xi_left: np.ndarray, xi_right: np.ndarray, bc: Boundary):
+def sigma_fields(xi_left, xi_right, bc: Boundary):
     """Damping factors: sigma_L,i = min(xi_i, xi_{i+1}) from the left-pass xi,
     sigma_R,i = min(xi_{i-1}, xi_i) from the right-pass xi, with neighbours
     past the ends read as the quadrature windows read them (core.shifted):
-    wrapped around periodic data, the end values of other data."""
-    return np.minimum(*shifted(xi_left, bc, 0, 1)), np.minimum(*shifted(xi_right, bc, -1, 0))
+    wrapped around periodic data, the end values of other data.  A side
+    with no pass (None: its input was exactly zero, so xi(0, 0) = 1 there)
+    gets the scalar 1.0."""
+    return (1.0 if xi_left is None else np.minimum(*shifted(xi_left, bc, 0, 1)),
+            1.0 if xi_right is None else np.minimum(*shifted(xi_right, bc, -1, 0)))

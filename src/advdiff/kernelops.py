@@ -21,22 +21,21 @@ as the recurrence's +0.0.  The right kernel is the left one
 reflected in space, so I^R and its smoothness pair are the left path run on
 the reversed data and reversed back.  The six quadrature windows are slices
 of one line padded past the ends by `core.padded`, the extension rule the
-filter shares through `core.shifted`.  The one primitive, `_d_pair`,
-applies D_L and D_R: quadrature, sweep, closure, D, with both orientations
-stacked into one batch for one quadrature and one sweep.  D_0 = (D_L +
-D_R)/2 is half a pair difference, (D_L[v] - D_R[-v])/2, so one closure rule
-serves all three families; D_0, in the diffusion chain and the k=3 cross
-term, always runs on the linear rule.  Each boundary rule has one owner:
+filter shares through `core.shifted`.
+
+The one primitive, `_d_pair`, applies D_L and D_R to both rows of the pair
+stacked in the sweep frame, w = [vl, vr reversed]; each chain keeps w
+stacked through its k powers.  D_0 = (D_L + D_R)/2 is half a pair
+difference, (D_L[v] - D_R[-v])/2, on the linear rule, so one closure rule
+serves all three families.  Each boundary rule has one owner:
 `local_integrals` makes J_0 the wrap cell of periodic data or a ghost cell
-of other data, 0.0, and `boundary_coefficients` closes the pair by each
-sweep's periodic images (a circulant convolution) or jointly, so D_L[v1] -
-D_R[v2] (for D_0, D_0 itself) vanishes at both ends of homogeneous data.
-A side whose input is exactly zero, as one half of the flux split of a
-linear flux is, stays out of the batch: on zero data the quadrature and
-sweep return +0.0 exactly, so the shortcut's zeros change no bit, and the
-closure still runs as above.
-Each stage writes its sums into arrays it made (the sweeps' outputs and
-spent integrals), never into its inputs.
+of other data, 0.0, and `boundary_coefficients` closes each row by its
+sweep's periodic images (a circulant convolution) or the pair jointly, so
+D_L[v1] - D_R[v2] vanishes at both ends of homogeneous data.  A row whose
+input is exactly zero, as one half of a linear flux's split is, costs
+nothing: there the quadrature and sweep return +0.0 and a periodic closure
+adds +0.0, so its D is its input, bit for bit, at every power.  Each stage
+writes its sums into arrays it made, never into its inputs.
 
 All array operations act along the last axis, so a leading batch dimension
 (used for 2D line sweeps) comes for free.
@@ -142,115 +141,112 @@ def sweep_left(J: np.ndarray, params: KernelParams) -> np.ndarray:
     return I.T.reshape(J.shape)
 
 
-def boundary_coefficients(bc: Boundary, params: KernelParams, vl, vr, IL, IR):
-    """The pair's closure: (A_L, B_R, profile) with D_L[vl] = vl - (I^L +
-    A_L profile) and D_R[vr] = vr - (I^R + B_R profile reversed), A_L and
-    B_R batch arrays over the leading axes (scalars for one line).
+def boundary_coefficients(bc: Boundary, params: KernelParams, w, I):
+    """The closure of the stacked pair w = [vl, vr reversed] with sweeps I:
+    (coef, profile) with D = w - (I + coef profile) in the sweep frame.
 
-    Periodic (circulant): each sweep from J_0 covers one period, and
-    A_L = I^L_{N-1}/(1-mu), B_R = I^R_0/(1-mu) on e_left[1:] add the images
-    of the earlier periods.  Homogeneous: D_L[vl] - D_R[vr] = 0 at both
-    ends, on e_left: A + mu B = -e_a, mu A + B = -e_b in (A, B) = (A_L,
-    -B_R), with e_a = (vr_0 - vl_0) - I^R_0 and e_b = (vr_N - vl_N) + I^L_N.
+    Periodic (circulant): each sweep from J_0 covers one period, and coef =
+    I_{N-1}/(1-mu) on e_left[1:] adds the images of the earlier periods, row
+    by row, so I may hold either row.  Homogeneous: D_L[vl] - D_R[vr] = 0 at
+    both ends, on e_left: A + mu B = -e_a, mu A + B = -e_b in (A, B) = (A_L,
+    -B_R), e_a = (vr_0 - vl_0) - I^R_0 and e_b = (vr_N - vl_N) + I^L_N.
     """
     mu = params.mu
     if not 0.0 <= mu < 1.0:
         raise ValueError(f"need 0 <= mu < 1, got {mu}")
     if bc is Boundary.PERIODIC:
-        return IL[..., -1] / (1.0 - mu), IR[..., 0] / (1.0 - mu), params.e_left[1:]
-    e_a = (vr[..., 0] - vl[..., 0]) - IR[..., 0]
-    e_b = (vr[..., -1] - vl[..., -1]) + IL[..., -1]
+        return I[..., -1] / (1.0 - mu), params.e_left[1:]
+    e_a = (w[1, ..., -1] - w[0, ..., 0]) - I[1, ..., -1]
+    e_b = (w[1, ..., 0] - w[0, ..., -1]) + I[0, ..., -1]
     one = 1.0 - mu ** 2
-    return (mu * e_b - e_a) / one, -(mu * e_a - e_b) / one, params.e_left
+    return np.stack(((mu * e_b - e_a) / one, -(mu * e_a - e_b) / one)), params.e_left
 
 
-def _zero_integrals(v, mode: str):
-    """What `local_integrals` returns on an exactly zero v (entries +-0.0):
-    +0.0 throughout, since every weight is finite, every rule sum starts
-    from 0.0 and the indicators are sums of squares."""
-    zero = np.zeros(v.shape)
-    return np.zeros(v.shape), *((zero, zero) if mode == WENO5 else (None, None))
+_BOTH = slice(0, 2)
 
 
-def _d_pair(vl, vr, params: KernelParams, bc: Boundary, mode: str):
-    """One application of D_L to vl and D_R to vr: quadrature, sweep,
-    closure (`boundary_coefficients`), D.
+def _liveness(vl, vr, bc: Boundary):
+    """The rows of the stacked pair [vl, vr reversed] that run quadrature and
+    sweep at a chain's first power and at its later ones, as slices.  A row
+    whose input is exactly zero (entries +-0.0) is dead: periodic, at every
+    power; homogeneous, where the closure couples the rows, at the first."""
+    first = slice(0 if vl.any() else 1, 2 if vr.any() else 1)
+    return first, first if bc is Boundary.PERIODIC else _BOTH
 
-    Returns (D_L[vl], D_R[vr], si_left, si_right), the smoothness pairs None
-    in linear mode.  The live sides, vl and vr reversed, run as one
-    (s, ..., n) batch through one quadrature and one sweep, left first; each
-    output element gets the arithmetic it gets alone, and the sweep treats
-    each line on its own, so no bit depends on the stacking.  A side whose
-    input is exactly zero (the f- of f = cu, the f+ of f = -|c|u) is left out
-    of the batch: its quadrature and sweep return +0.0 there
-    (`_zero_integrals`).  The closure still runs on both ends, so every
-    output bit is the one the full path gives.
+
+def _d_pair(w, live: slice, params: KernelParams, bc: Boundary, mode: str):
+    """One power of the kernel pair on w = [vl, vr reversed], stacked in the
+    sweep frame: quadrature, sweep, closure (`boundary_coefficients`), D.
+
+    Returns (d, si): d = [D_L[vl], D_R[vr] reversed], a fresh array, and si
+    each row's smoothness pair (SI0, SI2) in the sweep frame, None for a dead
+    row or in linear mode.  The `live` rows run as one batch through one
+    quadrature and one sweep, which treat each line on its own.  A dead row
+    is passed through as its D if periodic; if homogeneous, its I is +0.0.
     """
-    zero_l, zero_r = not vl.any(), not vr.any()
-    live = [] if zero_l else [vl]
-    if not zero_r:
-        live.append(vr[..., ::-1])
-    if live:
-        J, si0, si2 = local_integrals(np.array(live), params, mode, bc)
+    formed = live if bc is Boundary.PERIODIC else _BOTH
+    si = [None, None]
+    if live.start < live.stop:
+        J, si0, si2 = local_integrals(w[live], params, mode, bc)
         I = sweep_left(J, params)
-    # the left side is the batch's first row, the reversed right side its
-    # last; the sweep of zeros is +0.0 too
-    row = lambda k: (I[k], J[k], si0 if si0 is None else si0[k], si2 if si2 is None else si2[k])
-    IL, JL, *si_l = (np.zeros(vl.shape), *_zero_integrals(vl, mode)) if zero_l else row(0)
-    IR_rev, _, *si_r = (np.zeros(vr.shape), *_zero_integrals(vr, mode)) if zero_r else row(-1)
-    IR = IR_rev[..., ::-1]
-    a_l, b_r, profile = boundary_coefficients(bc, params, vl, vr, IL, IR)
-    # D = v - (I + edge term), formed in the sweeps' arrays with the spent
-    # J^L holding the edge terms; D_R in the reversed frame of its sweep,
-    # where its edge profile is the left one
-    edge = np.multiply(np.asarray(a_l)[..., None], profile, out=JL)
-    IL += edge
-    dl = np.subtract(vl, IL, out=IL)
-    np.multiply(np.asarray(b_r)[..., None], profile, out=edge)
-    IR_rev += edge
-    np.subtract(vr[..., ::-1], IR_rev, out=IR_rev)
-    dr = IR
-    if si_l[0] is None:
-        return dl, dr, None, None
-    return dl, dr, tuple(si_l), tuple(s[..., ::-1] for s in si_r)
-
-
-def _d_zero(v, params: KernelParams, bc: Boundary):
-    """One application of the symmetric-family D_0 = (D_L + D_R)/2.
-
-    D_R is odd, so D_L[v] - D_R[-v] = 2 D_0[v], on the linear rule; the
-    pair's closures are D_0's: the periodic ones average, and the homogeneous
-    joint one makes D_0[v] vanish at both ends.  The result owns its memory,
-    so the pair's stacked sweep output is freed on return.
-    """
-    dl, dr, _, _ = _d_pair(v, -v, params, bc, LINEAR6)
-    d0 = np.subtract(dl, dr)
-    d0 *= 0.5
-    return d0
+        if si0 is not None:
+            si[live] = zip(si0, si2)
+    if live != formed:  # homogeneous: the closure reads a dead row's +0.0
+        full = np.zeros(w.shape)
+        if live.start < live.stop:
+            full[live] = I
+        I, J = full, np.empty(w.shape)
+    if formed.start == formed.stop:
+        return w.copy(), si
+    coef, profile = boundary_coefficients(bc, params, w, I)
+    # D = w - (I + edge) in the sweep's array; the spent J holds the edge
+    I += np.multiply(coef[..., None], profile, out=J)
+    if formed == _BOTH:
+        return np.subtract(w, I, out=I), si
+    d = w.copy()
+    np.subtract(w[formed], I, out=d[formed])
+    return d, si
 
 
 def d_chain_pair(vl: np.ndarray, vr: np.ndarray, params: KernelParams,
                  bc: Boundary, k: int, mode: str):
-    """Left chain on vl and right chain on vr advanced together through k
-    powers (the form the convection operator consumes).
+    """Left chain on vl and right chain on vr, stacked as [vl, vr reversed]
+    through k powers, the first on `mode` and the rest on the linear rule.
 
-    The first pass uses `mode`, higher powers the linear rule.  Returns
-    (powers_left, powers_right, si_left, si_right), si the first pass's
-    smoothness pairs (None in linear mode).
+    Returns (powers_left, powers_right, si_left, si_right), the right powers
+    reversed views of the stacked ones, si the first power's smoothness
+    pairs, None for a dead side (`_liveness`) or in linear mode.
     """
-    cl, cr, si_l, si_r = _d_pair(vl, vr, params, bc, mode)
-    pl, pr = [cl], [cr]
+    first, later = _liveness(vl, vr, bc)
+    w, (si_l, si_r) = _d_pair(np.stack((vl, vr[..., ::-1])), first, params, bc, mode)
+    powers = [w]
     for _ in range(1, k):
-        cl, cr, _, _ = _d_pair(cl, cr, params, bc, LINEAR6)
-        pl.append(cl)
-        pr.append(cr)
-    return pl, pr, si_l, si_r
+        powers.append(_d_pair(powers[-1], later, params, bc, LINEAR6)[0])
+    if si_r is not None:
+        si_r = tuple(s[..., ::-1] for s in si_r)
+    return [d[0] for d in powers], [d[1, ..., ::-1] for d in powers], si_l, si_r
 
 
 def d_chain_zero(v: np.ndarray, params: KernelParams, bc: Boundary, k: int):
-    """Symmetric-family chain [D_0^1[v], .., D_0^k[v]] on the linear rule,
-    re-closing the boundary at every power."""
-    powers = [_d_zero(v, params, bc)]
-    for _ in range(1, k):
-        powers.append(_d_zero(powers[-1], params, bc))
+    """Symmetric-family chain [D_0^1[v], .., D_0^k[v]] on the linear rule:
+    each power runs the pair on [u, (-u) reversed], u the previous power
+    (written over the stacked D), and halves the row difference into an array
+    of its own.  The pair's closures are D_0's: the periodic ones average,
+    and the homogeneous joint one makes D_0[u] vanish at both ends.
+    """
+    first, later = _liveness(v, v, bc)
+    powers, w, u = [], np.empty((2, *v.shape)), v
+    for p in range(k):
+        w[0] = u
+        np.negative(u[..., ::-1], out=w[1])
+        w, _ = _d_pair(w, later if p else first, params, bc, LINEAR6)
+        u = np.subtract(w[0], w[1, ..., ::-1])
+        u *= 0.5
+        powers.append(u)
     return powers
+
+
+def _d_zero(v, params: KernelParams, bc: Boundary):
+    """One application of the symmetric-family D_0 = (D_L + D_R)/2, the first
+    power of `d_chain_zero`."""
+    return d_chain_zero(v, params, bc, 1)[0]

@@ -15,7 +15,9 @@ correction term alpha_L * D_0[D_L^2[f+] - D_R^2[f-]] (same alpha_L family,
 second powers taken from the chains above) restores A-stability of the
 convection part; its f- half mirrors the f+ half.  `config.quadrature` is
 the rule of the convection chains' first power; every D_0 is linear-rule.
-Blocks whose wave-speed bound vanishes are skipped.
+Blocks whose wave-speed bound vanishes are skipped, and so is the filter of
+a side whose half of the split is exactly zero: its sigma is exactly 1.0,
+as xi(0, 0) = 1 on the +0.0 indicators it would have.
 
 Everything operates on arrays along the last axis; in 2D the same assembly
 runs per axis on batched lines and the results are summed.
@@ -64,8 +66,8 @@ def _convection(u, problem, config, bounds, params):
     fplus, fminus = flux_split(problem, u, bounds)
     chain_l, chain_r, si_l, si_r = d_chain_pair(fplus, fminus, params, bc, k, config.quadrature)
     sig_l = sig_r = 1.0
-    if config.filter_enabled and k >= 2 and si_l is not None:
-        sig_l, sig_r = sigma_fields(xi(*si_l), xi(*si_r), bc)
+    if config.filter_enabled and k >= 2 and (si_l or si_r):
+        sig_l, sig_r = sigma_fields(si_l and xi(*si_l), si_r and xi(*si_r), bc)
     cross = None
     if k == 3 and config.cross_term_k3:
         # before the sums below overwrite the second powers

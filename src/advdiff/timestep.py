@@ -99,9 +99,8 @@ def advance(u0: SolutionField, T: float, problem: ProblemSpec | ProblemSpec2D,
     The kernel families (and the quadrature tables they build on first use)
     are a pure function of (bounds, dt), so a step whose (bounds, dt) equals
     the previous step's reuses them; they live for this call only.  Their
-    chains skip the quadrature and sweep of an exactly zero input, such as
-    the f- of a linear flux f = cu, c > 0, whose zeros those stages would
-    return bit for bit (kernelops._d_pair).
+    chains skip the work on an exactly zero input, such as the f- of f = cu,
+    c > 0, which changes no bit (kernelops._liveness).
 
     u0 must be finite, real (bool, integer or floating input is read as
     float64) and in the grid's layout (`core.unique_nodes`): N+1 nodes per

@@ -9,6 +9,7 @@ import pytest
 
 from advdiff import Boundary, build_grid_1d, kernelops
 from advdiff.core import padded, shifted
+from advdiff.filtering import xi
 from advdiff.kernelops import (KernelParams, _d_pair, _d_zero, boundary_coefficients,
                                d_chain_pair, d_chain_zero, local_integrals, sweep_left)
 from advdiff.quadrature import LINEAR6, WENO5
@@ -16,6 +17,17 @@ from conftest import direct_sweep_left, direct_sweep_right, exp_cell_integral
 
 PER = Boundary.PERIODIC
 HOM = Boundary.HOMOGENEOUS
+BOTH = slice(0, 2)
+
+
+def pair(vl, vr, p, bc, mode, live=BOTH):
+    """The stacked primitive on [vl, vr reversed], both rows live unless
+    told otherwise, read back in natural order: (D_L[vl], D_R[vr], si_left,
+    si_right)."""
+    d, (si_l, si_r) = _d_pair(np.stack((vl, vr[..., ::-1])), live, p, bc, mode)
+    if si_r is not None:
+        si_r = tuple(s[..., ::-1] for s in si_r)
+    return d[0], d[1, ..., ::-1], si_l, si_r
 
 
 def params_for(alpha, grid):
@@ -243,15 +255,20 @@ def test_constant_convolution_closed_form():
 
 def test_boundary_coefficients_periodic_constant():
     # a periodic sweep covers one period, 1 - mu of the constant's
-    # convolution; its images add the rest
+    # convolution; its images add the rest, each row from its own far end
     grid = build_grid_1d(0.0, 1.0, 40)
     p = params_for(2.0, grid)
     ones = np.ones(40)
     IL, IR = convolve(ones, p, PER)
-    a0, b0, profile = boundary_coefficients(PER, p, ones, ones, IL, IR)
-    assert a0 == pytest.approx(1.0, rel=1e-12)
-    assert b0 == pytest.approx(1.0, rel=1e-12)
+    coef, profile = boundary_coefficients(PER, p, np.stack((ones, ones)),
+                                          np.stack((IL, IR[::-1])))
+    assert coef.shape == (2,)
+    assert coef[0] == pytest.approx(1.0, rel=1e-12)
+    assert coef[1] == pytest.approx(1.0, rel=1e-12)
     assert np.array_equal(profile, p.e_left[1:])
+    # either row closes on its own
+    alone, _ = boundary_coefficients(PER, p, ones[None], IR[None, ::-1])
+    assert alone.tobytes() == coef[1:].tobytes()
 
 
 def test_boundary_coefficients_homogeneous_constant():
@@ -261,9 +278,11 @@ def test_boundary_coefficients_homogeneous_constant():
     p = params_for(2.0, grid)
     ones = np.ones(41)
     IL, IR = convolve(ones, p, HOM)
-    a0, b0, profile = boundary_coefficients(HOM, p, ones, -ones, IL, -IR)
-    assert a0 == pytest.approx(1.0, rel=1e-12)
-    assert b0 == pytest.approx(-1.0, rel=1e-12)
+    coef, profile = boundary_coefficients(HOM, p, np.stack((ones, -ones)),
+                                          np.stack((IL, -IR[::-1])))
+    assert coef.shape == (2,)
+    assert coef[0] == pytest.approx(1.0, rel=1e-12)
+    assert coef[1] == pytest.approx(-1.0, rel=1e-12)
     assert np.array_equal(profile, p.e_left)
 
 
@@ -271,10 +290,10 @@ def test_boundary_coefficients_zero_data():
     p = KernelParams(alpha=1.0, nu=-np.log(0.3) / 40, n_cells=40)  # mu = 0.3
     flat = KernelParams(alpha=1.0, nu=0.0, n_cells=40)  # mu = 1
     for bc in (PER, HOM):
-        zero = np.zeros(n_nodes(40, bc))
-        assert boundary_coefficients(bc, p, zero, zero, zero, zero)[:2] == (0.0, 0.0)
+        zero = np.zeros((2, n_nodes(40, bc)))
+        assert boundary_coefficients(bc, p, zero, zero)[0].tolist() == [0.0, 0.0]
         with pytest.raises(ValueError, match="0 <= mu < 1"):
-            boundary_coefficients(bc, flat, zero, zero, zero, zero)
+            boundary_coefficients(bc, flat, zero, zero)
 
 
 @pytest.mark.parametrize("side", ["zero", "left", "right"])
@@ -315,7 +334,7 @@ def test_power_chain_constants_and_k1():
     v = np.sin(np.pi * grid.nodes[:-1])
     zero = np.zeros_like(v)
     one, _, _, _ = d_chain_pair(v, zero, p, PER, 1, LINEAR6)
-    direct, _, _, _ = _d_pair(v, zero, p, PER, LINEAR6)
+    direct, _, _, _ = pair(v, zero, p, PER, LINEAR6)
     assert np.array_equal(one[0], direct)
 
 
@@ -398,14 +417,14 @@ def test_batched_inputs_match_rowwise(mode, bc, rng):
     batch, other = rng.standard_normal((2, 4, n_nodes(48, bc)))
     batch[1, ::5] = -0.0
     stacked = apply_D("zero", batch, p, bc, mode)
-    pair = _d_pair(batch, other, p, bc, mode)
+    both = pair(batch, other, p, bc, mode)
     for row in range(4):
         single = apply_D("zero", batch[row], p, bc, mode)
         assert stacked[row].tobytes() == single.tobytes()
-        alone = _d_pair(batch[row], other[row], p, bc, mode)
-        assert pair[0][row].tobytes() == alone[0].tobytes()
-        assert pair[1][row].tobytes() == alone[1].tobytes()
-        for got, want in zip(pair[2:], alone[2:]):
+        alone = pair(batch[row], other[row], p, bc, mode)
+        assert both[0][row].tobytes() == alone[0].tobytes()
+        assert both[1][row].tobytes() == alone[1].tobytes()
+        for got, want in zip(both[2:], alone[2:]):
             if mode == LINEAR6:
                 assert got is None and want is None
             else:
@@ -482,9 +501,9 @@ def test_padded_windows_match_fancy_index_gather(swap, mode, bc, shape, rng, mon
     # both gathers; swapping the data gives each array to each orientation
     p = params_for(3.0, build_grid_1d(0.0, 1.0, shape[-1] - (bc is HOM)))
     data = (w, v) if swap else (v, w)
-    got = _d_pair(*data, p, bc, mode)
+    got = pair(*data, p, bc, mode)
     monkeypatch.setattr(kernelops, "padded", fancy_index_padded)
-    ref = _d_pair(*data, p, bc, mode)
+    ref = pair(*data, p, bc, mode)
     assert (got[2] is None) == (ref[2] is None) == (mode == LINEAR6)
     flat = lambda out: [out[0], out[1], *(out[2] or ()), *(out[3] or ())]
     assert len(flat(got)) == len(flat(ref))
@@ -499,8 +518,8 @@ def test_periodic_left_output_is_independent_of_the_right_input(mode, rng):
     grid = build_grid_1d(0.0, 1.0, 40)
     p = params_for(4.0, grid)
     vl, vr, other = rng.standard_normal((3, 3, 40))
-    dl, _, si_l, _ = _d_pair(vl, vr, p, PER, mode)
-    ol, _, osi_l, _ = _d_pair(vl, other, p, PER, mode)
+    dl, _, si_l, _ = pair(vl, vr, p, PER, mode)
+    ol, _, osi_l, _ = pair(vl, other, p, PER, mode)
     assert dl.tobytes() == ol.tobytes()
     if mode == WENO5:
         assert all(a.tobytes() == b.tobytes() for a, b in zip(si_l, osi_l))
@@ -515,12 +534,17 @@ def test_primitives_leave_their_inputs_unchanged(mode, bc, shape, rng):
     # the kernels work in place in arrays they made, never in their inputs
     p = params_for(3.0, build_grid_1d(0.0, 1.0, shape[-1] - (bc is HOM)))
     vl, vr = rng.standard_normal((2, *shape))
-    keep = vl.tobytes(), vr.tobytes()
-    unchanged = lambda: (vl.tobytes(), vr.tobytes()) == keep
-    _d_pair(vl, vr, p, bc, mode)
+    w = np.stack((vl, np.zeros(shape)))
+    keep = vl.tobytes(), vr.tobytes(), w.tobytes()
+    unchanged = lambda: (vl.tobytes(), vr.tobytes(), w.tobytes()) == keep
+    for live in (BOTH, slice(0, 1), slice(1, 1)):
+        _d_pair(w, live, p, bc, mode)
+        assert unchanged()
+    d_chain_pair(vl, vr, p, bc, 3, mode)
     assert unchanged()
-    _d_pair(vl, vl, p, bc, mode)
+    d_chain_pair(vl, vl, p, bc, 3, mode)
     assert unchanged()
+    d_chain_zero(vr, p, bc, 3)
     _d_zero(vr, p, bc)
     assert unchanged()
     local_integrals(vl, p, mode, bc)
@@ -541,9 +565,9 @@ def test_zero_chain_powers_own_their_memory(bc, shape, rng):
 
 
 def reference_pair(vl, vr, p, bc, mode):
-    """`_d_pair` with no zero-side shortcut and no stacking: each side runs
-    through its own quadrature and sweep, then the closure, written out here
-    and rounding each sum as `_d_pair` does."""
+    """One power of the pair with no zero-side shortcut and no stacking: each
+    side runs through its own quadrature and sweep, then the closure, written
+    out here and rounding each sum as `_d_pair` does; in natural order."""
     JL, *si_l = local_integrals(vl, p, mode, bc)
     JR, *si_r = local_integrals(vr[..., ::-1], p, mode, bc)
     IL = sweep_left(JL, p)
@@ -566,33 +590,60 @@ def reference_pair(vl, vr, p, bc, mode):
     return dl, dr, tuple(si_l), tuple(s[..., ::-1] for s in si_r)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("shape", [(41,), (3, 41), (201, 201)])
 @pytest.mark.parametrize("bc", [PER, HOM])
 @pytest.mark.parametrize("mode", [WENO5, LINEAR6])
 @pytest.mark.parametrize("zero_side", ["none", "left", "right", "both"])
-def test_zero_side_shortcut_changes_no_bit(zero_side, mode, bc, shape, rng, monkeypatch):
-    # the live sides run as one stacked batch, and an exactly zero side,
-    # -0.0 entries included, skips its quadrature and sweep; outputs and
-    # smoothness pairs keep the bytes of each side run alone
+def test_zero_side_shortcut_changes_no_bit(zero_side, mode, bc, shape, k, rng, monkeypatch):
+    # the live rows run as one stacked batch, and an exactly zero side, -0.0
+    # entries included, skips its quadrature and sweep: at every power of
+    # periodic data, where it passes through, and at the first power of
+    # homogeneous data, whose joint closure revives it; every power of both
+    # chains and the smoothness pairs keep the bytes of reference_pair
+    # iterated, each side run alone
     p = params_for(5.0, build_grid_1d(0.0, 1.0, shape[-1] - (bc is HOM)))
     zero = np.zeros(shape)
     zero[..., ::3] = -0.0
-    vl = zero if zero_side in ("left", "both") else rng.standard_normal(shape)
-    vr = zero.copy() if zero_side in ("right", "both") else rng.standard_normal(shape)
-    want = reference_pair(vl, vr, p, bc, mode)
+    dead = (zero_side in ("left", "both"), zero_side in ("right", "both"))
+    vl = zero if dead[0] else rng.standard_normal(shape)
+    vr = zero.copy() if dead[1] else rng.standard_normal(shape)
     quadratures, sweeps = [], []
     monkeypatch.setattr(kernelops, "local_integrals",
-                        lambda *a: quadratures.append(a) or local_integrals(*a))
+                        lambda *a: quadratures.append(a[0].shape) or local_integrals(*a))
     monkeypatch.setattr(kernelops, "sweep_left",
-                        lambda *a: sweeps.append(a) or sweep_left(*a))
-    got = _d_pair(vl, vr, p, bc, mode)
-    live = {"none": 2, "left": 1, "right": 1, "both": 0}[zero_side]
-    assert len(quadratures) == len(sweeps) == (live > 0)
-    assert [a[0].shape for a in quadratures] == [(live, *shape)] * (live > 0)
-    for g, w in zip(got[:2], want[:2]):
-        assert g.tobytes() == w.tobytes()
-    for g, w in zip(got[2:], want[2:]):
+                        lambda *a: sweeps.append(a[0].shape) or sweep_left(*a))
+
+    def batches(first):
+        """The batch shape of each power that runs a quadrature and a sweep."""
+        later = first if bc is PER else 2
+        return [(rows, *shape) for rows in [first] + [later] * (k - 1) if rows]
+
+    got_l, got_r, *got_si = d_chain_pair(vl, vr, p, bc, k, mode)
+    assert quadratures == sweeps == batches(2 - sum(dead))
+    dl, dr, *want_si = reference_pair(vl, vr, p, bc, mode)
+    for power in range(k):
+        if power:
+            dl, dr, _, _ = reference_pair(dl, dr, p, bc, LINEAR6)
+        assert got_l[power].tobytes() == dl.tobytes()
+        assert got_r[power].tobytes() == dr.tobytes()
+    for got, want, side_dead in zip(got_si, want_si, dead):
         if mode == LINEAR6:
-            assert g is None and w is None
+            assert got is None and want is None
+        elif side_dead:
+            # no pair; the one it would have is +0.0, where xi is exactly 1
+            assert got is None and all(np.all(s == 0.0) for s in want)
+            assert np.all(xi(*want) == 1.0)
         else:
-            assert [s.tobytes() for s in g] == [s.tobytes() for s in w]
+            assert [s.tobytes() for s in got] == [s.tobytes() for s in want]
+    # the zero chain on vl: each power halves the pair's difference on (u, -u)
+    quadratures.clear()
+    sweeps.clear()
+    zero_chain = d_chain_zero(vl, p, bc, k)
+    assert quadratures == sweeps == batches(0 if dead[0] else 2)
+    u = vl
+    for d in zero_chain:
+        dl, dr, _, _ = reference_pair(u, -u, p, bc, LINEAR6)
+        u = np.subtract(dl, dr)
+        u *= 0.5
+        assert d.tobytes() == u.tobytes()

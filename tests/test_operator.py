@@ -159,6 +159,39 @@ def test_filter_neutrality_bitwise(monkeypatch):
     assert np.array_equal(h_on, h_off)
 
 
+@pytest.mark.parametrize("order", [2, 3])
+@pytest.mark.parametrize("bc", [PER, HOM])
+@pytest.mark.parametrize("c", [1.0, -1.0])
+def test_dead_side_sigma_changes_no_bit(c, bc, order, monkeypatch):
+    # f = cu leaves one half of the split exactly zero: that side has no
+    # smoothness pair, so it takes sigma = 1.0 without xi or sigma_fields;
+    # running both on its +0.0 indicators, as before, changes no bit
+    grid = build_grid_1d(-np.pi, np.pi, 64)
+    prob = linear_problem(c, 0.1, bc)
+    nodes = grid.nodes[:64 + (bc is HOM)]
+    u = np.sin(nodes) + (np.abs(nodes) < 1.0)
+    config = SchemeConfig(order=order, beta=0.4)
+    assert config.quadrature == qd.WENO5 and config.filter_enabled
+    bounds = (compute_bounds(prob, u),)
+    real_xi, real_sigma = advdiff.operator.xi, advdiff.operator.sigma_fields
+    xis, sigmas = [], []
+    monkeypatch.setattr(advdiff.operator, "xi", lambda *a: xis.append(a) or real_xi(*a))
+    monkeypatch.setattr(advdiff.operator, "sigma_fields",
+                        lambda *a: sigmas.append(real_sigma(*a)) or sigmas[-1])
+    h = stage_H(u, prob, config, bounds, 0.05, grid)
+    assert len(xis) == 1
+    (live, dead), = [s if c > 0 else s[::-1] for s in sigmas]
+    assert dead == 1.0 and type(dead) is float and np.min(live) < 0.5
+
+    def every_side(xi_l, xi_r, bc):
+        zero = np.zeros(u.shape)
+        return real_sigma(real_xi(zero, zero) if xi_l is None else xi_l,
+                          real_xi(zero, zero) if xi_r is None else xi_r, bc)
+
+    monkeypatch.setattr(advdiff.operator, "sigma_fields", every_side)
+    assert stage_H(u, prob, config, bounds, 0.05, grid).tobytes() == h.tobytes()
+
+
 def test_k1_filter_flag_is_noop():
     grid = build_grid_1d(-np.pi, np.pi, 64)
     prob = burgers_like()
