@@ -205,6 +205,9 @@ class SchemeConfig:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.quadrature not in (WENO5, LINEAR6):
             raise ValueError(f"unknown quadrature {self.quadrature!r}")
+        for name in ("filter_enabled", "cross_term_k3"):
+            if not isinstance(getattr(self, name), (bool, np.bool_)):
+                raise ValueError(f"{name} must be a bool, got {getattr(self, name)!r}")
 
 
 @dataclass

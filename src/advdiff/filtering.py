@@ -6,9 +6,9 @@ seventh-order quantity on smooth data but O(SI) at a jump, so
     xi = (1 + tau^2/(SImax + eps)^2) / (1 + tau^2/(SImin + eps)^2)
 
 is 1 + O(dx^6) in smooth regions and small near discontinuities.  Per-node
-damping factors sigma are pairwise minima of neighboring xi; the convection
-partial sums scale their p-th term by sigma^(p-1) (diffusion terms are left
-alone).
+damping factors sigma are pairwise minima of neighboring xi in the chains'
+sweep frame; the convection partial sums scale their p-th term by
+sigma^(p-1) (diffusion terms are left alone).
 """
 
 from __future__ import annotations
@@ -37,12 +37,10 @@ def xi(si0, si2):
     return np.divide(hi, lo, out=hi)
 
 
-def sigma_fields(xi_left, xi_right, bc: Boundary):
-    """Damping factors: sigma_L,i = min(xi_i, xi_{i+1}) from the left-pass xi,
-    sigma_R,i = min(xi_{i-1}, xi_i) from the right-pass xi, with neighbours
-    past the ends read as the quadrature windows read them (core.shifted):
-    wrapped around periodic data, the end values of other data.  A side
-    with no pass (None: its input was exactly zero, so xi(0, 0) = 1 there)
-    gets the scalar 1.0."""
-    return (1.0 if xi_left is None else np.minimum(*shifted(xi_left, bc, 0, 1)),
-            1.0 if xi_right is None else np.minimum(*shifted(xi_right, bc, -1, 0)))
+def sigma_fields(xi_rows, bc: Boundary):
+    """Damping factors sigma_i = min(xi_i, xi_{i+1}) of each row of the
+    convection chains' sweep frame, with neighbours past the ends read as
+    the quadrature windows read them (core.shifted): wrapped around periodic
+    data, the end values of other data.  A right row is reversed there, so
+    this is the node-frame right rule sigma_R,i = min(xi_{i-1}, xi_i)."""
+    return np.minimum(*shifted(xi_rows, bc, 0, 1))

@@ -17,15 +17,16 @@ from the cell J_0 left of node 0 on.  `sweep_left` runs it as LAPACK's
 banded triangular solve (`dtbtrs`) with the unit bidiagonal band of
 `KernelParams.band`, in the transposed upper form, whose steps round as the
 recurrence's do; the lines go in as J + 0.0, so a -0.0 at node 0 comes out
-as the recurrence's +0.0.  The right kernel is the left one
-reflected in space, so I^R and its smoothness pair are the left path run on
-the reversed data and reversed back.  The six quadrature windows are slices
-of one line padded past the ends by `core.padded`, the extension rule the
-filter shares through `core.shifted`.
+as the recurrence's +0.0.  The right kernel is the left one reflected in
+space, so I^R and its smoothness pair are the left path run on the reversed
+data, and they stay reversed.  The six quadrature windows are slices of one
+line padded past the ends by `core.padded`, the extension rule the filter
+shares through `core.shifted`.
 
 The one primitive, `_d_pair`, applies D_L and D_R to both rows of the pair
 stacked in the sweep frame, w = [vl, vr reversed]; each chain keeps w
-stacked through its k powers.  D_0 = (D_L + D_R)/2 is half a pair
+stacked through its k powers, and `d_chain_pair` hands its powers and
+smoothness pair out in that frame.  D_0 = (D_L + D_R)/2 is half a pair
 difference, (D_L[v] - D_R[-v])/2, on the linear rule, so one closure rule
 serves all three families.  Each boundary rule has one owner:
 `local_integrals` makes J_0 the wrap cell of periodic data or a ghost cell
@@ -179,18 +180,18 @@ def _d_pair(w, live: slice, params: KernelParams, bc: Boundary, mode: str):
     sweep frame: quadrature, sweep, closure (`boundary_coefficients`), D.
 
     Returns (d, si): d = [D_L[vl], D_R[vr] reversed], a fresh array, and si
-    each row's smoothness pair (SI0, SI2) in the sweep frame, None for a dead
-    row or in linear mode.  The `live` rows run as one batch through one
-    quadrature and one sweep, which treat each line on its own.  A dead row
-    is passed through as its D if periodic; if homogeneous, its I is +0.0.
+    the smoothness pair (SI0, SI2) of the `live` rows in the sweep frame,
+    None when no row is live or in linear mode.  The live rows run as one
+    batch through one quadrature and one sweep, which treat each line on its
+    own.  A dead row is passed through as its D if periodic; if homogeneous,
+    its I is +0.0.
     """
     formed = live if bc is Boundary.PERIODIC else _BOTH
-    si = [None, None]
+    si = None
     if live.start < live.stop:
         J, si0, si2 = local_integrals(w[live], params, mode, bc)
         I = sweep_left(J, params)
-        if si0 is not None:
-            si[live] = zip(si0, si2)
+        si = None if si0 is None else (si0, si2)
     if live != formed:  # homogeneous: the closure reads a dead row's +0.0
         full = np.zeros(w.shape)
         if live.start < live.stop:
@@ -213,36 +214,33 @@ def d_chain_pair(vl: np.ndarray, vr: np.ndarray, params: KernelParams,
     """Left chain on vl and right chain on vr, stacked as [vl, vr reversed]
     through k powers, the first on `mode` and the rest on the linear rule.
 
-    Returns (powers_left, powers_right, si_left, si_right), the right powers
-    reversed views of the stacked ones, si the first power's smoothness
-    pairs, None for a dead side (`_liveness`) or in linear mode.
+    Returns (powers, live, si), all in the sweep frame: powers the k stacked
+    [D_L^p[vl], D_R^p[vr] reversed], live the slice of rows that ran the
+    first power (`_liveness`), and si that power's smoothness pair over
+    those rows, None in linear mode or when no row is live.
     """
-    first, later = _liveness(vl, vr, bc)
-    w, (si_l, si_r) = _d_pair(np.stack((vl, vr[..., ::-1])), first, params, bc, mode)
+    live, later = _liveness(vl, vr, bc)
+    w, si = _d_pair(np.stack((vl, vr[..., ::-1])), live, params, bc, mode)
     powers = [w]
     for _ in range(1, k):
         powers.append(_d_pair(powers[-1], later, params, bc, LINEAR6)[0])
-    if si_r is not None:
-        si_r = tuple(s[..., ::-1] for s in si_r)
-    return [d[0] for d in powers], [d[1, ..., ::-1] for d in powers], si_l, si_r
+    return powers, live, si
 
 
 def d_chain_zero(v: np.ndarray, params: KernelParams, bc: Boundary, k: int):
     """Symmetric-family chain [D_0^1[v], .., D_0^k[v]] on the linear rule:
-    each power runs the pair on [u, (-u) reversed], u the previous power
-    (written over the stacked D), and halves the row difference into an array
-    of its own.  The pair's closures are D_0's: the periodic ones average,
-    and the homogeneous joint one makes D_0[u] vanish at both ends.
-    """
+    the pair runs on w = [v, (-v) reversed], and each power's D makes the
+    next w = (d - d reversed in both axes)/2, whose row 0, copied so as not
+    to hold the mirrored row alive, is the power.  The closures are D_0's:
+    the periodic ones average, the homogeneous joint one makes D_0[u]
+    vanish at both ends."""
     first, later = _liveness(v, v, bc)
-    powers, w, u = [], np.empty((2, *v.shape)), v
+    powers, w = [], np.stack((v, -v[..., ::-1]))
     for p in range(k):
-        w[0] = u
-        np.negative(u[..., ::-1], out=w[1])
-        w, _ = _d_pair(w, later if p else first, params, bc, LINEAR6)
-        u = np.subtract(w[0], w[1, ..., ::-1])
-        u *= 0.5
-        powers.append(u)
+        d, _ = _d_pair(w, later if p else first, params, bc, LINEAR6)
+        w = np.subtract(d, d[::-1, ..., ::-1])
+        w *= 0.5
+        powers.append(w[0].copy())
     return powers
 
 

@@ -17,7 +17,8 @@ convection part; its f- half mirrors the f+ half.  `config.quadrature` is
 the rule of the convection chains' first power; every D_0 is linear-rule.
 Blocks whose wave-speed bound vanishes are skipped, and so is the filter of
 a side whose half of the split is exactly zero: its sigma is exactly 1.0,
-as xi(0, 0) = 1 on the +0.0 indicators it would have.
+as xi(0, 0) = 1 on the +0.0 indicators it would have.  Both sides are
+summed stacked in the chains' sweep frame, and the right sum flipped once.
 
 Everything operates on arrays along the last axis; in 2D the same assembly
 runs per axis on batched lines and the results are summed.
@@ -64,22 +65,22 @@ def kernel_families(config: SchemeConfig, bounds, dt: float, grid: Grid1D | Grid
 def _convection(u, problem, config, bounds, params):
     k, bc = config.order, problem.bc
     fplus, fminus = flux_split(problem, u, bounds)
-    chain_l, chain_r, si_l, si_r = d_chain_pair(fplus, fminus, params, bc, k, config.quadrature)
-    sig_l = sig_r = 1.0
-    if config.filter_enabled and k >= 2 and (si_l or si_r):
-        sig_l, sig_r = sigma_fields(si_l and xi(*si_l), si_r and xi(*si_r), bc)
+    powers, live, si = d_chain_pair(fplus, fminus, params, bc, k, config.quadrature)
+    sigma = None
+    if config.filter_enabled and k >= 2 and si is not None:
+        sigma = sigma_fields(xi(*si), bc)
     cross = None
     if k == 3 and config.cross_term_k3:
         # before the sums below overwrite the second powers
-        cross = _d_zero(chain_l[1] - chain_r[1], params, bc)
-    # one accumulation order per side keeps mirrored data mirrored bit for bit
-    h, hl = chain_r[0], chain_l[0]
-    for p in range(2, k + 1):
-        # sigma^1 is sigma itself; numpy would copy it
-        damp_l, damp_r = (sig_l, sig_r) if p == 2 else (sig_l ** (p - 1), sig_r ** (p - 1))
-        hl += np.multiply(damp_l, chain_l[p - 1], out=chain_l[p - 1])
-        h += np.multiply(damp_r, chain_r[p - 1], out=chain_r[p - 1])
-    h -= hl
+        cross = _d_zero(powers[1][0] - powers[1][1, ..., ::-1], params, bc)
+    # one accumulation order per row of the sweep frame, and one reversal,
+    # keep mirrored data mirrored bit for bit
+    h = powers[0]
+    for p, d in enumerate(powers[1:], start=2):
+        if sigma is not None:  # sigma^1 is sigma itself; numpy would copy it
+            d[live] *= sigma if p == 2 else sigma ** (p - 1)
+        h += d
+    h = np.subtract(h[1, ..., ::-1], h[0], out=h[0])
     if cross is not None:
         h += cross
     h *= params.alpha

@@ -39,6 +39,25 @@ def direct_sweep_right(J, q):
     return I
 
 
+def node_sides(si, live):
+    """A smoothness pair stacked in the sweep frame over the rows of the
+    slice `live` (`kernelops._d_pair`) as (si_left, si_right) in the node
+    frame: the right one reversed, None for a side with no pair."""
+    if si is None:
+        return None, None
+    left = tuple(s[0] for s in si) if live.start == 0 else None
+    right = tuple(s[-1, ..., ::-1] for s in si) if live.stop == 2 else None
+    return left, right
+
+
+def node_frame(chain):
+    """`kernelops.d_chain_pair`'s stacked sweep-frame result (powers, live,
+    si) read back per side in the node frame: (powers_left, powers_right,
+    si_left, si_right), the right powers reversed views."""
+    powers, live, si = chain
+    return [d[0] for d in powers], [d[1, ..., ::-1] for d in powers], *node_sides(si, live)
+
+
 def exp_cell_integral(func, nu, dps=40):
     """alpha * int over one cell of e^{-alpha(x_i - y)} f(y) dy in normalized
     coordinates: nu * int_0^1 e^{-nu s} f(s) ds, to dps digits."""

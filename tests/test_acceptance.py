@@ -23,7 +23,7 @@ from advdiff.quadrature import (LINEAR6, WENO5, coef_tables,
                                 small_stencil_coefficients)
 from advdiff.stability import FULLY_DISCRETE, amplification
 from advdiff.timestep import rk_step
-from conftest import exp_cell_integral, window_values
+from conftest import exp_cell_integral, node_frame, window_values
 
 ADV = EquationKind.ADVECTION
 DIF = EquationKind.DIFFUSION
@@ -206,11 +206,11 @@ def test_criterion_4_truncation_order(bc):
         errs_l, errs_r = [], []
         for alpha in alphas:
             p = KernelParams.from_alpha(float(alpha), grid)
-            pl, pr, _, _ = d_chain_pair(v, np.zeros_like(v), p, bc, order, LINEAR6)
+            pl, pr, _, _ = node_frame(d_chain_pair(v, np.zeros_like(v), p, bc, order, LINEAR6))
             approx = alpha * (sum(pl) - sum(pr))
             errs_l.append(np.max(np.abs(vx - approx)))
             # mirrored: right chain carries the data
-            pl2, pr2, _, _ = d_chain_pair(np.zeros_like(v), v, p, bc, order, LINEAR6)
+            pl2, pr2, _, _ = node_frame(d_chain_pair(np.zeros_like(v), v, p, bc, order, LINEAR6))
             approx_r = alpha * (sum(pl2) - sum(pr2))
             errs_r.append(np.max(np.abs(vx - approx_r)))
         s_l, s_r = _slope(alphas, errs_l), _slope(alphas, errs_r)
@@ -419,7 +419,7 @@ def test_criterion_9_filter_orders():
         p = KernelParams.from_alpha(2.0 / grid.dx, grid)
         _, si0, si2 = local_integrals(v, p, WENO5, Boundary.PERIODIC)
         xif = xi(si0, si2)
-        sl, _ = sigma_fields(xif, xif, Boundary.PERIODIC)
+        sl = sigma_fields(xif, Boundary.PERIODIC)
         mins.append(float(np.min(sl[n // 2 - 2:n // 2 + 3])))
     ratios = np.array(mins[:-1]) / np.array(mins[1:])
     assert np.all(ratios >= 2.0 ** 3), mins

@@ -184,6 +184,16 @@ def test_config_rejects_non_integer_order(order):
         SchemeConfig(order=order)
 
 
+@pytest.mark.parametrize("name", ["filter_enabled", "cross_term_k3"])
+@pytest.mark.parametrize("value", ["no", 0, 1, 0.0, None])
+def test_config_rejects_non_bool_switches(name, value):
+    # a truthy string would switch the filter on, and 0.0 would be kept as given
+    with pytest.raises(ValueError, match=f"{name} must be a bool"):
+        SchemeConfig(order=3, **{name: value})
+    # numpy's bool, as a comparison of arrays gives it, is a bool
+    assert not getattr(SchemeConfig(order=3, **{name: np.bool_(False)}), name)
+
+
 @pytest.mark.parametrize("name", ["beta", "cfl"])
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_config_rejects_nonfinite_beta_and_cfl(name, value):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from advdiff import Boundary, SolutionField, advance, build_grid_1d, make_problem
+from advdiff.core import shifted
 from advdiff.filtering import sigma_fields, xi
 from advdiff.kernelops import KernelParams, local_integrals
 from advdiff.quadrature import WENO5
@@ -31,13 +32,44 @@ def test_xi_never_exceeds_one(rng):
     assert np.all(vals > 0.0)
 
 
+def node_frame_sigmas(xi_left, xi_right, bc):
+    """The two sides' rules in the node frame, as written before the chains
+    kept the sweep frame: sigma_L,i = min(xi_i, xi_{i+1}) from the left-pass
+    xi and sigma_R,i = min(xi_{i-1}, xi_i) from the right-pass xi."""
+    return (np.minimum(*shifted(xi_left, bc, 0, 1)),
+            np.minimum(*shifted(xi_right, bc, -1, 0)))
+
+
+def sigma_sides(xi_left, xi_right, bc):
+    """(sigma_L, sigma_R) in the node frame from one call on the sweep-frame
+    stack [xi_left, xi_right reversed]."""
+    sigma = sigma_fields(np.stack((xi_left, xi_right[..., ::-1])), bc)
+    return sigma[0], sigma[1, ..., ::-1]
+
+
+@pytest.mark.parametrize("bc", [PER, Boundary.HOMOGENEOUS])
+def test_sweep_frame_sigma_is_the_node_frame_rule_bitwise(bc, rng):
+    # reversing the right row turns its rule into the left one, end handling
+    # included; ties, ones and dips at both ends, batched lines
+    shape = (2, 3, 17)
+    xi_l, xi_r = np.where(rng.random(shape) < 0.5, rng.choice([1e-9, 0.5, 1.0], shape),
+                          rng.uniform(0.0, 1.0, shape))
+    xi_l[0, [0, -1]] = xi_r[1, [0, -1]] = 1e-12
+    want_l, want_r = node_frame_sigmas(xi_l, xi_r, bc)
+    got_l, got_r = sigma_sides(xi_l, xi_r, bc)
+    assert got_l.tobytes() == want_l.tobytes()
+    assert got_r.tobytes() == want_r.tobytes()
+    # one line alone: the same rule as the left row of the stack
+    assert sigma_fields(xi_l[0], bc).tobytes() == want_l[0].tobytes()
+
+
 def test_sigma_trivial_and_minima():
     ones = np.ones(4)
-    sl, sr = sigma_fields(ones, ones, PER)
+    sl, sr = sigma_sides(ones, ones, PER)
     assert np.all(sl == 1.0) and np.all(sr == 1.0)
 
     xi_l = np.array([1.0, 1.0, 1e-10, 1.0])
-    sl, _ = sigma_fields(xi_l, np.ones(4), PER)
+    sl = sigma_fields(xi_l, PER)
     assert np.allclose(sl, [1.0, 1e-10, 1e-10, 1.0])
 
 
@@ -45,7 +77,7 @@ def test_sigma_dip_hits_two_entries_each_side():
     n = 9
     xi_f = np.ones(n)
     xi_f[4] = 1e-8
-    sl, sr = sigma_fields(xi_f, xi_f, PER)
+    sl, sr = sigma_sides(xi_f, xi_f, PER)
     assert np.sum(sl < 1) == 2 and np.sum(sr < 1) == 2
     assert sl[3] == sl[4] == 1e-8
     assert sr[4] == sr[5] == 1e-8
@@ -53,7 +85,7 @@ def test_sigma_dip_hits_two_entries_each_side():
 
 def test_sigma_clamped_neighbors():
     xi_f = np.array([1e-9, 1.0, 1.0])
-    sl, sr = sigma_fields(xi_f, xi_f, Boundary.HOMOGENEOUS)
+    sl, sr = sigma_sides(xi_f, xi_f, Boundary.HOMOGENEOUS)
     assert sl[0] == 1e-9 and sl[-1] == 1.0
     assert sr[0] == 1e-9 and sr[1] == 1e-9
 
@@ -85,7 +117,7 @@ def test_step_sigma_damps_at_least_third_order():
         p = KernelParams.from_alpha(2.0 / grid.dx, grid)
         _, si0, si2 = local_integrals(v, p, WENO5, PER)
         xi_f = xi(si0, si2)
-        sl, _ = sigma_fields(xi_f, xi_f, PER)
+        sl = sigma_fields(xi_f, PER)
         jump = n // 2
         mins.append(np.min(sl[jump - 2:jump + 3]))
     ratios = np.array(mins[:-1]) / np.array(mins[1:])
@@ -99,7 +131,7 @@ def test_pure_step_sigma_is_tiny():
     p = KernelParams.from_alpha(2.0 / grid.dx, grid)
     _, si0, si2 = local_integrals(v, p, WENO5, PER)
     xi_f = xi(si0, si2)
-    sl, _ = sigma_fields(xi_f, xi_f, PER)
+    sl = sigma_fields(xi_f, PER)
     assert np.min(sl[62:67]) < 1e-12
 
 
@@ -116,7 +148,7 @@ def test_periodic_sigma_agrees_at_the_seam():
     def sigmas(data):
         xi_l = xi(*local_integrals(data, p, WENO5, PER)[1:])
         xi_r = xi(*local_integrals(data[::-1], p, WENO5, PER)[1:])[::-1]
-        return xi_l, xi_r, sigma_fields(xi_l, xi_r, PER)
+        return xi_l, xi_r, sigma_sides(xi_l, xi_r, PER)
 
     xi_l, xi_r, (sl, sr) = sigmas(v)
     assert sl[0] < 1e-12 and sl[n - 1] == min(xi_l[n - 1], xi_l[0])

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from advdiff import Boundary
 from advdiff.kernelops import KernelParams, d_chain_pair, d_chain_zero
 from advdiff.quadrature import LINEAR6, WENO5
+from conftest import node_frame
 
 PER = Boundary.PERIODIC
 HOM = Boundary.HOMOGENEOUS
@@ -52,8 +53,8 @@ def bound(*data):
 @given(kernel_cases())
 def test_pair_chain_mirrors_bitwise(case):
     p, bc, mode, k, v, w = case
-    pl, pr, si_l, si_r = d_chain_pair(v, w, p, bc, k, mode)
-    ml, mr, msi_l, msi_r = d_chain_pair(w[..., ::-1], v[..., ::-1], p, bc, k, mode)
+    pl, pr, si_l, si_r = node_frame(d_chain_pair(v, w, p, bc, k, mode))
+    ml, mr, msi_l, msi_r = node_frame(d_chain_pair(w[..., ::-1], v[..., ::-1], p, bc, k, mode))
     for got, ref in zip(ml, pr):
         assert bitwise_equal(got, ref[..., ::-1])
     for got, ref in zip(mr, pl):
@@ -83,8 +84,8 @@ def test_zero_chain_mirrors(case):
 @given(kernel_cases())
 def test_chains_are_odd_bitwise(case):
     p, bc, mode, k, v, w = case
-    pl, pr, si_l, si_r = d_chain_pair(v, w, p, bc, k, mode)
-    nl, nr, nsi_l, nsi_r = d_chain_pair(-v, -w, p, bc, k, mode)
+    pl, pr, si_l, si_r = node_frame(d_chain_pair(v, w, p, bc, k, mode))
+    nl, nr, nsi_l, nsi_r = node_frame(d_chain_pair(-v, -w, p, bc, k, mode))
     zero, nzero = d_chain_zero(v, p, bc, k), d_chain_zero(-v, p, bc, k)
     # equal values; a closure's exact zero may come out as either signed zero
     for got, ref in zip(nl + nr + nzero, pl + pr + zero):
@@ -100,7 +101,7 @@ def test_chains_are_odd_bitwise(case):
 def test_periodic_zero_is_the_pair_mean_bitwise(case):
     # D_0 runs on the linear rule, so it is the mean of the linear pair
     p, bc, _, _, v, _ = case
-    (dl,), (dr,), _, _ = d_chain_pair(v, v, p, bc, 1, LINEAR6)
+    (dl,), (dr,), _, _ = node_frame(d_chain_pair(v, v, p, bc, 1, LINEAR6))
     (d0,) = d_chain_zero(v, p, bc, 1)
     assert bitwise_equal(d0, 0.5 * (dl + dr))
 
@@ -110,8 +111,8 @@ def test_periodic_zero_is_the_pair_mean_bitwise(case):
 def test_periodic_roll_commutes_with_chains(case, shift):
     p, bc, mode, k, v, w = case
     roll = lambda a: np.roll(a, shift, axis=-1)
-    pl, pr, _, _ = d_chain_pair(v, w, p, bc, k, mode)
-    rl, rr, _, _ = d_chain_pair(roll(v), roll(w), p, bc, k, mode)
+    pl, pr, _, _ = node_frame(d_chain_pair(v, w, p, bc, k, mode))
+    rl, rr, _, _ = node_frame(d_chain_pair(roll(v), roll(w), p, bc, k, mode))
     zero = d_chain_zero(v, p, bc, k)
     rzero = d_chain_zero(roll(v), p, bc, k)
     for ref, got in zip(pl + pr + zero, rl + rr + rzero):

@@ -13,7 +13,8 @@ from advdiff.filtering import xi
 from advdiff.kernelops import (KernelParams, _d_pair, _d_zero, boundary_coefficients,
                                d_chain_pair, d_chain_zero, local_integrals, sweep_left)
 from advdiff.quadrature import LINEAR6, WENO5
-from conftest import direct_sweep_left, direct_sweep_right, exp_cell_integral
+from conftest import (direct_sweep_left, direct_sweep_right, exp_cell_integral, node_frame,
+                      node_sides)
 
 PER = Boundary.PERIODIC
 HOM = Boundary.HOMOGENEOUS
@@ -24,10 +25,8 @@ def pair(vl, vr, p, bc, mode, live=BOTH):
     """The stacked primitive on [vl, vr reversed], both rows live unless
     told otherwise, read back in natural order: (D_L[vl], D_R[vr], si_left,
     si_right)."""
-    d, (si_l, si_r) = _d_pair(np.stack((vl, vr[..., ::-1])), live, p, bc, mode)
-    if si_r is not None:
-        si_r = tuple(s[..., ::-1] for s in si_r)
-    return d[0], d[1, ..., ::-1], si_l, si_r
+    d, si = _d_pair(np.stack((vl, vr[..., ::-1])), live, p, bc, mode)
+    return d[0], d[1, ..., ::-1], *node_sides(si, live)
 
 
 def params_for(alpha, grid):
@@ -57,8 +56,8 @@ def apply_D(side, v, p, bc, mode, partner=None):
         return d_chain_zero(v, p, bc, 1)[0]
     partner = np.zeros_like(v) if partner is None else partner
     if side == "left":
-        return d_chain_pair(v, partner, p, bc, 1, mode)[0][0]
-    return d_chain_pair(partner, v, p, bc, 1, mode)[1][0]
+        return node_frame(d_chain_pair(v, partner, p, bc, 1, mode))[0][0]
+    return node_frame(d_chain_pair(partner, v, p, bc, 1, mode))[1][0]
 
 
 def apply_L_inverse(side, v, p, bc, mode, partner=None):
@@ -333,7 +332,7 @@ def test_power_chain_constants_and_k1():
         assert np.max(np.abs(d)) < 1e-11
     v = np.sin(np.pi * grid.nodes[:-1])
     zero = np.zeros_like(v)
-    one, _, _, _ = d_chain_pair(v, zero, p, PER, 1, LINEAR6)
+    one, _, _, _ = node_frame(d_chain_pair(v, zero, p, PER, 1, LINEAR6))
     direct, _, _, _ = pair(v, zero, p, PER, LINEAR6)
     assert np.array_equal(one[0], direct)
 
@@ -383,7 +382,7 @@ def test_homogeneous_closures_vanish_at_ends(rng):
     powers = d_chain_zero(v, p, HOM, 3)
     for d in powers:
         assert abs(d[0]) < 1e-12 and abs(d[-1]) < 1e-12
-    pl, pr, _, _ = d_chain_pair(v, w, p, HOM, 3, WENO5)
+    pl, pr, _, _ = node_frame(d_chain_pair(v, w, p, HOM, 3, WENO5))
     for dl, dr in zip(pl, pr):
         assert abs(dl[0] - dr[0]) < 1e-12
         assert abs(dl[-1] - dr[-1]) < 1e-12
@@ -619,7 +618,7 @@ def test_zero_side_shortcut_changes_no_bit(zero_side, mode, bc, shape, k, rng, m
         later = first if bc is PER else 2
         return [(rows, *shape) for rows in [first] + [later] * (k - 1) if rows]
 
-    got_l, got_r, *got_si = d_chain_pair(vl, vr, p, bc, k, mode)
+    got_l, got_r, *got_si = node_frame(d_chain_pair(vl, vr, p, bc, k, mode))
     assert quadratures == sweeps == batches(2 - sum(dead))
     dl, dr, *want_si = reference_pair(vl, vr, p, bc, mode)
     for power in range(k):

@@ -152,8 +152,7 @@ def test_filter_neutrality_bitwise(monkeypatch):
     config_off = SchemeConfig(order=3, beta=0.4, filter_enabled=False)
     h_off = stage_H(u, prob, config_off, bounds, 0.02, grid)
     # force sigma == 1: the filtered assembly must agree bit for bit
-    monkeypatch.setattr(advdiff.operator, "sigma_fields",
-                        lambda xl, xr, bc: (np.ones_like(xl), np.ones_like(xr)))
+    monkeypatch.setattr(advdiff.operator, "sigma_fields", lambda xi_rows, bc: np.ones_like(xi_rows))
     config_on = SchemeConfig(order=3, beta=0.4, filter_enabled=True)
     h_on = stage_H(u, prob, config_on, bounds, 0.02, grid)
     assert np.array_equal(h_on, h_off)
@@ -163,9 +162,10 @@ def test_filter_neutrality_bitwise(monkeypatch):
 @pytest.mark.parametrize("bc", [PER, HOM])
 @pytest.mark.parametrize("c", [1.0, -1.0])
 def test_dead_side_sigma_changes_no_bit(c, bc, order, monkeypatch):
-    # f = cu leaves one half of the split exactly zero: that side has no
-    # smoothness pair, so it takes sigma = 1.0 without xi or sigma_fields;
-    # running both on its +0.0 indicators, as before, changes no bit
+    # f = cu leaves one half of the split exactly zero: that side's row has
+    # no smoothness pair, so xi and sigma_fields run on the live row alone
+    # and the dead row is not scaled; running both on its +0.0 indicators,
+    # where its sigma is 1.0, changes no bit
     grid = build_grid_1d(-np.pi, np.pi, 64)
     prob = linear_problem(c, 0.1, bc)
     nodes = grid.nodes[:64 + (bc is HOM)]
@@ -173,23 +173,51 @@ def test_dead_side_sigma_changes_no_bit(c, bc, order, monkeypatch):
     config = SchemeConfig(order=order, beta=0.4)
     assert config.quadrature == qd.WENO5 and config.filter_enabled
     bounds = (compute_bounds(prob, u),)
-    real_xi, real_sigma = advdiff.operator.xi, advdiff.operator.sigma_fields
-    xis, sigmas = [], []
-    monkeypatch.setattr(advdiff.operator, "xi", lambda *a: xis.append(a) or real_xi(*a))
+    real_chain, real_sigma = advdiff.operator.d_chain_pair, advdiff.operator.sigma_fields
+    lives, sigmas = [], []
+    monkeypatch.setattr(advdiff.operator, "d_chain_pair",
+                        lambda *a: lives.append(real_chain(*a)[1]) or real_chain(*a))
     monkeypatch.setattr(advdiff.operator, "sigma_fields",
                         lambda *a: sigmas.append(real_sigma(*a)) or sigmas[-1])
     h = stage_H(u, prob, config, bounds, 0.05, grid)
-    assert len(xis) == 1
-    (live, dead), = [s if c > 0 else s[::-1] for s in sigmas]
-    assert dead == 1.0 and type(dead) is float and np.min(live) < 0.5
+    assert lives == [slice(0, 1) if c > 0 else slice(1, 2)]
+    (sigma,) = sigmas
+    assert sigma.shape == (1, *u.shape) and np.min(sigma) < 0.5
 
-    def every_side(xi_l, xi_r, bc):
-        zero = np.zeros(u.shape)
-        return real_sigma(real_xi(zero, zero) if xi_l is None else xi_l,
-                          real_xi(zero, zero) if xi_r is None else xi_r, bc)
+    def every_row(*args):
+        powers, live, si = real_chain(*args)
+        zero = np.zeros(si[0].shape)
+        rows = (lambda s: (s, zero)) if live.start == 0 else (lambda s: (zero, s))
+        return powers, slice(0, 2), tuple(np.concatenate(rows(s)) for s in si)
 
-    monkeypatch.setattr(advdiff.operator, "sigma_fields", every_side)
+    sigmas.clear()
+    monkeypatch.setattr(advdiff.operator, "d_chain_pair", every_row)
     assert stage_H(u, prob, config, bounds, 0.05, grid).tobytes() == h.tobytes()
+    (sigma,) = sigmas
+    assert np.all(sigma[1 if c > 0 else 0] == 1.0)
+
+
+@pytest.mark.parametrize("filter_enabled", [True, False], ids=["filter_on", "filter_off"])
+@pytest.mark.parametrize("quadrature", [qd.WENO5, qd.LINEAR6])
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("bc", [PER, HOM])
+def test_build_H_is_odd_under_reflection(bc, order, quadrature, filter_enabled):
+    # Burgers with an odd diffusion: x -> -x, u -> -u swaps the halves of the
+    # split and the kernels of the pair, so H[-u reversed] = -H[u] reversed;
+    # equal values, as a flat end's 0.0 + -0.0 is +0.0 on both sides
+    prob = ProblemSpec(flux=lambda u: 0.5 * u ** 2, flux_deriv=lambda u: u,
+                       diffusion=lambda u: 0.05 * np.sign(u) * u ** 2,
+                       diffusion_deriv=lambda u: 0.1 * np.abs(u), initial=np.sin, bc=bc)
+    grid = build_grid_1d(-np.pi, np.pi, 64)
+    x = grid.nodes[:64 + (bc is HOM)]
+    u = (np.abs(x - 0.3) < 1.5) * (1.0 + 0.5 * np.sin(2 * x)) - 0.7 * (np.abs(x + 1.2) < 0.5)
+    if bc is PER:
+        u += 0.4 * np.cos(3 * x + 0.5)
+    config = SchemeConfig(order=order, beta=0.4, quadrature=quadrature,
+                          filter_enabled=filter_enabled)
+    bounds = (compute_bounds(prob, u),)
+    h = stage_H(u, prob, config, bounds, 0.05, grid)
+    assert np.array_equal(stage_H(-u[::-1], prob, config, bounds, 0.05, grid), -h[::-1])
 
 
 def test_k1_filter_flag_is_noop():
