@@ -201,6 +201,8 @@ class SchemeConfig:
             raise ValueError(f"order must be 1, 2 or 3, got {self.order!r}")
         for name in ("beta", "cfl"):
             value = getattr(self, name)
+            if isinstance(value, (bool, np.bool_)):
+                raise ValueError(f"{name} must be a number, not a bool, got {value!r}")
             if not (np.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.quadrature not in (WENO5, LINEAR6):

@@ -32,10 +32,10 @@ serves all three families.  Each boundary rule has one owner:
 `local_integrals` makes J_0 the wrap cell of periodic data or a ghost cell
 of other data, 0.0, and `boundary_coefficients` closes each row by its
 sweep's periodic images (a circulant convolution) or the pair jointly, so
-D_L[v1] - D_R[v2] vanishes at both ends of homogeneous data.  A row whose
-input is exactly zero, as one half of a linear flux's split is, costs
-nothing: there the quadrature and sweep return +0.0 and a periodic closure
-adds +0.0, so its D is its input, bit for bit, at every power.  Each stage
+D_L[v1] - D_R[v2] vanishes at both ends of homogeneous data.  On periodic
+data a row whose input alone is exactly zero, as one half of a linear
+flux's split is, costs nothing: its quadrature, sweep and closure would
+give +0.0, so its D is its input, bit for bit, at every power.  Each stage
 writes its sums into arrays it made, never into its inputs.
 
 All array operations act along the last axis, so a leading batch dimension
@@ -135,6 +135,8 @@ def sweep_left(J: np.ndarray, params: KernelParams) -> np.ndarray:
     if n > params.n_cells + 1:
         raise ValueError(f"a line of {n} nodes is longer than the band's {params.n_cells + 1}")
     out = np.add(J, 0.0, order="C")
+    if out.size == 0:  # dtbtrs writes past a zero-column right-hand side
+        return out
     I, info = lapack.dtbtrs(params.band[:, :n], out.reshape(-1, n).T,
                             uplo="U", trans="T", diag="U", overwrite_b=1)
     if info != 0:
@@ -166,13 +168,15 @@ def boundary_coefficients(bc: Boundary, params: KernelParams, w, I):
 _BOTH = slice(0, 2)
 
 
-def _liveness(vl, vr, bc: Boundary):
+def _liveness(vl, vr, bc: Boundary) -> slice:
     """The rows of the stacked pair [vl, vr reversed] that run quadrature and
-    sweep at a chain's first power and at its later ones, as slices.  A row
-    whose input is exactly zero (entries +-0.0) is dead: periodic, at every
-    power; homogeneous, where the closure couples the rows, at the first."""
-    first = slice(0 if vl.any() else 1, 2 if vr.any() else 1)
-    return first, first if bc is Boundary.PERIODIC else _BOTH
+    sweep at every power of a chain, one slice, never empty: on periodic
+    data where exactly one input is exactly zero (entries +-0.0), the other
+    row; otherwise both."""
+    left, right = vl.any(), vr.any()
+    if bc is Boundary.PERIODIC and left != right:
+        return slice(0, 1) if left else slice(1, 2)
+    return _BOTH
 
 
 def _d_pair(w, live: slice, params: KernelParams, bc: Boundary, mode: str):
@@ -181,32 +185,18 @@ def _d_pair(w, live: slice, params: KernelParams, bc: Boundary, mode: str):
 
     Returns (d, si): d = [D_L[vl], D_R[vr] reversed], a fresh array, and si
     the smoothness pair (SI0, SI2) of the `live` rows in the sweep frame,
-    None when no row is live or in linear mode.  The live rows run as one
-    batch through one quadrature and one sweep, which treat each line on its
-    own.  A dead row is passed through as its D if periodic; if homogeneous,
-    its I is +0.0.
+    None in linear mode.  The live rows run as one batch through one
+    quadrature and one sweep, which treat each line on its own; a dead row
+    (periodic only) is passed through as its D.
     """
-    formed = live if bc is Boundary.PERIODIC else _BOTH
-    si = None
-    if live.start < live.stop:
-        J, si0, si2 = local_integrals(w[live], params, mode, bc)
-        I = sweep_left(J, params)
-        si = None if si0 is None else (si0, si2)
-    if live != formed:  # homogeneous: the closure reads a dead row's +0.0
-        full = np.zeros(w.shape)
-        if live.start < live.stop:
-            full[live] = I
-        I, J = full, np.empty(w.shape)
-    if formed.start == formed.stop:
-        return w.copy(), si
+    J, si0, si2 = local_integrals(w[live], params, mode, bc)
+    I = sweep_left(J, params)
     coef, profile = boundary_coefficients(bc, params, w, I)
     # D = w - (I + edge) in the sweep's array; the spent J holds the edge
     I += np.multiply(coef[..., None], profile, out=J)
-    if formed == _BOTH:
-        return np.subtract(w, I, out=I), si
-    d = w.copy()
-    np.subtract(w[formed], I, out=d[formed])
-    return d, si
+    d = I if live == _BOTH else w.copy()
+    np.subtract(w[live], I, out=d[live])
+    return d, None if si0 is None else (si0, si2)
 
 
 def d_chain_pair(vl: np.ndarray, vr: np.ndarray, params: KernelParams,
@@ -215,29 +205,28 @@ def d_chain_pair(vl: np.ndarray, vr: np.ndarray, params: KernelParams,
     through k powers, the first on `mode` and the rest on the linear rule.
 
     Returns (powers, live, si), all in the sweep frame: powers the k stacked
-    [D_L^p[vl], D_R^p[vr] reversed], live the slice of rows that ran the
-    first power (`_liveness`), and si that power's smoothness pair over
-    those rows, None in linear mode or when no row is live.
+    [D_L^p[vl], D_R^p[vr] reversed], live the slice of rows that ran every
+    power (`_liveness`), and si the first power's smoothness pair over those
+    rows, None in linear mode.
     """
-    live, later = _liveness(vl, vr, bc)
+    live = _liveness(vl, vr, bc)
     w, si = _d_pair(np.stack((vl, vr[..., ::-1])), live, params, bc, mode)
     powers = [w]
     for _ in range(1, k):
-        powers.append(_d_pair(powers[-1], later, params, bc, LINEAR6)[0])
+        powers.append(_d_pair(powers[-1], live, params, bc, LINEAR6)[0])
     return powers, live, si
 
 
 def d_chain_zero(v: np.ndarray, params: KernelParams, bc: Boundary, k: int):
     """Symmetric-family chain [D_0^1[v], .., D_0^k[v]] on the linear rule:
-    the pair runs on w = [v, (-v) reversed], and each power's D makes the
-    next w = (d - d reversed in both axes)/2, whose row 0, copied so as not
-    to hold the mirrored row alive, is the power.  The closures are D_0's:
-    the periodic ones average, the homogeneous joint one makes D_0[u]
-    vanish at both ends."""
-    first, later = _liveness(v, v, bc)
+    the pair runs on w = [v, (-v) reversed], both rows live or both zero,
+    and each power's D makes the next w = (d - d reversed in both axes)/2,
+    whose row 0, copied so as not to hold the mirrored row alive, is the
+    power.  The closures are D_0's: the periodic ones average, the
+    homogeneous joint one makes D_0[u] vanish at both ends."""
     powers, w = [], np.stack((v, -v[..., ::-1]))
-    for p in range(k):
-        d, _ = _d_pair(w, later if p else first, params, bc, LINEAR6)
+    for _ in range(k):
+        d = _d_pair(w, _BOTH, params, bc, LINEAR6)[0]
         w = np.subtract(d, d[::-1, ..., ::-1])
         w *= 0.5
         powers.append(w[0].copy())

@@ -16,7 +16,7 @@ second powers taken from the chains above) restores A-stability of the
 convection part; its f- half mirrors the f+ half.  `config.quadrature` is
 the rule of the convection chains' first power; every D_0 is linear-rule.
 Blocks whose wave-speed bound vanishes are skipped, and so is the filter of
-a side whose half of the split is exactly zero: its sigma is exactly 1.0,
+a periodic side whose half alone is exactly zero: its sigma is exactly 1.0,
 as xi(0, 0) = 1 on the +0.0 indicators it would have.  Both sides are
 summed stacked in the chains' sweep frame, and the right sum flipped once.
 
@@ -117,8 +117,6 @@ def build_H(u: np.ndarray, problem: ProblemSpec | ProblemSpec2D, config: SchemeC
                          f"data on this grid, got shape {np.shape(u)}")
     h = np.zeros_like(u)
     for axis, (spec, b, (conv, diff)) in enumerate(zip(problem.axes, bounds, families)):
-        if conv is None and diff is None:
-            continue
         v = np.ascontiguousarray(u.T) if axis else u
         hv = np.zeros_like(v)
         if conv is not None:

@@ -220,7 +220,10 @@ def _build_case(name: str, params: dict) -> BenchmarkCase:
                              default_n=400, t0=0.0, t_final=0.12, default_cfl=0.5,
                              beta_defaults={3: 0.8})
     if name == "buckley_leverett":
-        f, fp = _bl_flux(params.pop("gravity", False))
+        gravity = params.pop("gravity", False)
+        if not isinstance(gravity, (bool, np.bool_)):
+            raise ValueError(f"gravity must be a bool, got {gravity!r}")
+        f, fp = _bl_flux(gravity)
         x0 = 1.0 - 1.0 / np.sqrt(2.0)
         spec = ProblemSpec(flux=f, flux_deriv=fp, diffusion=_bl_g, diffusion_deriv=_bl_gp,
                            initial=lambda x: np.where(np.asarray(x) < x0, 0.0, 1.0),

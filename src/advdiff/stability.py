@@ -19,8 +19,8 @@ conjugate and the same bounds hold for either direction.
 [0, 2pi] against log-spaced STEP_RATIOS (c dt/dx for advection, b dt/dx^2 for
 diffusion).  `scan_beta_max` bisects for the largest beta keeping the
 semi-discrete scheme's maximum <= 1 + STABLE_TOL.  `amplification`, which
-every scan goes through, rejects a beta or step ratio that is not positive
-and finite.
+every scan goes through, rejects a kind that is not an `EquationKind` and a
+beta or step ratio that is not positive and finite.
 """
 
 from __future__ import annotations
@@ -88,6 +88,8 @@ def amplification(order: int, kind: EquationKind, beta: float, kappa_dx,
     must be positive and finite.  cross_term switches the k=3 advection
     correction.
     """
+    if not isinstance(kind, EquationKind):
+        raise ValueError(f"kind must be an EquationKind, got {kind!r}")
     for name, value in (("beta", beta), ("step_ratio", step_ratio)):
         if not (np.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be positive and finite, got {value}")

@@ -98,9 +98,9 @@ def advance(u0: SolutionField, T: float, problem: ProblemSpec | ProblemSpec2D,
 
     The kernel families (and the quadrature tables they build on first use)
     are a pure function of (bounds, dt), so a step whose (bounds, dt) equals
-    the previous step's reuses them; they live for this call only.  Their
-    chains skip the work on an exactly zero input, such as the f- of f = cu,
-    c > 0, which changes no bit (kernelops._liveness).
+    the previous step's reuses them; they live for this call only.  On
+    periodic data their chains skip the work on an exactly zero input, such
+    as the f- of f = cu, c > 0, which changes no bit (kernelops._liveness).
 
     u0 must be finite, real (bool, integer or floating input is read as
     float64) and in the grid's layout (`core.unique_nodes`): N+1 nodes per

@@ -201,6 +201,14 @@ def test_config_rejects_nonfinite_beta_and_cfl(name, value):
         SchemeConfig(order=2, **{name: value})
 
 
+@pytest.mark.parametrize("name", ["beta", "cfl"])
+@pytest.mark.parametrize("value", [True, np.bool_(True)])
+def test_config_rejects_a_bool_beta_or_cfl(name, value):
+    # True used to be kept as a step parameter of 1
+    with pytest.raises(ValueError, match=f"{name} must be a number, not a bool"):
+        SchemeConfig(order=2, **{name: value})
+
+
 def test_boundary_enum_values():
     assert Boundary.PERIODIC.value == "periodic"
     assert Boundary.HOMOGENEOUS.value == "homogeneous"

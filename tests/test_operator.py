@@ -162,10 +162,12 @@ def test_filter_neutrality_bitwise(monkeypatch):
 @pytest.mark.parametrize("bc", [PER, HOM])
 @pytest.mark.parametrize("c", [1.0, -1.0])
 def test_dead_side_sigma_changes_no_bit(c, bc, order, monkeypatch):
-    # f = cu leaves one half of the split exactly zero: that side's row has
-    # no smoothness pair, so xi and sigma_fields run on the live row alone
-    # and the dead row is not scaled; running both on its +0.0 indicators,
-    # where its sigma is 1.0, changes no bit
+    # f = cu leaves one half of the split exactly zero.  On periodic data
+    # that side's row has no smoothness pair, so xi and sigma_fields run on
+    # the live row alone and the dead row is not scaled; running both on its
+    # +0.0 indicators, where its sigma is 1.0, changes no bit.  Homogeneous
+    # pairs run both rows, the zero row's sigma is exactly 1.0, and leaving
+    # that row unscaled changes no bit either
     grid = build_grid_1d(-np.pi, np.pi, 64)
     prob = linear_problem(c, 0.1, bc)
     nodes = grid.nodes[:64 + (bc is HOM)]
@@ -180,9 +182,12 @@ def test_dead_side_sigma_changes_no_bit(c, bc, order, monkeypatch):
     monkeypatch.setattr(advdiff.operator, "sigma_fields",
                         lambda *a: sigmas.append(real_sigma(*a)) or sigmas[-1])
     h = stage_H(u, prob, config, bounds, 0.05, grid)
-    assert lives == [slice(0, 1) if c > 0 else slice(1, 2)]
+    live_row, dead_row = (slice(0, 1), 1) if c > 0 else (slice(1, 2), 0)
+    assert lives == [live_row if bc is PER else slice(0, 2)]
     (sigma,) = sigmas
-    assert sigma.shape == (1, *u.shape) and np.min(sigma) < 0.5
+    assert sigma.shape == ((1 if bc is PER else 2), *u.shape) and np.min(sigma) < 0.5
+    if bc is HOM:
+        assert np.all(sigma[dead_row] == 1.0)
 
     def every_row(*args):
         powers, live, si = real_chain(*args)
@@ -190,11 +195,18 @@ def test_dead_side_sigma_changes_no_bit(c, bc, order, monkeypatch):
         rows = (lambda s: (s, zero)) if live.start == 0 else (lambda s: (zero, s))
         return powers, slice(0, 2), tuple(np.concatenate(rows(s)) for s in si)
 
+    def live_row_only(*args):
+        powers, _, si = real_chain(*args)
+        return powers, live_row, tuple(s[live_row] for s in si)
+
     sigmas.clear()
-    monkeypatch.setattr(advdiff.operator, "d_chain_pair", every_row)
+    monkeypatch.setattr(advdiff.operator, "d_chain_pair",
+                        every_row if bc is PER else live_row_only)
     assert stage_H(u, prob, config, bounds, 0.05, grid).tobytes() == h.tobytes()
     (sigma,) = sigmas
-    assert np.all(sigma[1 if c > 0 else 0] == 1.0)
+    assert sigma.shape == ((2 if bc is PER else 1), *u.shape)
+    if bc is PER:
+        assert np.all(sigma[dead_row] == 1.0)
 
 
 @pytest.mark.parametrize("filter_enabled", [True, False], ids=["filter_on", "filter_off"])

@@ -396,6 +396,15 @@ def test_buckley_leverett_gravity_bounds():
     assert np.max(u.values) <= 1.0 + 1e-2
 
 
+@pytest.mark.parametrize("gravity", ["no", 0, 1, None])
+def test_buckley_leverett_rejects_a_non_bool_gravity(gravity):
+    # a truthy "no" used to select the gravity flux, f(0.5) = -0.125 not 0.5
+    with pytest.raises(ValueError, match="gravity must be a bool"):
+        make_problem("buckley_leverett", gravity=gravity)
+    for flag in (False, np.bool_(False)):
+        assert make_problem("buckley_leverett", gravity=flag).spec.flux(0.5) == 0.5
+
+
 def test_two_box_short_run_bounds():
     case = make_problem("pme_two_box")
     grid, u = solve_case(case, case.make_config(order=3), n=100, T=0.02)

@@ -72,6 +72,16 @@ def test_amplification_rejects_bad_step_ratio(ratio, kind):
         amplification(2, kind, 1.0, KDX, ratio)
 
 
+@pytest.mark.parametrize("kind", ["advection", "diffusion", None])
+def test_scans_reject_a_kind_that_is_not_an_equation_kind(kind):
+    # any other kind used to run the diffusion symbol: scan_beta_max(3,
+    # "advection") gave the diffusion bound 0.8367, not 1.2429
+    for scan in (lambda: amplification(1, kind, 1.0, KDX, 1.0),
+                 lambda: compute_report(1, kind, 1.0), lambda: scan_beta_max(3, kind)):
+        with pytest.raises(ValueError, match="kind must be an EquationKind"):
+            scan()
+
+
 def test_amplification_k1_advection_beta2_is_unimodular():
     for s in (0.01, 1.0, 100.0):
         lam = amplification(1, ADV, 2.0, np.linspace(0, 2 * np.pi, 64), s)
