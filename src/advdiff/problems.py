@@ -1,42 +1,25 @@
 """Benchmark catalog, exact solutions, first-order reference scheme, errors.
 
-Cases (constructible by name through make_problem):
-
-    linear_advdiff        u_t + c u_x = b u_xx on [-pi, pi], periodic,
-                          u0 = sin(x); exact e^{-b t} sin(x - c t).
-    pme_barenblatt        porous-medium u_t = (u^m)_xx on [-6, 6] started
-                          from the self-similar profile at t = 1.
-    pme_two_box           porous medium (m = 6), two boxes of different
-                          heights merging.
-    buckley_leverett      two-phase flow flux (optional gravity term),
-                          degenerate diffusion 0.01 * 4u(1-u).
-    strong_degenerate     convection u^2 with diffusion switched off inside
-                          |u| <= 0.25 (hyperbolic/parabolic interfaces).
-    strong_degenerate_2d  the two-disc 2D variant.
-    buckley_leverett_2d   2D Buckley-Leverett with linear diffusion.
-
-Each case carries the domain, default resolution, final time, and
-per-order default beta/CFL used by the command-line driver.
+make_problem(name, **knobs) builds a catalog case (CASE_NAMES) by calling
+`_<name>`, whose keyword parameters are the case's knobs and whose docstring
+describes the case.  A case carries the driver's defaults: domain,
+resolution, final time, CFL and its beta for each order k = 1, 2, 3.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+import inspect
+import numbers
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .core import (DEGENERATE_TOL, Boundary, Grid1D, ProblemSpec, ProblemSpec2D,
-                   SchemeConfig, SolutionField, build_grid_1d, build_grid_2d,
-                   compute_bounds, initial_field, shifted, unique_nodes)
+from .core import (Boundary, Grid1D, ProblemSpec, ProblemSpec2D, SchemeConfig,
+                   SolutionField, build_grid_1d, build_grid_2d, compute_bounds,
+                   initial_field, shifted, unique_nodes)
 from .operator import flux_split
 from .timestep import advance
-
-#: beta_max per order from the stability scans: one-sided (advection),
-#: symmetric (diffusion), and the combined convection-diffusion value
-BETA_MAX_ADVECTION = {1: 2.0, 2: 1.0, 3: 1.243}
-BETA_MAX_DIFFUSION = {1: 2.0, 2: 1.0, 3: 0.8375}
-BETA_MAX_MIXED = {1: 1.0, 2: 0.5, 3: 0.4167}
 
 
 def exact_advdiff(x, t, c, b):
@@ -128,7 +111,9 @@ class BenchmarkCase:
     t0: float
     t_final: float
     default_cfl: float
-    beta_defaults: dict = dc_field(default_factory=dict)
+    # {k: beta} for k = 1, 2, 3: the stability bound of the case's kind,
+    # rounded down, halved in 2D (the scheme splits dimension by dimension)
+    beta_defaults: dict
     exact: Optional[Callable] = None
 
     @property
@@ -150,136 +135,152 @@ class BenchmarkCase:
     def initial_field(self, grid) -> SolutionField:
         return initial_field(self.spec, grid, self.t0)
 
-    def default_beta(self, order: int) -> float:
-        if order in self.beta_defaults:
-            return self.beta_defaults[order]
-        u0 = self.initial_field(self.build_grid(max(self.default_n // 4, 8)))
-        bounds = [compute_bounds(spec, u0.values) for spec in self.spec.axes]
-        has_c = max(b.c for b in bounds) > DEGENERATE_TOL
-        has_b = max(b.b_diff for b in bounds) > DEGENERATE_TOL
-        if has_c and has_b:
-            beta = BETA_MAX_MIXED[order]
-        elif has_c:
-            beta = BETA_MAX_ADVECTION[order]
-        else:
-            beta = BETA_MAX_DIFFUSION[order]
-        # dimension-by-dimension splitting divides the 1D value by the axis count
-        return beta / len(bounds)
-
     def make_config(self, order: int = 3, beta: Optional[float] = None,
                     cfl: Optional[float] = None, **kw) -> SchemeConfig:
-        return SchemeConfig(order=order,
-                            beta=beta if beta is not None else self.default_beta(order),
-                            cfl=cfl if cfl is not None else self.default_cfl,
-                            **kw)
+        if beta is None and order not in self.beta_defaults:
+            raise ValueError(f"case {self.name} declares no beta for order {order!r}")
+        return SchemeConfig(order=order, beta=self.beta_defaults[order] if beta is None else beta,
+                            cfl=cfl if cfl is not None else self.default_cfl, **kw)
 
 
-def make_problem(name: str, **params) -> BenchmarkCase:
-    """Build a catalog case by name; keyword params override case knobs
-    (c/b for the linear case, m for the porous-medium cases, gravity for
-    Buckley-Leverett; the degenerate and 2D cases take none).  A knob the
-    case does not have raises ValueError."""
-    case = _build_case(name, params)
-    if params:
-        raise ValueError(f"case {name!r} does not take parameter(s) {', '.join(sorted(params))}")
-    return case
+def _real(name: str, value, lo: float = -np.inf, strict: bool = False):
+    """value as given, once it is a finite real number (not a bool) at least
+    lo, or above lo when strict; a ValueError otherwise."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not np.isfinite(value) or value < lo or (strict and value == lo)):
+        bound = f" {'>' if strict else '>='} {lo:g}" if lo > -np.inf else ""
+        raise ValueError(f"{name} must be a finite real number{bound}, got {value!r}")
+    return value
 
 
-def _build_case(name: str, params: dict) -> BenchmarkCase:
-    """The named case; pops the knobs it uses from params."""
-    if name == "linear_advdiff":
-        c = params.pop("c", 1.0)
-        b = params.pop("b", 0.01)
-        spec = ProblemSpec(
-            flux=lambda u: c * u, flux_deriv=lambda u: c * np.ones_like(np.asarray(u, dtype=float)),
-            diffusion=lambda u: b * u, diffusion_deriv=lambda u: b * np.ones_like(np.asarray(u, dtype=float)),
-            initial=np.sin, bc=Boundary.PERIODIC)
-        return BenchmarkCase(name=name, spec=spec, domain=(-np.pi, np.pi),
-                             default_n=160, t0=0.0, t_final=2.0, default_cfl=0.5,
-                             beta_defaults={1: 1.0, 2: 0.5, 3: 0.4},
-                             exact=lambda x, t: exact_advdiff(x, t, c, b))
-    if name == "pme_barenblatt":
-        m = params.pop("m", 5)
-        g, gp = _pme_g(m)
-        spec = ProblemSpec(flux=_zero, flux_deriv=_zero, diffusion=g, diffusion_deriv=gp,
-                           initial=lambda x: barenblatt(x, 1.0, m), bc=Boundary.HOMOGENEOUS)
-        return BenchmarkCase(name=name, spec=spec, domain=(-6.0, 6.0),
-                             default_n=200, t0=1.0, t_final=2.0, default_cfl=1.0,
-                             beta_defaults={3: 0.8}, exact=lambda x, t: barenblatt(x, t, m))
-    if name == "pme_two_box":
-        m = params.pop("m", 6)
-        g, gp = _pme_g(m)
-
-        def boxes(x):
-            x = np.asarray(x, dtype=float)
-            return np.where((x > -4) & (x < -1), 1.0, 0.0) + np.where((x > 0) & (x < 3), 2.0, 0.0)
-
-        spec = ProblemSpec(flux=_zero, flux_deriv=_zero, diffusion=g, diffusion_deriv=gp,
-                           initial=boxes, bc=Boundary.HOMOGENEOUS)
-        return BenchmarkCase(name=name, spec=spec, domain=(-6.0, 6.0),
-                             default_n=400, t0=0.0, t_final=0.12, default_cfl=0.5,
-                             beta_defaults={3: 0.8})
-    if name == "buckley_leverett":
-        gravity = params.pop("gravity", False)
-        if not isinstance(gravity, (bool, np.bool_)):
-            raise ValueError(f"gravity must be a bool, got {gravity!r}")
-        f, fp = _bl_flux(gravity)
-        x0 = 1.0 - 1.0 / np.sqrt(2.0)
-        spec = ProblemSpec(flux=f, flux_deriv=fp, diffusion=_bl_g, diffusion_deriv=_bl_gp,
-                           initial=lambda x: np.where(np.asarray(x) < x0, 0.0, 1.0),
-                           bc=Boundary.HOMOGENEOUS)
-        return BenchmarkCase(name=name, spec=spec, domain=(0.0, 1.0),
-                             default_n=200, t0=0.0, t_final=0.2, default_cfl=0.5,
-                             beta_defaults={1: 1.0, 2: 0.5, 3: 0.4})
-    if name == "strong_degenerate":
-        c0 = 1.0 / np.sqrt(2.0)
-
-        def u0(x):
-            x = np.asarray(x, dtype=float)
-            return (np.where(np.abs(x + c0) < 0.4, 1.0, 0.0)
-                    - np.where(np.abs(x - c0) < 0.4, 1.0, 0.0))
-
-        spec = ProblemSpec(flux=lambda u: u ** 2, flux_deriv=lambda u: 2.0 * u,
-                           diffusion=_sd_g, diffusion_deriv=_sd_gp, initial=u0,
-                           bc=Boundary.HOMOGENEOUS)
-        return BenchmarkCase(name=name, spec=spec, domain=(-2.0, 2.0),
-                             default_n=200, t0=0.0, t_final=0.7, default_cfl=0.5,
-                             beta_defaults={1: 1.0, 2: 0.5, 3: 0.4})
-    if name == "strong_degenerate_2d":
-        fsq = lambda u: u ** 2
-        fsqp = lambda u: 2.0 * u
-
-        def discs(x, y):
-            up = ((x + 0.5) ** 2 + (y + 0.5) ** 2) < 0.16
-            dn = ((x - 0.5) ** 2 + (y - 0.5) ** 2) < 0.16
-            return np.where(up, 1.0, 0.0) - np.where(dn, 1.0, 0.0)
-
-        spec = ProblemSpec2D(f1=fsq, f1_deriv=fsqp, g1=_sd_g, g1_deriv=_sd_gp,
-                             f2=fsq, f2_deriv=fsqp, g2=_sd_g, g2_deriv=_sd_gp,
-                             initial=discs, bc=Boundary.HOMOGENEOUS)
-        return BenchmarkCase(name=name, spec=spec, domain=(-1.5, 1.5, -1.5, 1.5),
-                             default_n=200, t0=0.0, t_final=0.5, default_cfl=0.5,
-                             beta_defaults={3: 0.2})
-    if name == "buckley_leverett_2d":
-        f1, f1p = _bl_flux(False)
-        f2, f2p = _bl_flux(True)
-        glin = lambda u: 0.01 * u
-        glinp = lambda u: 0.01 * np.ones_like(np.asarray(u, dtype=float))
-
-        def disc(x, y):
-            return np.where(x ** 2 + y ** 2 < 0.5, 1.0, 0.0)
-
-        spec = ProblemSpec2D(f1=f1, f1_deriv=f1p, g1=glin, g1_deriv=glinp,
-                             f2=f2, f2_deriv=f2p, g2=glin, g2_deriv=glinp,
-                             initial=disc, bc=Boundary.HOMOGENEOUS)
-        return BenchmarkCase(name=name, spec=spec, domain=(-1.5, 1.5, -1.5, 1.5),
-                             default_n=200, t0=0.0, t_final=0.5, default_cfl=0.5,
-                             beta_defaults={3: 0.2})
-    raise ValueError(f"unknown benchmark case {name!r}")
+def _linear_advdiff(c=1.0, b=0.01) -> BenchmarkCase:
+    """u_t + c u_x = b u_xx on [-pi, pi], periodic, u0 = sin x; exact e^{-b t} sin(x - c t)."""
+    c, b = _real("c", c), _real("b", b, lo=0.0)
+    spec = ProblemSpec(
+        flux=lambda u: c * u, flux_deriv=lambda u: c * np.ones_like(np.asarray(u, dtype=float)),
+        diffusion=lambda u: b * u, diffusion_deriv=lambda u: b * np.ones_like(np.asarray(u, dtype=float)),
+        initial=np.sin, bc=Boundary.PERIODIC)
+    return BenchmarkCase(name="linear_advdiff", spec=spec, domain=(-np.pi, np.pi),
+                         default_n=160, t0=0.0, t_final=2.0, default_cfl=0.5,
+                         beta_defaults={1: 1.0, 2: 0.5, 3: 0.4},
+                         exact=lambda x, t: exact_advdiff(x, t, c, b))
 
 
-CASE_NAMES = ("linear_advdiff", "pme_barenblatt", "pme_two_box", "buckley_leverett",
-              "strong_degenerate", "strong_degenerate_2d", "buckley_leverett_2d")
+def _pme_barenblatt(m=5) -> BenchmarkCase:
+    """Porous medium u_t = (u^m)_xx on [-6, 6] from the self-similar profile at t = 1."""
+    m = _real("m", m, lo=1.0, strict=True)
+    g, gp = _pme_g(m)
+    spec = ProblemSpec(flux=_zero, flux_deriv=_zero, diffusion=g, diffusion_deriv=gp,
+                       initial=lambda x: barenblatt(x, 1.0, m), bc=Boundary.HOMOGENEOUS)
+    return BenchmarkCase(name="pme_barenblatt", spec=spec, domain=(-6.0, 6.0),
+                         default_n=200, t0=1.0, t_final=2.0, default_cfl=1.0,
+                         beta_defaults={1: 2.0, 2: 1.0, 3: 0.8}, exact=lambda x, t: barenblatt(x, t, m))
+
+
+def _pme_two_box(m=6) -> BenchmarkCase:
+    """Porous medium u_t = (u^m)_xx on [-6, 6]: two boxes, of heights 1 and 2, merging."""
+    m = _real("m", m, lo=1.0, strict=True)
+    g, gp = _pme_g(m)
+
+    def boxes(x):
+        x = np.asarray(x, dtype=float)
+        return np.where((x > -4) & (x < -1), 1.0, 0.0) + np.where((x > 0) & (x < 3), 2.0, 0.0)
+
+    spec = ProblemSpec(flux=_zero, flux_deriv=_zero, diffusion=g, diffusion_deriv=gp,
+                       initial=boxes, bc=Boundary.HOMOGENEOUS)
+    return BenchmarkCase(name="pme_two_box", spec=spec, domain=(-6.0, 6.0),
+                         default_n=400, t0=0.0, t_final=0.12, default_cfl=0.5,
+                         beta_defaults={1: 2.0, 2: 1.0, 3: 0.8})
+
+
+def _buckley_leverett(gravity=False) -> BenchmarkCase:
+    """Two-phase flow flux, gravity term optional, and diffusion 0.01 * 4u(1-u) on [0, 1]."""
+    if not isinstance(gravity, (bool, np.bool_)):
+        raise ValueError(f"gravity must be a bool, got {gravity!r}")
+    f, fp = _bl_flux(gravity)
+    x0 = 1.0 - 1.0 / np.sqrt(2.0)
+    spec = ProblemSpec(flux=f, flux_deriv=fp, diffusion=_bl_g, diffusion_deriv=_bl_gp,
+                       initial=lambda x: np.where(np.asarray(x) < x0, 0.0, 1.0),
+                       bc=Boundary.HOMOGENEOUS)
+    return BenchmarkCase(name="buckley_leverett", spec=spec, domain=(0.0, 1.0),
+                         default_n=200, t0=0.0, t_final=0.2, default_cfl=0.5,
+                         beta_defaults={1: 1.0, 2: 0.5, 3: 0.4})
+
+
+def _strong_degenerate() -> BenchmarkCase:
+    """Convection u^2 on [-2, 2], diffusion off inside |u| <= 0.25 (hyperbolic/parabolic)."""
+    c0 = 1.0 / np.sqrt(2.0)
+
+    def u0(x):
+        x = np.asarray(x, dtype=float)
+        return (np.where(np.abs(x + c0) < 0.4, 1.0, 0.0)
+                - np.where(np.abs(x - c0) < 0.4, 1.0, 0.0))
+
+    spec = ProblemSpec(flux=lambda u: u ** 2, flux_deriv=lambda u: 2.0 * u,
+                       diffusion=_sd_g, diffusion_deriv=_sd_gp, initial=u0,
+                       bc=Boundary.HOMOGENEOUS)
+    return BenchmarkCase(name="strong_degenerate", spec=spec, domain=(-2.0, 2.0),
+                         default_n=200, t0=0.0, t_final=0.7, default_cfl=0.5,
+                         beta_defaults={1: 1.0, 2: 0.5, 3: 0.4})
+
+
+def _strong_degenerate_2d() -> BenchmarkCase:
+    """The two-disc 2D variant of strong_degenerate on [-1.5, 1.5]^2."""
+    fsq = lambda u: u ** 2
+    fsqp = lambda u: 2.0 * u
+
+    def discs(x, y):
+        up = ((x + 0.5) ** 2 + (y + 0.5) ** 2) < 0.16
+        dn = ((x - 0.5) ** 2 + (y - 0.5) ** 2) < 0.16
+        return np.where(up, 1.0, 0.0) - np.where(dn, 1.0, 0.0)
+
+    spec = ProblemSpec2D(f1=fsq, f1_deriv=fsqp, g1=_sd_g, g1_deriv=_sd_gp,
+                         f2=fsq, f2_deriv=fsqp, g2=_sd_g, g2_deriv=_sd_gp,
+                         initial=discs, bc=Boundary.HOMOGENEOUS)
+    return BenchmarkCase(name="strong_degenerate_2d", spec=spec, domain=(-1.5, 1.5, -1.5, 1.5),
+                         default_n=200, t0=0.0, t_final=0.5, default_cfl=0.5,
+                         beta_defaults={1: 0.5, 2: 0.25, 3: 0.2})
+
+
+def _buckley_leverett_2d() -> BenchmarkCase:
+    """2D Buckley-Leverett on [-1.5, 1.5]^2, gravity along y, linear diffusion 0.01 u."""
+    f1, f1p = _bl_flux(False)
+    f2, f2p = _bl_flux(True)
+    glin = lambda u: 0.01 * u
+    glinp = lambda u: 0.01 * np.ones_like(np.asarray(u, dtype=float))
+
+    def disc(x, y):
+        return np.where(x ** 2 + y ** 2 < 0.5, 1.0, 0.0)
+
+    spec = ProblemSpec2D(f1=f1, f1_deriv=f1p, g1=glin, g1_deriv=glinp,
+                         f2=f2, f2_deriv=f2p, g2=glin, g2_deriv=glinp,
+                         initial=disc, bc=Boundary.HOMOGENEOUS)
+    return BenchmarkCase(name="buckley_leverett_2d", spec=spec, domain=(-1.5, 1.5, -1.5, 1.5),
+                         default_n=200, t0=0.0, t_final=0.5, default_cfl=0.5,
+                         beta_defaults={1: 0.5, 2: 0.25, 3: 0.2})
+
+
+_CATALOG = {"linear_advdiff": _linear_advdiff, "pme_barenblatt": _pme_barenblatt,
+            "pme_two_box": _pme_two_box, "buckley_leverett": _buckley_leverett,
+            "strong_degenerate": _strong_degenerate,
+            "strong_degenerate_2d": _strong_degenerate_2d,
+            "buckley_leverett_2d": _buckley_leverett_2d}
+CASE_NAMES = tuple(_CATALOG)
+
+
+def make_problem(name: str, **knobs) -> BenchmarkCase:
+    """The catalog case `name`, its builder called with the keyword knobs: c
+    and b >= 0 (finite reals) for linear_advdiff, m > 1 (a finite real) for
+    the porous-medium cases, gravity (a bool) for buckley_leverett; the other
+    cases take none.  An unknown case, a knob the case does not take or a
+    knob value outside its rule raises ValueError."""
+    if name not in _CATALOG:
+        raise ValueError(f"unknown benchmark case {name!r}")
+    builder = _CATALOG[name]
+    extra = set(knobs) - set(inspect.signature(builder).parameters)
+    if extra:
+        raise ValueError(f"case {name!r} does not take parameter(s) {', '.join(sorted(extra))}")
+    return builder(**knobs)
 
 
 # ---------------------------------------------------------------------------
@@ -354,10 +355,9 @@ def observed_orders(reports: list[ErrorReport]) -> list[ErrorReport]:
 
 
 def solve_case(case: BenchmarkCase, config: SchemeConfig,
-               n: Optional[int] = None, ny: Optional[int] = None,
-               T: Optional[float] = None):
+               n: Optional[int] = None, T: Optional[float] = None):
     """Run one benchmark case end to end; returns (grid, final field)."""
-    grid = case.build_grid(n, ny)
+    grid = case.build_grid(n)
     T = case.t_final if T is None else T
     return grid, advance(case.initial_field(grid), T, case.spec, config, grid)
 

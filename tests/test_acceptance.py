@@ -309,20 +309,29 @@ class BarenblattRun(NamedTuple):
     drift: float
     lo: float
     hi: float
+    lead: float
+
+
+def _front(x, u):
+    """The rightmost node where u reaches 1e-3 max u."""
+    return x[np.nonzero(u >= 1e-3 * np.max(u))[0][-1]]
 
 
 @functools.cache
 def _barenblatt(m, n, cfl=1.0):
     """pme_barenblatt at k = 3, beta 0.8 from t = 1 to 2: the L1 error against
-    the self-similar profile, the relative mass drift, min u and max u.
-    Cached, so criterion 7 and the gates below share their solves."""
+    the self-similar profile, the relative mass drift, min u, max u and the
+    lead of the front over the profile's.  Cached, so criterion 7 and the
+    gates below share their solves."""
     case = make_problem("pme_barenblatt", m=m)
     config = case.make_config(order=3, beta=0.8, cfl=cfl)
     grid, u = solve_case(case, config, n=n)
+    exact = case.exact(grid.nodes, 2.0)
     m0 = np.sum(case.initial_field(grid).values)
-    return BarenblattRun(l1=float(grid.dx * np.sum(np.abs(u.values - case.exact(grid.nodes, 2.0)))),
+    return BarenblattRun(l1=float(grid.dx * np.sum(np.abs(u.values - exact))),
                          drift=float((np.sum(u.values) - m0) / m0),
-                         lo=float(np.min(u.values)), hi=float(np.max(u.values)))
+                         lo=float(np.min(u.values)), hi=float(np.max(u.values)),
+                         lead=float(_front(grid.nodes, u.values) - _front(grid.nodes, exact)))
 
 
 def test_criterion_7_barenblatt_benchmark():
@@ -356,6 +365,14 @@ def test_barenblatt_conserves_mass_at_small_steps():
 def test_barenblatt_l1_does_not_grow_as_the_step_shrinks():
     # CFL 1/16 -> 1/32: 1.35e-2 -> 6.25e-3
     assert _barenblatt(5, 200, 1 / 32).l1 <= _barenblatt(5, 200, 1 / 16).l1
+
+
+def test_barenblatt_front_lead_shrinks():
+    # ROADMAP item 16: the kernel's tails carry the front ahead of the
+    # profile's, by 0.36, 0.24 and 0.165 in x (6, 8 and 11 dx)
+    lead = [_barenblatt(5, n).lead for n in (200, 400, 800)]
+    assert lead[0] > lead[1] > lead[2]
+    assert lead[2] <= 0.2
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 2")

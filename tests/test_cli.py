@@ -120,6 +120,19 @@ def test_run_rejects_parameter_the_case_lacks(tmp_path, capsys):
     assert not (tmp_path / "sol.csv").exists()
 
 
+@pytest.mark.parametrize("case, flag, value, message",
+                         [("pme_barenblatt", "--m", "1", "m must be a finite real number > 1"),
+                          ("pme_two_box", "--m", "1", "m must be a finite real number > 1"),
+                          ("linear_advdiff", "--b", "-0.1", "b must be a finite real number >= 0"),
+                          ("linear_advdiff", "--c", "nan", "c must be a finite real number")])
+def test_run_rejects_a_knob_value_outside_its_rule(case, flag, value, message, tmp_path, capsys):
+    out = tmp_path / "sol.csv"
+    assert main(["run", "--case", case, flag, value, "--N", "40", "--T", "0.01",
+                 "--out", str(out)]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("sizes", [["--case", "linear_advdiff", "--N", "0"],
                                    ["--case", "linear_advdiff", "--N", "40", "--Ny", "7"],
                                    ["--case", "strong_degenerate_2d", "--N", "24", "--Ny", "0"]])

@@ -47,6 +47,7 @@ def sigma_sides(xi_left, xi_right, bc):
     return sigma[0], sigma[1, ..., ::-1]
 
 
+@pytest.mark.blas_kernel
 @pytest.mark.parametrize("bc", [PER, Boundary.HOMOGENEOUS])
 def test_sweep_frame_sigma_is_the_node_frame_rule_bitwise(bc, rng):
     # reversing the right row turns its rule into the left one, end handling

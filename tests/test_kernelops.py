@@ -132,6 +132,7 @@ def plain_recurrence(J, q):
     return I
 
 
+@pytest.mark.blas_kernel
 @pytest.mark.parametrize("nu", [1e-3, 0.7, 50.0])
 def test_sweep_left_is_the_plain_recurrence_bitwise(nu, rng):
     # the stacked pair runs both orientations through one sweep, which is
@@ -151,6 +152,7 @@ def test_sweep_left_is_the_plain_recurrence_bitwise(nu, rng):
     assert sweep_left(J[:, ::-1], p).tobytes() == plain_recurrence(J[:, ::-1], q).tobytes()
 
 
+@pytest.mark.blas_kernel
 def test_sweep_left_is_the_plain_recurrence_bitwise_through_underflow(rng):
     # where q I_{i-1} underflows to a signed zero, the solve's J_i - dot(-q,
     # I_{i-1}) still equals J_i + q I_{i-1} on J + 0.0, as the docstring says
@@ -192,6 +194,7 @@ _EMPTY_BATCHES = textwrap.dedent("""
 """)
 
 
+@pytest.mark.blas_kernel
 def test_sweep_left_on_an_empty_batch_leaves_the_heap_intact():
     # LAPACK's dtbtrs writes past a right-hand side of zero columns, and a
     # few hundred such calls end the interpreter; an empty batch returns an
@@ -432,6 +435,7 @@ def test_truncation_scaling_first_order():
     assert sL == pytest.approx(-1.0, abs=0.1)
 
 
+@pytest.mark.blas_kernel
 @pytest.mark.parametrize("bc", [PER, HOM])
 @pytest.mark.parametrize("mode", [WENO5, LINEAR6])
 def test_batched_inputs_match_rowwise(mode, bc, rng):
@@ -508,6 +512,7 @@ def fancy_index_shifts(v, bc, lo, hi):
     return [v[..., _wrap(bc, n)(base + m)] for m in range(lo, hi + 1)]
 
 
+@pytest.mark.blas_kernel
 @pytest.mark.parametrize("shape", [(7,), (42,), (7, 34)])
 @pytest.mark.parametrize("bc", [PER, HOM])
 @pytest.mark.parametrize("mode", [WENO5, LINEAR6])
@@ -630,6 +635,7 @@ def test_liveness_skips_a_row_only_where_one_periodic_side_is_zero(bc, left, rig
     assert live == rows and live.start < live.stop
 
 
+@pytest.mark.blas_kernel
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("shape", [(41,), (3, 41), (201, 201)])
 @pytest.mark.parametrize("bc", [PER, HOM])

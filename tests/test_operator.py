@@ -158,6 +158,7 @@ def test_filter_neutrality_bitwise(monkeypatch):
     assert np.array_equal(h_on, h_off)
 
 
+@pytest.mark.blas_kernel
 @pytest.mark.parametrize("order", [2, 3])
 @pytest.mark.parametrize("bc", [PER, HOM])
 @pytest.mark.parametrize("c", [1.0, -1.0])
@@ -209,6 +210,7 @@ def test_dead_side_sigma_changes_no_bit(c, bc, order, monkeypatch):
         assert np.all(sigma[dead_row] == 1.0)
 
 
+@pytest.mark.blas_kernel
 @pytest.mark.parametrize("filter_enabled", [True, False], ids=["filter_on", "filter_off"])
 @pytest.mark.parametrize("quadrature", [qd.WENO5, qd.LINEAR6])
 @pytest.mark.parametrize("order", [1, 2, 3])

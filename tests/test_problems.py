@@ -6,7 +6,7 @@ import pytest
 from advdiff import (Boundary, ProblemSpec, SchemeConfig, SolutionField, advance,
                      barenblatt, build_grid_1d, error_norms, exact_advdiff,
                      make_problem, reference_solution, solve_case)
-from advdiff.problems import BETA_MAX_ADVECTION, convergence_study, observed_orders
+from advdiff.problems import CASE_NAMES, convergence_study, observed_orders
 from advdiff.quadrature import LINEAR6, WENO5
 
 
@@ -88,16 +88,67 @@ def test_make_problem_rejects_unused_params():
             make_problem(name, eps=0.02)
 
 
+@pytest.mark.parametrize("name, knobs, message",
+                         [("pme_barenblatt", dict(m=True), r"m must be a finite real number > 1"),
+                          ("pme_two_box", dict(m=True), r"m must be a finite real number > 1"),
+                          ("pme_two_box", dict(m=0.5), r"m must be a finite real number > 1"),
+                          ("linear_advdiff", dict(b=-0.1), r"b must be a finite real number >= 0"),
+                          ("linear_advdiff", dict(c=np.nan), r"c must be a finite real number"),
+                          ("linear_advdiff", dict(c=True), r"c must be a finite real number")])
+def test_make_problem_rejects_a_knob_value_outside_its_rule(name, knobs, message):
+    # each was built as given: m = True the heat equation g(u) = u, b = -0.1
+    # an anti-diffusive g, c = nan a NaN flux and c = True the speed 1
+    with pytest.raises(ValueError, match=message):
+        make_problem(name, **knobs)
+
+
+def test_make_problem_takes_knob_values_inside_their_rule():
+    assert make_problem("linear_advdiff", c=-1, b=0).spec.flux(2.0) == -2.0
+    assert make_problem("linear_advdiff", c=np.float64(0.0)).spec.flux(2.0) == 0.0
+    assert make_problem("pme_two_box", m=1.5).spec.diffusion(np.array(4.0)) == 8.0
+    assert make_problem("pme_barenblatt", m=np.int64(3)).spec.diffusion(np.array(2.0)) == 8.0
+
+
 def test_default_beta_by_kind():
-    # pure diffusion case falls back to the diffusion column away from its override
+    # a pure diffusion case declares the diffusion column, a 2D case half
+    # the 1D combined one
     pme = make_problem("pme_barenblatt", m=2)
-    assert pme.default_beta(3) == 0.8
-    assert pme.default_beta(1) == 2.0
+    assert pme.make_config(3).beta == 0.8
+    assert pme.make_config(1).beta == 2.0
     mixed = make_problem("linear_advdiff")
-    assert mixed.default_beta(2) == 0.5
+    assert mixed.make_config(2).beta == 0.5
     two_d = make_problem("strong_degenerate_2d")
-    assert two_d.default_beta(3) == 0.2
-    assert two_d.default_beta(2) == pytest.approx(0.25)  # half the 1D mixed value
+    assert two_d.make_config(3).beta == 0.2
+    assert two_d.make_config(2).beta == pytest.approx(0.25)  # half the 1D mixed value
+
+
+# beta_max per order from the stability scans (the README table), and the
+# kind of each catalog case at its default knobs
+BETA_MAX = {"advection": {1: 2.0, 2: 1.0, 3: 1.243},
+            "diffusion": {1: 2.0, 2: 1.0, 3: 0.8375},
+            "combined": {1: 1.0, 2: 0.5, 3: 0.4167}}
+CASE_KIND = {"linear_advdiff": "combined", "pme_barenblatt": "diffusion",
+             "pme_two_box": "diffusion", "buckley_leverett": "combined",
+             "strong_degenerate": "combined", "strong_degenerate_2d": "combined",
+             "buckley_leverett_2d": "combined"}
+
+
+@pytest.mark.parametrize("name", CASE_NAMES)
+def test_declared_beta_is_stable(name):
+    # dimension-by-dimension splitting divides the 1D bound by the axis count
+    case = make_problem(name)
+    assert case.name == name
+    bound = BETA_MAX[CASE_KIND[name]]
+    for k in (1, 2, 3):
+        assert case.make_config(k).beta <= bound[k] / len(case.spec.axes)
+
+
+def test_make_config_names_an_order_the_case_does_not_declare():
+    case = make_problem("linear_advdiff")
+    with pytest.raises(ValueError, match="case linear_advdiff declares no beta for order 4"):
+        case.make_config(order=4)
+    with pytest.raises(ValueError, match="order must be 1, 2 or 3"):
+        case.make_config(order=4, beta=0.4)
 
 
 def test_reference_scheme_constant_and_zero_flux():
@@ -244,7 +295,7 @@ def test_reflection_reverses_the_solution(b, beta, cfl, T, order, linear):
     # x -> -x maps the linear case with speed c and data sin x onto the case
     # with speed -c and the same data; beta is capped at the order's bound
     kw = dict(quadrature="linear6", filter_enabled=False) if linear else {}
-    beta = min(beta, BETA_MAX_ADVECTION[order])
+    beta = min(beta, BETA_MAX["advection"][order])
     u = {}
     for c in (1.0, -1.0):
         case = make_problem("linear_advdiff", c=c, b=b)

@@ -238,6 +238,7 @@ def _oracle_data(kind, shape, rng):
     return pattern[(starts + np.arange(shape[-1])) % 16]
 
 
+@pytest.mark.blas_kernel
 @pytest.mark.parametrize("shape", [(7,), (42,), (7, 34), (201, 201), (2, 201, 201)])
 @pytest.mark.parametrize("bc", [Boundary.PERIODIC, Boundary.HOMOGENEOUS])
 @pytest.mark.parametrize("kind", ["random", "piecewise_constant"])
@@ -264,6 +265,7 @@ def test_rules_equal_textbook_forms_bytewise(kind, bc, shape, rng):
     assert same(xi(got[1][..., ::-1], got[2]), textbook_xi(ref[1][..., ::-1], ref[2]))
 
 
+@pytest.mark.blas_kernel
 def test_weno_peak_allocation_is_pinned(rng):
     # one 2D-sized WENO call on a (201, 207) padded batch: the outputs J, SI0
     # and SI2 (rows as wide as the padded line) plus four block-sized work
@@ -283,6 +285,7 @@ def test_weno_peak_allocation_is_pinned(rng):
     assert peak / field <= 4.84
 
 
+@pytest.mark.blas_kernel
 def test_linear_peak_allocation_is_pinned(rng):
     # one linear-rule call on the same batch: the output row plus the one
     # correlation it is copied from, 2.05 field-sizes when pinned
